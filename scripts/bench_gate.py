@@ -15,8 +15,8 @@ baselines against the newest committed record that carries *its* metric
 (snapshots grow sections over time), so a record missing one section
 skips that gate rather than erroring.  The committed ``sweep_engine``
 section (PR 10+) is additionally held to absolute acceptance floors:
-adaptive rep savings >=2x, straggler-re-dispatch p99 improvement >=1.5x,
-zero duplicate commits and zero event-chain errors.
+adaptive rep savings >=2x, zero duplicate commits and zero event-chain
+errors.
 Intended as a cheap CI step — it runs only the simulator micro-bench
 (median of ``--runs`` samples on a quiesced heap, seconds not minutes),
 not the figure sweeps::
@@ -272,18 +272,14 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
-#: Absolute acceptance floors for the committed sweep-engine bench (the
-#: PR 10 headline claims): adaptive early-stop must save >=2x the reps of
-#: the fixed grid at equal CI targets, straggler re-dispatch must improve
-#: sweep p99 by >=1.5x under an injected slow worker, and both runs must
-#: be causally clean — no duplicate cache commits, no event-chain errors.
+#: Absolute acceptance floors for the committed sweep-engine bench:
+#: adaptive early-stop must save >=2x the reps of the fixed grid at equal
+#: CI targets, and the run must be causally clean — no duplicate cache
+#: commits, no event-chain errors.
 SWEEP_ENGINE_FLOORS = [
     ("sweep_engine.adaptive.rep_savings_ratio", ">=", 2.0),
-    ("sweep_engine.straggler_redispatch.p99_improvement", ">=", 1.5),
     ("sweep_engine.adaptive.duplicate_commits", "==", 0.0),
     ("sweep_engine.adaptive.chain_errors", "==", 0.0),
-    ("sweep_engine.straggler_redispatch.duplicate_commits", "==", 0.0),
-    ("sweep_engine.straggler_redispatch.chain_errors", "==", 0.0),
 ]
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Sweep-engine acceptance bench: adaptive rep savings + straggler p99.
+"""Sweep-engine acceptance bench: adaptive rep savings.
 
-Two measurements, both written into the ``sweep_engine`` section of the
+One measurement, written into the ``sweep_engine`` section of the
 committed bench snapshot (``BENCH_PR10.json`` by default, merged — the
 other sections come from ``scripts/bench_snapshot.py``)::
 
@@ -15,19 +15,8 @@ other sections come from ``scripts/bench_snapshot.py``)::
   (``points * max_reps``) that would reach the same CI floor by brute
   force.  Acceptance (gated by ``scripts/bench_gate.py``): >= 2x.
 
-- ``straggler_redispatch`` — repeated small sweeps on the pool backend
-  with one *injected* straggler per sweep (a sentinel file makes the
-  first executor of one point sleep ~1s; any re-executor runs fast, the
-  same shape as a transiently sick worker).  The baseline runs with
-  re-dispatch off; the measured mode enables :class:`StragglerPolicy`,
-  so flagged points race a speculative twin on an idle worker.
-  Acceptance: sweep-latency p99 improves >= 1.5x, with zero duplicate
-  commits and zero causal-chain errors in the telemetry log.
-
-Both runs also verify causal hygiene from the event logs they write:
-every span commits exactly once (first-commit-wins held), and
-``telemetry.verify_chains`` is clean (re-dispatches excused by their
-``point_retried`` markers).
+The run also verifies causal hygiene from the event log it writes: every
+span commits exactly once, and ``telemetry.verify_chains`` is clean.
 """
 
 from __future__ import annotations
@@ -36,7 +25,6 @@ import argparse
 import json
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -48,10 +36,7 @@ from repro.exp import (  # noqa: E402
     AdaptiveConfig,
     ConvergenceTarget,
     ResultCache,
-    StragglerPolicy,
-    bernoulli_probe_point,
     run_adaptive_sweep,
-    run_sweep,
     shutdown_pool,
     sweep_points,
 )
@@ -93,7 +78,7 @@ def bench_adaptive(jobs: int, tmp: str) -> dict:
     outcome = run_adaptive_sweep(
         points, config=config, jobs=jobs,
         cache=ResultCache(os.path.join(tmp, "cache-adaptive")),
-        telemetry_dir=telemetry_dir, backend="pool")
+        telemetry_dir=telemetry_dir)
     worst_hw = max((result.halfwidth for result in outcome.results
                     if result.halfwidth is not None), default=None)
     record = {
@@ -117,84 +102,10 @@ def bench_adaptive(jobs: int, tmp: str) -> dict:
     return record
 
 
-def _straggler_sweep(mode: str, index: int, jobs: int, tmp: str,
-                     policy: "StragglerPolicy | None") -> tuple:
-    """One small sweep with an injected slow first-executor; returns
-    ``(elapsed_seconds, redispatches)``."""
-    from repro.exp import SweepPoint
-
-    sentinel = os.path.join(tmp, f"sentinel-{mode}-{index}")
-    # Seeds are unique per (mode, sweep, point) so no result-cache hit or
-    # in-flight dedup short-circuits a measured execution.
-    base = 1000 * index + (500_000 if mode != "baseline" else 0)
-    fast = [SweepPoint("bernoulli", bernoulli_probe_point,
-                       {"p": 0.1, "bits": 256, "seed": base + i,
-                        "fast_seconds": 0.03})
-            for i in range(6)]
-    slow = [SweepPoint("bernoulli", bernoulli_probe_point,
-                       {"p": 0.1, "bits": 256, "seed": base + 999,
-                        "slow_sentinel": sentinel, "slow_seconds": 1.0,
-                        "fast_seconds": 0.03})]
-    telemetry_dir = os.path.join(tmp, f"telemetry-{mode}")
-    outcome = run_sweep(slow + fast, jobs=jobs,
-                        cache=ResultCache(os.path.join(tmp, f"cache-{mode}")),
-                        telemetry_dir=telemetry_dir, backend="pool",
-                        straggler=policy)
-    return outcome.elapsed_seconds, outcome.redispatches
-
-
-def bench_straggler(jobs: int, sweeps: int, tmp: str) -> dict:
-    """Injected-straggler sweep latency: re-dispatch off vs on."""
-    policy = StragglerPolicy(factor=3.0, min_seconds=0.15, min_samples=3)
-    record: dict = {"sweeps": sweeps, "points_per_sweep": 7, "jobs": jobs,
-                    "slow_seconds": 1.0, "fast_seconds": 0.03,
-                    "policy": {"factor": policy.factor,
-                               "min_seconds": policy.min_seconds,
-                               "min_samples": policy.min_samples}}
-    for mode, active in (("baseline", None), ("redispatch", policy)):
-        # A fresh pool per mode: worker duration history must not leak
-        # from one mode's median into the other's straggler threshold.
-        shutdown_pool()
-        latencies = []
-        redispatches = 0
-        for index in range(sweeps):
-            elapsed, sweep_redispatches = _straggler_sweep(
-                mode, index, jobs, tmp, active)
-            latencies.append(elapsed)
-            redispatches += sweep_redispatches
-        latencies.sort()
-        entry = {
-            "p50_s": round(statistics.median(latencies), 3),
-            "p99_s": round(
-                latencies[min(len(latencies) - 1,
-                              round(0.99 * (len(latencies) - 1)))], 3),
-            "max_s": round(latencies[-1], 3),
-            "latencies_s": [round(value, 3) for value in latencies],
-        }
-        if mode == "redispatch":
-            entry["redispatches"] = redispatches
-        entry.update(chain_hygiene(os.path.join(tmp, f"telemetry-{mode}")))
-        record[mode] = entry
-    shutdown_pool()
-    record["p99_improvement"] = round(
-        record["baseline"]["p99_s"]
-        / max(record["redispatch"]["p99_s"], 1e-9), 2)
-    record["p50_improvement"] = round(
-        record["baseline"]["p50_s"]
-        / max(record["redispatch"]["p50_s"], 1e-9), 2)
-    # The gate floors read these from the redispatch mode's log.
-    record["duplicate_commits"] = record["redispatch"]["duplicate_commits"]
-    record["chain_errors"] = record["redispatch"]["chain_errors"]
-    return record
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=2,
-                        help="pool workers (default 2: one straggler, one "
-                             "rescuer — the worst case for re-dispatch)")
-    parser.add_argument("--sweeps", type=int, default=12,
-                        help="sweeps per straggler mode (default 12)")
+                        help="pool workers (default 2)")
     parser.add_argument("--output", default=OUTPUT,
                         help="bench snapshot to merge the sweep_engine "
                              "section into (default BENCH_PR10.json)")
@@ -211,20 +122,11 @@ def main(argv=None) -> int:
               f"worst CI half-width {adaptive['achieved_ci_halfwidth']}, "
               f"{adaptive['duplicate_commits']} dup commits, "
               f"{adaptive['chain_errors']} chain errors)")
-
-        print(f"injected-straggler sweeps ({args.sweeps} per mode)...")
-        straggler = bench_straggler(args.jobs, args.sweeps, tmp)
-        print(f"straggler: p99 {straggler['baseline']['p99_s']}s baseline "
-              f"-> {straggler['redispatch']['p99_s']}s with re-dispatch "
-              f"({straggler['p99_improvement']}x; "
-              f"{straggler['redispatch']['redispatches']} re-dispatches, "
-              f"{straggler['duplicate_commits']} dup commits, "
-              f"{straggler['chain_errors']} chain errors)")
     finally:
         shutdown_pool()
         shutil.rmtree(tmp, ignore_errors=True)
 
-    section = {"adaptive": adaptive, "straggler_redispatch": straggler,
+    section = {"adaptive": adaptive,
                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                           time.gmtime())}
     try:

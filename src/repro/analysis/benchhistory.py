@@ -41,8 +41,6 @@ BENCH_METRICS: List[Tuple[str, str, str]] = [
      "telemetry_overhead.overhead_pct", "lower"),
     ("sweep.adaptive_rep_savings",
      "sweep_engine.adaptive.rep_savings_ratio", "higher"),
-    ("sweep.redispatch_p99_improvement",
-     "sweep_engine.straggler_redispatch.p99_improvement", "higher"),
 ]
 
 _BENCH_RE = re.compile(r"BENCH_PR(\d+)\.json$")

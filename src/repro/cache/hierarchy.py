@@ -309,8 +309,8 @@ class CacheHierarchy:
         if not hasattr(addrs, "__len__"):
             addrs = list(addrs)
         vector = _vector_module()
-        if vector.resolve_backend(backend, len(addrs),
-                                  self._obs) == "vector":
+        if vector.choose_backend(backend, len(addrs),
+                                 self._obs) == "vector":
             finish, _ = vector.access_batch_vector(
                 self, core, addrs, issued, is_write=is_write, pc=pc,
                 requestor=requestor)
@@ -333,8 +333,8 @@ class CacheHierarchy:
         if not hasattr(addrs, "__len__"):
             addrs = list(addrs)
         vector = _vector_module()
-        if vector.resolve_backend(backend, len(addrs),
-                                  self._obs) == "vector":
+        if vector.choose_backend(backend, len(addrs),
+                                 self._obs) == "vector":
             return vector.access_batch_vector(
                 self, core, addrs, issued, is_write=is_write, pc=pc,
                 requestor=requestor, collect_latencies=True)

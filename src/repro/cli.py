@@ -252,16 +252,15 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a fig8-style quality sweep through the sweep engine directly:
-    pick an execution backend (serial, pool, or a running daemon via
-    serve), optionally enable straggler re-dispatch, and — with
-    ``--adaptive`` — schedule repetitions in rounds and early-stop each
-    point once its BER confidence interval is tight enough."""
+    """Run a fig8-style quality sweep through the sweep engine directly
+    and — with ``--adaptive`` — schedule repetitions in rounds and
+    early-stop each point once its BER confidence interval is tight
+    enough.  To run the sweep on a daemon, use ``repro submit
+    fig8-quality --axis llc_mb ...``."""
     from repro.exp import (
         AdaptiveConfig,
         ConvergenceTarget,
         ResultCache,
-        StragglerPolicy,
         run_adaptive_sweep,
         run_sweep,
         sweep_points,
@@ -272,14 +271,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                           [float(mb) for mb in args.llc_mb],
                           bits=args.bits, attacks=args.attacks)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    straggler = None
-    if args.redispatch:
-        straggler = StragglerPolicy(factor=args.straggler_factor,
-                                    min_seconds=args.straggler_min_seconds)
-    serve_addr = (args.host, args.port) if args.backend == "serve" else None
     common = dict(jobs=args.jobs, cache=cache,
-                  telemetry_dir=args.telemetry_dir, backend=args.backend,
-                  straggler=straggler, serve_addr=serve_addr)
+                  telemetry_dir=args.telemetry_dir)
 
     if args.adaptive:
         config = AdaptiveConfig(
@@ -305,10 +298,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"{outcome.fixed_reps} fixed "
               f"({outcome.rep_savings_ratio:.2f}x savings) in "
               f"{outcome.rounds} rounds, {outcome.elapsed_seconds:.1f}s")
-        redispatches = sum(s.redispatches for s in outcome.sweeps)
-        backend = outcome.sweeps[-1].backend if outcome.sweeps else None
-        print(f"backend {backend or args.backend}, "
-              f"{redispatches} straggler re-dispatches")
         return 0
 
     outcome = run_sweep(points, **common)
@@ -320,10 +309,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append((point.describe(), len(attacks), f"{best:.2f}"))
     print(format_table(["point", "channels", "best Mb/s"], rows,
                        title="quality sweep"))
-    mode = outcome.backend or ("parallel" if outcome.parallel else "serial")
+    mode = "parallel" if outcome.parallel else "serial"
     print(f"{len(points)} points in {outcome.elapsed_seconds:.1f}s "
-          f"(backend {mode}, jobs={outcome.jobs}, "
-          f"{outcome.redispatches} re-dispatches)")
+          f"({mode}, jobs={outcome.jobs})")
     return 0
 
 
@@ -691,9 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run a quality sweep through the sweep engine: pick a "
-             "backend (serial|pool|serve), enable straggler re-dispatch, "
-             "or early-stop reps adaptively on CI convergence")
+        help="run a quality sweep through the sweep engine, optionally "
+             "early-stopping reps adaptively on CI convergence")
     p.add_argument("--llc-mb", type=float, nargs="+", default=[8.0, 64.0],
                    help="LLC sizes (MB) to sweep (default: 8 64)")
     p.add_argument("--bits", type=int, default=128,
@@ -701,15 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacks", nargs="+", choices=sorted(ATTACKS),
                    default=None,
                    help="subset of channels (default: all seven)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "serial", "pool", "serve"],
-                   help="execution backend: serial in-process, the "
-                        "fork-server pool, or a running `repro serve` "
-                        "daemon (default: auto picks serial/pool)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="daemon host for --backend serve")
-    p.add_argument("--port", type=int, default=9306,
-                   help="daemon port for --backend serve")
     p.add_argument("--adaptive", action="store_true",
                    help="schedule repetitions in rounds and early-stop "
                         "each point once its worst-stream Wilson BER CI "
@@ -726,14 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "budget adaptive is measured against)")
     p.add_argument("--round-reps", type=int, default=2,
                    help="new repetitions per scheduling round")
-    p.add_argument("--redispatch", action="store_true",
-                   help="speculatively re-dispatch straggler points to "
-                        "idle workers (pool backend)")
-    p.add_argument("--straggler-factor", type=float, default=4.0,
-                   help="straggler threshold: this many times the running "
-                        "median point duration (default 4)")
-    p.add_argument("--straggler-min-seconds", type=float, default=1.0,
-                   help="never flag points younger than this (default 1s)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist point results to a ResultCache here")
     p.add_argument("--telemetry-dir", default=None, metavar="DIR",
@@ -816,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "top",
         help="live fleet view: per-client queues, worker throughput, "
-             "stragglers (polls a daemon, or tails a telemetry dir)")
+             "slowest in flight (polls a daemon, or tails a telemetry dir)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=9306)
     p.add_argument("--dir", default=None, metavar="DIR",

@@ -290,7 +290,7 @@ class MemoryController:
         eligible = not self._close_after and not self._constant_time
         if eligible and not hasattr(addrs, "__len__"):
             addrs = list(addrs)
-        choice = (vector.resolve_backend(backend, len(addrs), self._obs)
+        choice = (vector.choose_backend(backend, len(addrs), self._obs)
                   if eligible else "scalar")
         if not eligible and backend == "vector":
             # Still surface a missing numpy loudly; an ineligible config

@@ -30,12 +30,7 @@ from repro.exp.adaptive import (
 )
 from repro.exp.cache import MISSING, ResultCache, code_version
 from repro.exp.runner import (
-    ExecutionBackend,
-    PoolBackend,
     PoolUnavailableError,
-    SerialBackend,
-    ServeBackend,
-    StragglerPolicy,
     SweepOutcome,
     WorkerHandle,
     WorkerPool,
@@ -43,7 +38,6 @@ from repro.exp.runner import (
     get_pool,
     metrics_path,
     point_slug,
-    resolve_backend,
     run_sweep,
     shutdown_pool,
 )
@@ -56,13 +50,8 @@ __all__ = [
     "AdaptiveOutcome",
     "AdaptivePointResult",
     "ConvergenceTarget",
-    "ExecutionBackend",
-    "PoolBackend",
     "PoolUnavailableError",
     "ResultCache",
-    "SerialBackend",
-    "ServeBackend",
-    "StragglerPolicy",
     "SweepOutcome",
     "SweepPoint",
     "WarmStore",
@@ -75,7 +64,6 @@ __all__ = [
     "metrics_path",
     "point_slug",
     "pristine_system",
-    "resolve_backend",
     "run_adaptive_sweep",
     "run_sweep",
     "shutdown_pool",

@@ -17,21 +17,19 @@ Merging is deterministic: a point's repetitions are evaluated in
 repetition order and pooled by summation, so an adaptive run that
 happens to execute the same repetitions as a fixed grid produces
 bit-identical pooled results.  Every round is one ordinary
-:func:`~repro.exp.runner.run_sweep` call, so caching, telemetry,
-straggler re-dispatch, and backend selection all apply unchanged.
+:func:`~repro.exp.runner.run_sweep` call, so caching, telemetry and the
+worker pool all apply unchanged.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.quality import relative_spread, wilson_halfwidth
 from repro.exp.cache import ResultCache
-from repro.exp.runner import (ExecutionBackend, StragglerPolicy,
-                              SweepOutcome, point_slug, run_sweep)
+from repro.exp.runner import SweepOutcome, point_slug, run_sweep
 from repro.exp.sweep import SweepPoint
 from repro.obs import telemetry
 
@@ -242,19 +240,16 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
                        metrics_dir: Optional[str] = None,
                        warm_dir: Optional[str] = None,
                        telemetry_dir: Optional[str] = None,
-                       backend: Union[str, ExecutionBackend, None] = "auto",
-                       straggler: Optional[StragglerPolicy] = None,
-                       serve_addr: Optional[Tuple[str, int]] = None,
-                       max_point_retries: int = 3) -> AdaptiveOutcome:
+                       ) -> AdaptiveOutcome:
     """Run ``points`` adaptively: repetitions in rounds, early-stopping
     points whose pooled statistics meet the convergence target.
 
     Each round expands every unresolved point into its next chunk of
     repetitions (``config.rep_axis`` varied by ``config.value_for``) and
     executes them as one ordinary :func:`run_sweep` — so the result
-    cache, the telemetry event log, the chosen backend, and straggler
-    re-dispatch all behave exactly as in a fixed sweep.  Returns an
-    :class:`AdaptiveOutcome` whose ``results`` align with ``points``.
+    cache, the telemetry event log and the worker pool behave exactly as
+    in a fixed sweep.  Returns an :class:`AdaptiveOutcome` whose
+    ``results`` align with ``points``.
     """
     config = config or AdaptiveConfig()
     started = time.perf_counter()
@@ -283,10 +278,7 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
         rounds += 1
         outcome = run_sweep(batch, jobs=jobs, cache=cache,
                             trace_dir=trace_dir, metrics_dir=metrics_dir,
-                            warm_dir=warm_dir, telemetry_dir=telemetry_dir,
-                            backend=backend, straggler=straggler,
-                            serve_addr=serve_addr,
-                            max_point_retries=max_point_retries)
+                            warm_dir=warm_dir, telemetry_dir=telemetry_dir)
         sweeps.append(outcome)
         for index, payload in zip(owners, outcome.results):
             states[index].payloads.append(payload)
@@ -314,35 +306,14 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
 # Synthetic probe point (tests / benches / CI smoke)
 # ---------------------------------------------------------------------------
 
-def bernoulli_probe_point(p: float = 0.1, bits: int = 256, seed: int = 1,
-                          slow_sentinel: Optional[str] = None,
-                          slow_seconds: float = 0.0,
-                          fast_seconds: float = 0.0) -> Dict[str, Any]:
+def bernoulli_probe_point(p: float = 0.1, bits: int = 256,
+                          seed: int = 1) -> Dict[str, Any]:
     """Deterministic synthetic quality point: ``bits`` Bernoulli(``p``)
     error draws seeded by ``(p, bits, seed)``, payload shaped like a
-    single-channel quality result (``errors``/``bits``).
-
-    The optional ``slow_sentinel`` injects a straggler for benches and
-    smoke tests: the *first* executor to atomically create the sentinel
-    file sleeps ``slow_seconds``, everyone else ``fast_seconds`` — so
-    exactly one copy of one point is slow, whichever worker draws it.
-    The payload never depends on timing, so re-dispatched twins commit
-    bit-identical results."""
+    single-channel quality result (``errors``/``bits``)."""
     import random
 
     rng = random.Random(f"{float(p)}:{int(bits)}:{int(seed)}")
     errors = sum(1 for _ in range(int(bits)) if rng.random() < float(p))
-    delay = float(fast_seconds)
-    if slow_sentinel:
-        try:
-            fd = os.open(slow_sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(fd)
-            delay = float(slow_seconds)
-        except FileExistsError:
-            pass
-        except OSError:
-            pass
-    if delay > 0:
-        time.sleep(delay)
     return {"p": float(p), "bits": int(bits), "seed": int(seed),
             "errors": errors}

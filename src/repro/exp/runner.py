@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import (Any, Callable, Dict, List, Iterator, Optional, Sequence,
-                    Tuple, Union)
+                    Tuple)
 
 from repro import obs
 from repro.exp import warmstore
@@ -53,7 +53,6 @@ from repro.exp.cache import ResultCache
 from repro.exp.sweep import SweepPoint
 from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry
-from repro.obs.telemetry import FleetHealth
 
 
 class PoolUnavailableError(RuntimeError):
@@ -84,35 +83,6 @@ def default_jobs() -> int:
     return max(1, counter() or 1)
 
 
-@dataclass(frozen=True)
-class StragglerPolicy:
-    """When and how the pool re-dispatches flagged stragglers.
-
-    A point in flight longer than ``max(factor × running-median,
-    min_seconds)`` (after ``min_samples`` completions warmed the median)
-    is speculatively re-dispatched to an idle worker; the first copy to
-    finish wins and the losing copies are killed.  ``max_twins`` bounds
-    speculative copies per point; the overall per-point retry budget
-    (``run_sweep(max_point_retries=...)``) bounds re-dispatches *plus*
-    serial-fallback retries together."""
-
-    factor: float = 4.0
-    min_seconds: float = 1.0
-    min_samples: int = 4
-    max_twins: int = 1
-    enabled: bool = True
-
-    def poll_seconds(self) -> float:
-        """How often the blocking pool loop wakes to scan for stragglers
-        (a fraction of ``min_seconds``, clamped to a sane band)."""
-        return min(0.5, max(0.02, self.min_seconds / 4.0))
-
-    def health(self) -> FleetHealth:
-        return FleetHealth(straggler_factor=self.factor,
-                           min_samples=self.min_samples,
-                           min_seconds=self.min_seconds)
-
-
 @dataclass
 class SweepOutcome:
     """Results of one sweep, in point order, plus execution metadata."""
@@ -134,11 +104,6 @@ class SweepOutcome:
     #: stamped trace, and stamped metrics JSON the sweep produced carries
     #: it (see :mod:`repro.obs.telemetry`).
     run_id: Optional[str] = None
-    #: Which :class:`ExecutionBackend` actually ran the pending points
-    #: (``None`` when everything came from the result cache).
-    backend: Optional[str] = None
-    #: Speculative straggler re-dispatches the pool performed.
-    redispatches: int = 0
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.results)
@@ -376,16 +341,13 @@ class WorkerPool:
 
     # -- lease-based dispatch (the async scheduler's seam) --------------
 
-    def checkout(self, spawn: bool = True) -> Optional[WorkerHandle]:
-        """Lease an idle worker (spawning one when ``spawn`` and none is
-        free); ``None`` when every worker is busy and ``spawn`` is off."""
+    def checkout(self) -> WorkerHandle:
+        """Lease an idle worker, spawning one when none is free."""
         self._reap_dead()
         for handle in self._workers:
             if not handle.leased:
                 handle.leased = True
                 return handle
-        if not spawn:
-            return None
         handle = self._spawn()
         handle.leased = True
         self._workers.append(handle)
@@ -399,27 +361,6 @@ class WorkerPool:
         """Remove a (possibly dead) worker from the pool and reap its
         process; the caller's lease, if any, is void afterwards."""
         self._dismiss(handle)
-
-    def kill(self, handle: WorkerHandle) -> None:
-        """Terminate a worker *immediately* (no graceful drain, no
-        multi-second join) — used to cancel the losing copy of a
-        speculatively re-dispatched point the moment its twin commits.
-        The worker's warm memos die with it; that is the accepted price
-        of not waiting out a straggler."""
-        try:
-            handle.process.terminate()
-        except Exception:
-            pass
-        try:
-            handle.conn.close()
-        except Exception:
-            pass
-        handle.process.join(timeout=0.05)
-        handle.leased = False
-        try:
-            self._workers.remove(handle)
-        except ValueError:
-            pass
 
     def _dismiss(self, handle: WorkerHandle) -> None:
         try:
@@ -462,9 +403,6 @@ class WorkerPool:
             on_result: Optional[Callable[[int, Any, Dict[str, int]],
                                          None]] = None,
             span_ids: Optional[Sequence[Optional[str]]] = None,
-            straggler: Optional[StragglerPolicy] = None,
-            allow_retry: Optional[Callable[[int, str], bool]] = None,
-            stats: Optional[Dict[str, int]] = None,
             ) -> List[Tuple[Any, Dict[str, int]]]:
         """Execute ``points``; returns ``(payload, warm_delta)`` pairs in
         point order.  Re-raises the first failing point's exception after
@@ -476,16 +414,7 @@ class WorkerPool:
 
         ``span_ids`` aligns with ``points``: each task's env overlay
         carries its span so the worker's telemetry records chain with the
-        parent's (see :mod:`repro.obs.telemetry`).
-
-        With a :class:`StragglerPolicy`, the loop polls in-flight ages
-        against the running-median threshold and speculatively
-        re-dispatches flagged points to idle workers: first copy to
-        finish wins, losing copies are killed (:meth:`kill`) the moment
-        the winner's reply lands, so exactly one result per point ever
-        reaches ``on_result``.  ``allow_retry(seq, reason)`` consults the
-        caller's per-point retry budget before each re-dispatch; ``stats``
-        (when given) receives a ``redispatches`` count."""
+        parent's (see :mod:`repro.obs.telemetry`)."""
         count = min(jobs, len(points))
         env = pool_task_env()
         # A stale ambient span must never leak into workers; each task
@@ -493,159 +422,39 @@ class WorkerPool:
         env.pop(telemetry.ENV_SPAN_ID, None)
         spans: List[Optional[str]] = (list(span_ids) if span_ids is not None
                                       else [None] * len(points))
-        tele = telemetry.enabled()
-        policy = straggler if (straggler is not None
-                               and straggler.enabled) else None
-        health: Optional[FleetHealth]
-        if policy is not None:
-            health = policy.health()
-        else:
-            health = FleetHealth() if tele else None
-        poll = policy.poll_seconds() if policy is not None else None
         out: List[Optional[Tuple[Any, Dict[str, int]]]] = [None] * len(points)
         failure: Optional[BaseException] = None
         next_index = 0
-        redispatches = 0
-        done: set = set()  # seqs whose winning result was delivered
-        # conn -> (seq, flight_key, is_twin); flight keys ("<span>#rN" for
-        # speculative copies) keep every live copy distinct in FleetHealth.
-        flights: Dict[Any, Tuple[int, str, bool]] = {}
-        active: Dict[int, List[Any]] = {}  # seq -> conns racing on it
-        twins_sent: Dict[int, int] = {}
-        key_seq: Dict[str, int] = {}
-        overdue: List[int] = []  # flagged seqs awaiting an idle worker
-        failed_once: Dict[int, BaseException] = {}
         # checkout (not a raw scan) so concurrent lease holders — e.g. the
         # serve scheduler sharing this pool — never starve a blocking run:
         # missing idle workers are spawned on demand.
         idle: List[WorkerHandle] = []
         busy: Dict[Any, WorkerHandle] = {}  # conn -> handle
-
-        def _flight_key(seq: int, attempt: int) -> str:
-            base = spans[seq] or f"seq-{seq}"
-            return base if attempt == 0 else f"{base}#r{attempt}"
-
-        def _dispatch(handle: WorkerHandle, seq: int,
-                      twin: bool = False) -> None:
-            nonlocal redispatches
-            span = spans[seq]
-            attempt = twins_sent.get(seq, 0) + 1 if twin else 0
-            key = _flight_key(seq, attempt)
-            handle.send_task(seq, points[seq],
-                             env if span is None
-                             else {**env, telemetry.ENV_SPAN_ID: span})
-            slug = point_slug(points[seq])
-            if health is not None:
-                health.record_dispatch(
-                    handle.process.pid, key, point_slug=slug,
-                    redispatch_of=_flight_key(seq, 0) if twin else None)
-            extra = {"redispatch": True} if twin else {}
-            telemetry.emit("point_dispatched", span_id=span, point_slug=slug,
-                           worker_pid=handle.process.pid, **extra)
-            if twin:
-                twins_sent[seq] = attempt
-                redispatches += 1
-            busy[handle.conn] = handle
-            flights[handle.conn] = (seq, key, twin)
-            key_seq[key] = seq
-            active.setdefault(seq, []).append(handle.conn)
-
-        def _cancel_losers(seq: int, winner_conn: Any) -> None:
-            for conn in list(active.get(seq, [])):
-                if conn is winner_conn:
-                    continue
-                loser = busy.pop(conn, None)
-                info = flights.pop(conn, None)
-                if loser is None:
-                    continue
-                if health is not None and info is not None:
-                    health.record_cancelled(loser.process.pid, info[1])
-                telemetry.log("info", "runner",
-                              "killed losing straggler copy",
-                              point_slug=point_slug(points[seq]),
-                              worker_pid=loser.process.pid)
-                self.kill(loser)
-                if next_index < len(points) or overdue:
-                    try:
-                        idle.append(self.checkout())
-                    except PoolUnavailableError:
-                        pass
-            active.pop(seq, None)
-
         try:
             while len(idle) < count:
                 idle.append(self.checkout())
             while True:
                 while idle and next_index < len(points) and failure is None:
-                    _dispatch(idle.pop(), next_index)
+                    handle = idle.pop()
+                    span = spans[next_index]
+                    handle.send_task(
+                        next_index, points[next_index],
+                        env if span is None
+                        else {**env, telemetry.ENV_SPAN_ID: span})
+                    telemetry.emit("point_dispatched", span_id=span,
+                                   point_slug=point_slug(points[next_index]),
+                                   worker_pid=handle.process.pid)
+                    busy[handle.conn] = handle
                     next_index += 1
-                if policy is not None and failure is None:
-                    for entry in health.flag_stragglers():
-                        seq = key_seq.get(entry["span_id"])
-                        if seq is None or seq in done:
-                            continue
-                        telemetry.emit(
-                            "point_straggler", span_id=spans[seq],
-                            point_slug=point_slug(points[seq]),
-                            worker_pid=entry["pid"],
-                            age_s=entry["age_s"],
-                            threshold_s=entry["threshold_s"])
-                        if (entry["span_id"] == _flight_key(seq, 0)
-                                and seq not in overdue):
-                            overdue.append(seq)
-                    while idle and overdue and failure is None:
-                        seq = overdue.pop(0)
-                        if (seq in done
-                                or twins_sent.get(seq, 0) >= policy.max_twins):
-                            continue
-                        if (allow_retry is not None
-                                and not allow_retry(
-                                    seq, "straggler_redispatch")):
-                            continue
-                        telemetry.emit("point_retried", span_id=spans[seq],
-                                       point_slug=point_slug(points[seq]),
-                                       reason="straggler_redispatch")
-                        _dispatch(idle.pop(), seq, twin=True)
                 if not busy:
                     break
-                ready = mp_connection.wait(list(busy), timeout=poll)
-                for conn in ready:
-                    handle = busy.pop(conn, None)
-                    if handle is None:
-                        continue  # a loser killed earlier in this batch
-                    seq, key, _is_twin = flights.pop(conn)
-                    _reply_seq, ok, payload, warm_delta = conn.recv()
-                    idle.append(handle)
-                    racing = active.get(seq, [])
-                    if conn in racing:
-                        racing.remove(conn)
-                    if seq in done:
-                        # Late loser: its twin already won; the result is
-                        # dropped unseen (first-commit-wins).
-                        if health is not None:
-                            health.record_cancelled(handle.process.pid, key)
-                        continue
-                    if health is not None:
-                        elapsed, straggled = health.record_done(
-                            handle.process.pid, key, ok=ok)
-                        if straggled:
-                            telemetry.emit(
-                                "point_straggler", span_id=spans[seq],
-                                point_slug=point_slug(points[seq]),
-                                worker_pid=handle.process.pid,
-                                age_s=round(elapsed, 6),
-                                threshold_s=health.threshold())
+                for conn in mp_connection.wait(list(busy)):
+                    seq, ok, payload, warm_delta = conn.recv()
+                    idle.append(busy.pop(conn))
                     if ok:
-                        done.add(seq)
-                        failed_once.pop(seq, None)
-                        _cancel_losers(seq, conn)
                         out[seq] = (payload, warm_delta)
                         if on_result is not None:
                             on_result(seq, payload, warm_delta)
-                    elif racing:
-                        # A speculative copy is still running this point;
-                        # it may yet succeed, so hold the failure.
-                        failed_once[seq] = payload
                     else:
                         telemetry.emit(
                             "point_failed", span_id=spans[seq],
@@ -663,8 +472,6 @@ class WorkerPool:
             self.shutdown()
             raise PoolUnavailableError(f"worker pool failed: {exc}") from exc
         finally:
-            if stats is not None:
-                stats["redispatches"] = redispatches
             for handle in idle + list(busy.values()):
                 handle.leased = False
             # Resident footprint tracks the *current* request, not the
@@ -715,199 +522,10 @@ def _run_parallel(points: Sequence[SweepPoint], jobs: int,
                   on_result: Optional[Callable[[int, Any, Dict[str, int]],
                                                None]] = None,
                   span_ids: Optional[Sequence[Optional[str]]] = None,
-                  straggler: Optional["StragglerPolicy"] = None,
-                  allow_retry: Optional[Callable[[int, str], bool]] = None,
-                  stats: Optional[Dict[str, int]] = None,
                   ) -> List[Tuple[Any, Dict[str, int]]]:
     """Execute ``points`` on the persistent pool; results in point order."""
     return _get_pool().run(points, jobs, on_result=on_result,
-                           span_ids=span_ids, straggler=straggler,
-                           allow_retry=allow_retry, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Execution backends
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SweepContext:
-    """Everything a backend needs to execute one sweep's pending points.
-
-    ``commit(pos, payload)`` delivers one finished point (the runner
-    caches it and emits ``point_committed``); ``add_warm`` accumulates
-    warm-store deltas; ``allow_retry(pos, reason)`` consults and consumes
-    the per-point retry budget; ``completed`` is a live view the fallback
-    path uses to find what still needs running; ``stats`` carries backend
-    counters (``redispatches``) back to the outcome."""
-
-    todo: Sequence[SweepPoint]
-    spans: Sequence[str]
-    run_id: str
-    jobs: int
-    commit: Callable[[int, Any], None]
-    add_warm: Callable[[int, int], None]
-    allow_retry: Callable[[int, str], bool]
-    completed: List[bool]
-    stats: Dict[str, int] = field(default_factory=dict)
-
-    def pending_positions(self) -> List[int]:
-        return [pos for pos, done in enumerate(self.completed) if not done]
-
-
-class ExecutionBackend:
-    """How a sweep executes its non-cached points.
-
-    One seam, three implementations — ``serial`` (in this process),
-    ``pool`` (the persistent fork-server :class:`WorkerPool`), ``serve``
-    (a running ``repro serve`` daemon via the blocking client) — so
-    :func:`run_sweep` carries one code path instead of special-casing
-    each mode.  A backend raising :class:`PoolUnavailableError` (or the
-    OS-level spawn failures) signals *infrastructure* trouble: the runner
-    falls back to serial execution of whatever has not completed,
-    charging each re-run to the point's retry budget."""
-
-    name = "backend"
-
-    def execute(self, ctx: SweepContext) -> None:
-        raise NotImplementedError
-
-
-class SerialBackend(ExecutionBackend):
-    """In-process execution, one point at a time — also the fallback
-    target when a parallel backend's infrastructure fails."""
-
-    name = "serial"
-
-    def execute(self, ctx: SweepContext) -> None:
-        _serial_execute(ctx, ctx.pending_positions())
-
-
-def _serial_execute(ctx: SweepContext, positions: Sequence[int]) -> None:
-    for pos in positions:
-        telemetry.emit("point_dispatched", run_id=ctx.run_id,
-                       span_id=ctx.spans[pos],
-                       point_slug=point_slug(ctx.todo[pos]),
-                       worker_pid=os.getpid())
-        before = warmstore.counters()
-        try:
-            payload = _run_point(ctx.todo[pos], run_id=ctx.run_id,
-                                 span_id=ctx.spans[pos])
-        except BaseException as exc:
-            telemetry.emit(
-                "point_failed", run_id=ctx.run_id, span_id=ctx.spans[pos],
-                point_slug=point_slug(ctx.todo[pos]),
-                error=f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            after = warmstore.counters()
-            ctx.add_warm(after["hits"] - before["hits"],
-                         after["misses"] - before["misses"])
-        ctx.commit(pos, payload)
-
-
-class PoolBackend(ExecutionBackend):
-    """The persistent fork-server pool, with optional straggler
-    re-dispatch driven by a :class:`StragglerPolicy`."""
-
-    name = "pool"
-
-    def __init__(self, straggler: Optional[StragglerPolicy] = None) -> None:
-        self.straggler = straggler
-
-    def execute(self, ctx: SweepContext) -> None:
-        def _on_result(pos: int, payload: Any,
-                       delta: Dict[str, int]) -> None:
-            ctx.add_warm(delta["hits"], delta["misses"])
-            ctx.commit(pos, payload)
-
-        _run_parallel(ctx.todo, ctx.jobs, on_result=_on_result,
-                      span_ids=ctx.spans, straggler=self.straggler,
-                      allow_retry=ctx.allow_retry, stats=ctx.stats)
-
-
-class ServeBackend(ExecutionBackend):
-    """Submit the points to a running ``repro serve`` daemon.
-
-    Points are grouped by function (the daemon resolves
-    ``module:qualname`` through its registry escape hatch) and streamed
-    back per point, so commits land as they finish, exactly like the
-    other backends.  Connection failures raise
-    :class:`PoolUnavailableError`, engaging the same serial fallback."""
-
-    name = "serve"
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 9306,
-                 timeout: float = 600.0, priority: int = 0) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.priority = priority
-
-    def execute(self, ctx: SweepContext) -> None:
-        from repro.serve.client import ServeClient, ServeError
-        try:
-            client = ServeClient(self.host, self.port, timeout=self.timeout)
-        except OSError as exc:
-            raise PoolUnavailableError(
-                f"serve daemon unreachable at {self.host}:{self.port}: "
-                f"{exc}") from exc
-        groups: Dict[Tuple[str, str], List[int]] = {}
-        for pos in ctx.pending_positions():
-            point = ctx.todo[pos]
-            spec = f"{point.fn.__module__}:{point.fn.__qualname__}"
-            groups.setdefault((point.experiment, spec), []).append(pos)
-        errors: List[str] = []
-        try:
-            for (_experiment, spec), positions in groups.items():
-                params = [dict(ctx.todo[pos].params) for pos in positions]
-
-                def _on_event(event: Dict[str, Any],
-                              positions: List[int] = positions) -> None:
-                    if (event.get("event") == "point"
-                            and event.get("error") is None
-                            and "index" in event):
-                        ctx.commit(positions[event["index"]],
-                                   event["payload"])
-
-                result = client.submit(points=params, fn=spec,
-                                       priority=self.priority,
-                                       on_event=_on_event)
-                if not result.ok:
-                    errors.extend(result.errors)
-        except (OSError, ServeError) as exc:
-            raise PoolUnavailableError(f"serve submission failed: "
-                                       f"{exc}") from exc
-        finally:
-            try:
-                client.close()
-            except Exception:
-                pass
-        if errors:
-            raise RuntimeError(f"serve backend: {errors[0]}")
-
-
-def resolve_backend(backend: Union[str, ExecutionBackend, None], *,
-                    jobs: int, pending: int,
-                    straggler: Optional[StragglerPolicy] = None,
-                    serve_addr: Optional[Tuple[str, int]] = None,
-                    ) -> ExecutionBackend:
-    """Map a backend spec to an instance.  ``"auto"`` (or ``None``) keeps
-    the historical behaviour: the pool when it can actually help
-    (``jobs > 1`` and more than one pending point), serial otherwise."""
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    spec = (backend or "auto").lower()
-    if spec == "auto":
-        spec = "pool" if jobs > 1 and pending > 1 else "serial"
-    if spec == "serial":
-        return SerialBackend()
-    if spec == "pool":
-        return PoolBackend(straggler)
-    if spec == "serve":
-        host, port = serve_addr if serve_addr else ("127.0.0.1", 9306)
-        return ServeBackend(host, port)
-    raise ValueError(f"unknown execution backend {backend!r} "
-                     f"(expected serial/pool/serve/auto)")
+                           span_ids=span_ids)
 
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
@@ -915,13 +533,15 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
               trace_dir: Optional[str] = None,
               metrics_dir: Optional[str] = None,
               warm_dir: Optional[str] = None,
-              telemetry_dir: Optional[str] = None,
-              backend: Union[str, ExecutionBackend, None] = "auto",
-              straggler: Optional[StragglerPolicy] = None,
-              serve_addr: Optional[Tuple[str, int]] = None,
-              max_point_retries: int = 3) -> SweepOutcome:
+              telemetry_dir: Optional[str] = None) -> SweepOutcome:
     """Run every point, in parallel when possible, and return a
     :class:`SweepOutcome` whose ``results`` align with ``points``.
+
+    Points run on the persistent fork-server pool when ``jobs > 1`` and
+    more than one point is pending, in this process otherwise.  If the
+    pool cannot be used or dies mid-sweep, the points it did not finish
+    run once more in this process (each marked ``point_retried
+    reason=pool_fallback``), so no point runs more than twice.
 
     Args:
         points: the sweep; order is preserved in the outcome.
@@ -947,16 +567,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
             records (queued/dispatched/executed/committed per point) to
             NDJSON files in this directory (exported as
             ``REPRO_TELEMETRY_DIR``); see :mod:`repro.obs.telemetry`.
-        backend: ``"serial"`` / ``"pool"`` / ``"serve"`` /
-            ``"auto"`` (default: pool when it helps), or an
-            :class:`ExecutionBackend` instance.
-        straggler: a :class:`StragglerPolicy` enabling speculative
-            re-dispatch of flagged stragglers on the pool backend.
-        serve_addr: ``(host, port)`` of the daemon for
-            ``backend="serve"``.
-        max_point_retries: per-point budget shared by every retry reason
-            (``pool_fallback``, ``straggler_redispatch``) — re-execution
-            of one point is bounded no matter how reasons combine.
     """
     started = time.perf_counter()
     overlay = {}
@@ -972,10 +582,7 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
         saved = {key: os.environ.get(key) for key in overlay}
         os.environ.update(overlay)
         try:
-            outcome = run_sweep(points, jobs=jobs, cache=cache,
-                                backend=backend, straggler=straggler,
-                                serve_addr=serve_addr,
-                                max_point_retries=max_point_retries)
+            outcome = run_sweep(points, jobs=jobs, cache=cache)
         finally:
             for key, value in saved.items():
                 if value is None:
@@ -992,10 +599,13 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
     saved_run = os.environ.get(telemetry.ENV_RUN_ID)
     os.environ[telemetry.ENV_RUN_ID] = run_id
     try:
-        return _run_sweep_body(points, jobs, cache, run_id, started,
-                               backend=backend, straggler=straggler,
-                               serve_addr=serve_addr,
-                               max_point_retries=max_point_retries)
+        return _run_sweep_body(points, jobs, cache, run_id, started)
+    except BaseException as exc:
+        # A raising sweep still closes its run in the event log.
+        telemetry.emit("run_end", run_id=run_id, ok=False,
+                       elapsed_s=round(time.perf_counter() - started, 6),
+                       error=f"{type(exc).__name__}: {exc}")
+        raise
     finally:
         if saved_run is None:
             os.environ.pop(telemetry.ENV_RUN_ID, None)
@@ -1005,11 +615,7 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
 
 def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
                     cache: Optional[ResultCache], run_id: str,
-                    started: float, *,
-                    backend: Union[str, ExecutionBackend, None] = "auto",
-                    straggler: Optional[StragglerPolicy] = None,
-                    serve_addr: Optional[Tuple[str, int]] = None,
-                    max_point_retries: int = 3) -> SweepOutcome:
+                    started: float) -> SweepOutcome:
     results: List[Any] = [None] * len(points)
     pending: List[int] = []
     cache_hits = 0
@@ -1026,17 +632,14 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
 
     parallel = False
     fallback_reason: Optional[str] = None
-    backend_name: Optional[str] = None
     warm_hits = 0
     warm_misses = 0
-    stats: Dict[str, int] = {}
     telemetry.emit("run_start", run_id=run_id, points=len(points),
                    pending=len(pending), cache_hits=cache_hits, jobs=jobs)
 
     if pending:
         todo = [points[i] for i in pending]
         completed = [False] * len(todo)
-        retries = [0] * len(todo)
         # One span per executed point: its whole lifecycle — here and in
         # whichever process runs it — chains under this ID.
         spans = [telemetry.new_span_id() for _ in todo]
@@ -1049,8 +652,6 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
             # Results are committed (and cached) as they arrive, not after
             # the whole sweep: when one point fails, everything that
             # finished stays finished and a retried sweep never redoes it.
-            if completed[pos]:
-                return  # first commit wins; a racing twin's copy is dropped
             index = pending[pos]
             results[index] = payload
             completed[pos] = True
@@ -1061,38 +662,41 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
                            span_id=spans[pos],
                            point_slug=point_slug(points[index]))
 
-        def _add_warm(hits: int, misses: int) -> None:
+        def _parallel_result(pos: int, payload: Any,
+                             delta: Dict[str, int]) -> None:
             nonlocal warm_hits, warm_misses
-            warm_hits += hits
-            warm_misses += misses
+            warm_hits += delta["hits"]
+            warm_misses += delta["misses"]
+            _commit(pos, payload)
 
-        def _allow_retry(pos: int, reason: str) -> bool:
-            # One budget across every retry reason: pool fallback after a
-            # string of straggler re-dispatches (or vice versa) cannot
-            # re-execute a point without bound.
-            if retries[pos] >= max_point_retries:
-                telemetry.log("warning", "runner",
-                              "retry budget exhausted",
-                              point_slug=point_slug(todo[pos]),
-                              reason=reason, retries=retries[pos])
-                return False
-            retries[pos] += 1
-            return True
+        def _run_serial_committing(positions: Sequence[int]) -> None:
+            nonlocal warm_hits, warm_misses
+            for pos in positions:
+                telemetry.emit("point_dispatched", run_id=run_id,
+                               span_id=spans[pos],
+                               point_slug=point_slug(todo[pos]),
+                               worker_pid=os.getpid())
+                before = warmstore.counters()
+                try:
+                    payload = _run_point(todo[pos], run_id=run_id,
+                                         span_id=spans[pos])
+                except BaseException as exc:
+                    telemetry.emit(
+                        "point_failed", run_id=run_id, span_id=spans[pos],
+                        point_slug=point_slug(todo[pos]),
+                        error=f"{type(exc).__name__}: {exc}")
+                    raise
+                finally:
+                    after = warmstore.counters()
+                    warm_hits += after["hits"] - before["hits"]
+                    warm_misses += after["misses"] - before["misses"]
+                _commit(pos, payload)
 
-        ctx = SweepContext(todo=todo, spans=spans, run_id=run_id, jobs=jobs,
-                           commit=_commit, add_warm=_add_warm,
-                           allow_retry=_allow_retry, completed=completed,
-                           stats=stats)
-        backend_obj = resolve_backend(backend, jobs=jobs, pending=len(todo),
-                                      straggler=straggler,
-                                      serve_addr=serve_addr)
-        backend_name = backend_obj.name
-        if backend_obj.name == "serial":
-            backend_obj.execute(ctx)
-        else:
+        if jobs > 1 and len(todo) > 1:
             try:
                 try:
-                    backend_obj.execute(ctx)
+                    _run_parallel(todo, jobs, on_result=_parallel_result,
+                                  span_ids=spans)
                     parallel = True
                 finally:
                     # Workers counted their warm events in their own
@@ -1109,38 +713,30 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
             except (OSError, PermissionError, PoolUnavailableError,
                     ImportError) as exc:
                 # Worker processes unavailable (restricted sandbox, missing
-                # semaphores, mid-sweep pool death, unreachable daemon...):
-                # identical results, just serially — and only for the
-                # points that did not already complete.  A *point* raising
+                # semaphores, mid-sweep pool death, ...): identical
+                # results, just serially — and only for the points that
+                # did not already complete in a worker.  A *point* raising
                 # is not an infrastructure failure and propagates instead.
                 fallback_reason = f"{type(exc).__name__}: {exc}"
                 telemetry.log("warning", "runner",
-                              f"{backend_obj.name} backend unavailable; "
-                              "falling back to serial execution",
-                              reason=fallback_reason)
-                remaining = ctx.pending_positions()
+                              "worker pool unavailable; falling back to "
+                              "serial execution", reason=fallback_reason)
+                remaining = [pos for pos, done in enumerate(completed)
+                             if not done]
                 for pos in remaining:
-                    if not _allow_retry(pos, "pool_fallback"):
-                        error = (f"retry budget exhausted for "
-                                 f"{point_slug(todo[pos])} after "
-                                 f"{retries[pos]} retries")
-                        telemetry.emit("point_failed", run_id=run_id,
-                                       span_id=spans[pos],
-                                       point_slug=point_slug(todo[pos]),
-                                       error=error)
-                        raise RuntimeError(error) from exc
                     telemetry.emit("point_retried", run_id=run_id,
                                    span_id=spans[pos],
                                    point_slug=point_slug(todo[pos]),
                                    reason="pool_fallback")
-                _serial_execute(ctx, remaining)
+                _run_serial_committing(remaining)
+        else:
+            _run_serial_committing(range(len(todo)))
 
     elapsed = time.perf_counter() - started
     telemetry.emit("run_end", run_id=run_id, ok=True,
                    elapsed_s=round(elapsed, 6), parallel=parallel,
                    fallback_reason=fallback_reason,
-                   warm_hits=warm_hits, warm_misses=warm_misses,
-                   redispatches=stats.get("redispatches", 0))
+                   warm_hits=warm_hits, warm_misses=warm_misses)
     return SweepOutcome(
         results=results,
         jobs=jobs,
@@ -1153,6 +749,4 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
         warm_misses=warm_misses,
         points=tuple(points),
         run_id=run_id,
-        backend=backend_name,
-        redispatches=stats.get("redispatches", 0),
     )

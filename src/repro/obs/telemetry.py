@@ -22,15 +22,12 @@ include ``point_slug`` where known, joining them with the per-point
 Chrome-trace and metrics files the same sweep writes.  :func:`read_events`
 merges a telemetry dir back into one time-ordered list,
 :func:`causal_chains` groups it by span, and :func:`verify_chains` checks
-chain integrity (no orphan spans, no duplicate terminal events, repeated
-executions only behind an explicit ``point_retried`` marker).
+chain integrity (no orphan spans, no duplicate terminal events, each
+repeated execution behind its own ``point_retried`` marker).
 
 **Worker health.**  :class:`FleetHealth` tracks per-worker throughput,
-lease age, and in-flight points against a running median of completed
-point durations; a point exceeding ``straggler_factor`` × median is
-flagged — the metrics endpoint surfaces the snapshot and the event log
-gets a ``point_straggler`` record.  This is the observability
-prerequisite for straggler re-dispatch (ROADMAP item 5).
+lease age, and in-flight points with their ages; the metrics endpoint
+surfaces the snapshot and ``repro top`` lists the slowest in flight.
 
 **Structured logging.**  :func:`log` replaces ad-hoc ``print``/stderr
 diagnostics: one JSON object per line on stderr, gated by
@@ -48,11 +45,9 @@ from __future__ import annotations
 import glob
 import json
 import os
-import statistics
 import sys
 import time
 import uuid
-from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, TextIO, Tuple
 
 #: Directory that switches the event log on; unset (the default) makes
@@ -211,8 +206,8 @@ def verify_chains(events: Iterable[Dict[str, Any]]) -> List[str]:
     - at least one terminal event (``point_committed`` / ``point_failed``
       / ``point_cancelled``) — none is an incomplete chain; several
       without a retry marker, a double commit;
-    - repeated ``point_start`` records only behind an explicit
-      ``point_retried`` marker (worker death, pool fallback);
+    - at most one ``point_start`` per execution: each repeat needs its
+      own ``point_retried`` marker (worker death, pool fallback);
     - a single ``point_slug`` (two slugs under one span is a mis-join).
     """
     problems: List[str] = []
@@ -233,16 +228,16 @@ def verify_chains(events: Iterable[Dict[str, Any]]) -> List[str]:
             problems.append(f"{span}: incomplete chain (no terminal event)")
         elif terminal > 1 and retried == 0:
             problems.append(f"{span}: {terminal} terminal events")
-        if starts > 1 and retried == 0:
+        if starts > 1 + retried:
             problems.append(f"{span}: {starts} executions without a "
-                            f"point_retried marker")
+                            f"point_retried marker for each repeat")
         if len(slugs) > 1:
             problems.append(f"{span}: multiple point slugs {sorted(slugs)}")
     return problems
 
 
 # ---------------------------------------------------------------------------
-# Worker health / straggler tracking
+# Worker health
 # ---------------------------------------------------------------------------
 
 class FleetHealth:
@@ -251,147 +246,48 @@ class FleetHealth:
     Fed two moments per point — :meth:`record_dispatch` when a point is
     handed to a worker, :meth:`record_done` when its reply lands — it
     maintains per-worker throughput (points, busy seconds, points/s,
-    last-heartbeat age), the set of in-flight points with lease ages, and
-    a running median of completed durations.  An in-flight or completing
-    point whose age exceeds ``max(straggler_factor × median,
-    min_seconds)`` (with at least ``min_samples`` completions observed)
-    is flagged a straggler — once per point.
+    last-heartbeat age) and the set of in-flight points with lease ages.
     """
 
-    def __init__(self, straggler_factor: float = 4.0, min_samples: int = 4,
-                 min_seconds: float = 1.0, window: int = 128) -> None:
-        self.straggler_factor = float(straggler_factor)
-        self.min_samples = max(1, int(min_samples))
-        self.min_seconds = float(min_seconds)
-        self._durations: "deque[float]" = deque(maxlen=max(8, int(window)))
+    def __init__(self) -> None:
         self._workers: Dict[int, Dict[str, Any]] = {}
         self._inflight: Dict[str, Dict[str, Any]] = {}
-        self.stragglers_total = 0
 
     def _worker(self, pid: int, now: float) -> Dict[str, Any]:
         entry = self._workers.get(pid)
         if entry is None:
             entry = self._workers[pid] = {
                 "points": 0, "failures": 0, "busy_seconds": 0.0,
-                "redispatched": 0, "first_seen": now, "last_heartbeat": now}
+                "first_seen": now, "last_heartbeat": now}
         return entry
 
     def record_dispatch(self, pid: int, span_id: str,
                         point_slug: Optional[str] = None,
-                        run_id: Optional[str] = None,
-                        now: Optional[float] = None,
-                        redispatch_of: Optional[str] = None) -> None:
-        """A point left for worker ``pid`` (``span_id`` keys the flight).
-
-        A speculative re-dispatch of a flagged straggler passes the
-        *primary* flight's key as ``redispatch_of`` and its own distinct
-        key (conventionally ``<span>#rN``) as ``span_id`` — both copies
-        stay visible in flight, the twin marked ``twin`` and the primary
-        ``has_twin``, and the receiving worker's ``redispatched`` counter
-        increments."""
+                        now: Optional[float] = None) -> None:
+        """A point left for worker ``pid`` (``span_id`` keys the flight)."""
         now = time.monotonic() if now is None else now
-        worker = self._worker(pid, now)
-        worker["last_heartbeat"] = now
-        flight = {"pid": pid, "point_slug": point_slug, "run_id": run_id,
-                  "started": now, "straggler": False,
-                  "twin": redispatch_of is not None, "has_twin": False}
-        if redispatch_of is not None:
-            worker["redispatched"] += 1
-            primary = self._inflight.get(redispatch_of)
-            if primary is not None:
-                primary["has_twin"] = True
-                flight.setdefault("point_slug", primary["point_slug"])
-                if point_slug is None:
-                    flight["point_slug"] = primary["point_slug"]
-                if run_id is None:
-                    flight["run_id"] = primary["run_id"]
-        self._inflight[span_id] = flight
+        self._worker(pid, now)["last_heartbeat"] = now
+        self._inflight[span_id] = {"pid": pid, "point_slug": point_slug,
+                                   "started": now}
 
     def record_done(self, pid: int, span_id: str, ok: bool = True,
-                    now: Optional[float] = None) -> Tuple[float, bool]:
-        """A point's reply landed; returns ``(elapsed_seconds,
-        newly_straggler)`` — the flag is True only the first time this
-        point crosses the threshold, so callers emit one event/count."""
+                    now: Optional[float] = None) -> None:
+        """A point's reply landed (``ok=False``: it raised or its worker
+        died)."""
         now = time.monotonic() if now is None else now
         worker = self._worker(pid, now)
         worker["last_heartbeat"] = now
         flight = self._inflight.pop(span_id, None)
-        elapsed = now - flight["started"] if flight is not None else 0.0
-        already_flagged = bool(flight and flight["straggler"])
-        threshold = self.threshold()
         worker["points"] += 1
         if not ok:
             worker["failures"] += 1
-        worker["busy_seconds"] += elapsed
         if flight is not None:
-            self._durations.append(elapsed)
-        newly = (not already_flagged and threshold is not None
-                 and elapsed > threshold)
-        if newly:
-            self.stragglers_total += 1
-        return elapsed, newly
-
-    def record_cancelled(self, pid: int, span_id: str,
-                         now: Optional[float] = None) -> None:
-        """A speculative copy lost the first-commit-wins race and was
-        cancelled: release the flight without polluting the duration
-        median, point counts, or failure tallies."""
-        now = time.monotonic() if now is None else now
-        self._worker(pid, now)["last_heartbeat"] = now
-        self._inflight.pop(span_id, None)
-
-    def is_straggler(self, span_id: str) -> bool:
-        """True when the flight keyed ``span_id`` is currently flagged."""
-        flight = self._inflight.get(span_id)
-        return bool(flight and flight["straggler"])
-
-    def median(self) -> Optional[float]:
-        """Running median of completed point durations (``None`` until
-        ``min_samples`` completions)."""
-        if len(self._durations) < self.min_samples:
-            return None
-        return statistics.median(self._durations)
-
-    def threshold(self) -> Optional[float]:
-        """Current straggler threshold in seconds, or ``None`` while the
-        median is still warming up."""
-        median = self.median()
-        if median is None:
-            return None
-        return max(self.straggler_factor * median, self.min_seconds)
-
-    def flag_stragglers(self, now: Optional[float] = None,
-                        ) -> List[Dict[str, Any]]:
-        """Scan in-flight points and flag (once) those over the
-        threshold; returns the newly flagged entries with ``span_id``,
-        ``age_s`` and ``threshold_s`` filled in."""
-        threshold = self.threshold()
-        if threshold is None:
-            return []
-        now = time.monotonic() if now is None else now
-        newly: List[Dict[str, Any]] = []
-        for span_id, flight in self._inflight.items():
-            age = now - flight["started"]
-            if not flight["straggler"] and age > threshold:
-                flight["straggler"] = True
-                self.stragglers_total += 1
-                newly.append({"span_id": span_id, "pid": flight["pid"],
-                              "point_slug": flight["point_slug"],
-                              "run_id": flight["run_id"],
-                              "age_s": round(age, 6),
-                              "threshold_s": round(threshold, 6)})
-        return newly
+            worker["busy_seconds"] += now - flight["started"]
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """JSON-able health view for the metrics endpoint / ``repro top``:
-        fleet medians, per-worker gauges, and in-flight points sorted
-        slowest-first.  Flags overdue in-flight points as a side effect
-        (callers wanting the *newly* flagged list for event emission use
-        :meth:`flag_stragglers` first)."""
+        per-worker gauges and in-flight points sorted slowest-first."""
         now = time.monotonic() if now is None else now
-        self.flag_stragglers(now)
-        median = self.median()
-        threshold = self.threshold()
         workers: Dict[str, Dict[str, Any]] = {}
         inflight_by_pid: Dict[int, str] = {
             flight["pid"]: span for span, flight in self._inflight.items()}
@@ -402,7 +298,6 @@ class FleetHealth:
             workers[str(pid)] = {
                 "points": entry["points"],
                 "failures": entry["failures"],
-                "redispatched": entry.get("redispatched", 0),
                 "busy_seconds": round(busy, 6),
                 "points_per_sec": (round(entry["points"] / busy, 3)
                                    if busy > 0 else None),
@@ -410,26 +305,16 @@ class FleetHealth:
                 "in_flight": flight["point_slug"] if flight else None,
                 "lease_age_s": (round(now - flight["started"], 6)
                                 if flight else None),
-                "straggler": bool(flight and flight["straggler"]),
             }
         in_flight = sorted(
             ({"span_id": span, "worker_pid": flight["pid"],
               "point_slug": flight["point_slug"],
-              "age_s": round(now - flight["started"], 6),
-              "straggler": flight["straggler"],
-              "twin": flight.get("twin", False),
-              "has_twin": flight.get("has_twin", False)}
+              "age_s": round(now - flight["started"], 6)}
              for span, flight in self._inflight.items()),
             key=lambda entry: -entry["age_s"])
         return {
             "completed_points": sum(w["points"]
                                     for w in self._workers.values()),
-            "median_point_seconds": (round(median, 6)
-                                     if median is not None else None),
-            "straggler_threshold_seconds": (round(threshold, 6)
-                                            if threshold is not None
-                                            else None),
-            "stragglers_total": self.stragglers_total,
             "workers": workers,
             "in_flight": in_flight,
         }
@@ -485,7 +370,7 @@ def log(level: str, subsystem: str, message: str, **fields: Any) -> None:
 
 def sleep_point(seconds: float = 0.0, tag: Any = None) -> Dict[str, Any]:
     """Importable sweep-point function that just sleeps — the injected
-    straggler/latency workload for telemetry smoke tests (submit with
+    latency workload for telemetry smoke tests (submit with
     ``fn="repro.obs.telemetry:sleep_point"``)."""
     time.sleep(max(0.0, float(seconds)))
     return {"slept": float(seconds), "tag": tag}

@@ -6,7 +6,7 @@ Two data sources, one frame format:
   endpoint (:meth:`repro.serve.ServeClient.metrics`) and render its
   scheduler stats + :class:`repro.obs.telemetry.FleetHealth` snapshot:
   per-client queue depth, dedup ratio, worker utilization and
-  throughput, and the slowest in-flight points with straggler flags.
+  throughput, and the slowest in-flight points.
 - **Offline mode** — tail a telemetry directory written by
   ``run_sweep(telemetry_dir=...)`` (or a daemon started with one) and
   reconstruct the same view from the causal event log alone, so a sweep
@@ -80,14 +80,7 @@ def render_metrics_frame(payload: Dict[str, Any],
         f"jobs {stats.get('jobs_done', 0)}/{stats.get('jobs_total', 0)} "
         f"done  pool {pool} workers"
         + (f" ({util:.0%} busy)" if util is not None else "")
-        + (f"  dedup {ratio:.1%}" if ratio is not None else "")
-        + f"  stragglers {health.get('stragglers_total', 0)}")
-    median = health.get("median_point_seconds")
-    threshold = health.get("straggler_threshold_seconds")
-    if median is not None:
-        lines.append(f"median point {_fmt(median)}s  "
-                     f"straggler threshold {_fmt(threshold)}s  "
-                     f"completed {health.get('completed_points', 0)}")
+        + (f"  dedup {ratio:.1%}" if ratio is not None else ""))
     lines.append("")
     lines.append(_render_clients(stats))
     lines.append("")
@@ -114,34 +107,19 @@ def _render_workers(health: Dict[str, Any]) -> str:
             pid, worker.get("points", 0),
             _fmt(worker.get("points_per_sec")),
             _fmt(worker.get("busy_seconds"), 2),
-            worker.get("redispatched", 0),
             _fmt(worker.get("lease_age_s")),
-            worker.get("in_flight") or "idle",
-            "STRAGGLER" if worker.get("straggler") else ""))
+            worker.get("in_flight") or "idle"))
     return _table(
-        ["worker pid", "points", "pts/s", "busy s", "redispatched",
-         "lease age s", "in flight", ""],
+        ["worker pid", "points", "pts/s", "busy s", "lease age s",
+         "in flight"],
         rows, title="workers")
-
-
-def _flight_flags(entry: Dict[str, Any]) -> str:
-    """Flag column for one in-flight row: ``STRAGGLER`` when over the
-    threshold, ``R`` when a speculative re-dispatch twin exists (set on
-    both copies of the race)."""
-    flags = []
-    if entry.get("straggler"):
-        flags.append("STRAGGLER")
-    if entry.get("has_twin") or entry.get("twin"):
-        flags.append("R")
-    return " ".join(flags)
 
 
 def _render_in_flight(health: Dict[str, Any], limit: int = 8) -> str:
     rows = [(entry.get("point_slug") or entry.get("span_id"),
-             entry.get("worker_pid"), _fmt(entry.get("age_s")),
-             _flight_flags(entry))
+             entry.get("worker_pid"), _fmt(entry.get("age_s")))
             for entry in (health.get("in_flight") or [])[:limit]]
-    return _table(["in-flight point", "worker", "age s", ""], rows,
+    return _table(["in-flight point", "worker", "age s"], rows,
                   title="slowest in flight")
 
 
@@ -164,8 +142,6 @@ def fleet_state(events: Iterable[Dict[str, Any]],
     clients: Dict[str, Dict[str, int]] = {}
     runs: Dict[str, Dict[str, Any]] = {}
     workers: Dict[int, Dict[str, Any]] = {}
-    redispatched: Dict[int, int] = {}
-    stragglers_total = 0
     for event in events:
         name = event.get("event")
         run_id = event.get("run_id")
@@ -178,16 +154,13 @@ def fleet_state(events: Iterable[Dict[str, Any]],
             counters["serve.points.cache_hits"] += 1
         elif name == "point_deduped":
             counters["serve.points.deduped"] += 1
-        elif name == "point_straggler":
-            stragglers_total += 1
         span_id = event.get("span_id")
         if not span_id:
             continue
         span = spans.setdefault(span_id, {
             "span_id": span_id, "point_slug": None, "client": None,
             "queued_ts": None, "dispatched_ts": None, "worker_pid": None,
-            "elapsed_s": None, "terminal": None, "straggler": False,
-            "has_twin": False})
+            "elapsed_s": None, "terminal": None})
         if event.get("point_slug"):
             span["point_slug"] = event["point_slug"]
         if name == "point_queued":
@@ -199,20 +172,10 @@ def fleet_state(events: Iterable[Dict[str, Any]],
                 clients.setdefault(client, {"queued": 0, "done": 0})
                 clients[client]["queued"] += 1
         elif name == "point_dispatched":
-            if event.get("redispatch"):
-                # Speculative twin: the span keeps its primary worker;
-                # credit the twin's worker with the re-dispatch.
-                span["has_twin"] = True
-                pid = event.get("worker_pid")
-                if pid is not None:
-                    redispatched[pid] = redispatched.get(pid, 0) + 1
-            else:
-                span["dispatched_ts"] = event.get("ts")
-                span["worker_pid"] = event.get("worker_pid")
+            span["dispatched_ts"] = event.get("ts")
+            span["worker_pid"] = event.get("worker_pid")
         elif name == "point_end":
             span["elapsed_s"] = event.get("elapsed_s")
-        elif name == "point_straggler":
-            span["straggler"] = True
         elif name in _TERMINAL:
             span["terminal"] = name
             if span["client"]:
@@ -229,22 +192,11 @@ def fleet_state(events: Iterable[Dict[str, Any]],
         ({"span_id": span["span_id"], "point_slug": span["point_slug"],
           "worker_pid": span["worker_pid"],
           "age_s": round(now - (span["dispatched_ts"]
-                                or span["queued_ts"] or now), 6),
-          "straggler": span["straggler"],
-          "has_twin": span["has_twin"]}
+                                or span["queued_ts"] or now), 6)}
          for span in spans.values()
          if span["terminal"] is None and (span["dispatched_ts"]
                                           or span["queued_ts"])),
         key=lambda entry: -entry["age_s"])
-    for pid in redispatched:
-        # A worker that only ever ran speculative twins still deserves a
-        # row — its redispatched count is its whole story.
-        workers.setdefault(pid, {"points": 0, "busy_seconds": 0.0,
-                                 "last_ts": 0.0})
-    durations = sorted(span["elapsed_s"] for span in spans.values()
-                       if span["elapsed_s"] is not None)
-    median = (durations[len(durations) // 2]
-              if durations else None)
     worker_rows = {
         str(pid): {
             "points": worker["points"],
@@ -252,14 +204,11 @@ def fleet_state(events: Iterable[Dict[str, Any]],
             "points_per_sec": (round(worker["points"]
                                      / worker["busy_seconds"], 3)
                                if worker["busy_seconds"] > 0 else None),
-            "redispatched": redispatched.get(pid, 0),
             "heartbeat_age_s": round(now - worker["last_ts"], 6),
             "in_flight": next((f["point_slug"] for f in in_flight
                                if f["worker_pid"] == pid), None),
             "lease_age_s": next((f["age_s"] for f in in_flight
                                  if f["worker_pid"] == pid), None),
-            "straggler": any(f["straggler"] for f in in_flight
-                             if f["worker_pid"] == pid),
         }
         for pid, worker in workers.items()}
     done_spans = sum(1 for span in spans.values()
@@ -270,8 +219,6 @@ def fleet_state(events: Iterable[Dict[str, Any]],
         "done_spans": done_spans,
         "counters": counters,
         "clients": clients,
-        "stragglers_total": stragglers_total,
-        "median_point_seconds": median,
         "workers": worker_rows,
         "in_flight": in_flight,
     }
@@ -286,10 +233,7 @@ def render_state_frame(state: Dict[str, Any], source: str = "dir") -> str:
     lines.append(
         f"runs {state['runs']}  points {state['done_spans']}/"
         f"{state['spans']} done  in flight {len(state['in_flight'])}"
-        + (f"  dedup {ratio:.1%}" if ratio is not None else "")
-        + f"  stragglers {state['stragglers_total']}")
-    if state["median_point_seconds"] is not None:
-        lines.append(f"median point {_fmt(state['median_point_seconds'])}s")
+        + (f"  dedup {ratio:.1%}" if ratio is not None else ""))
     if state["clients"]:
         lines.append("")
         rows = [(client, c["queued"], c["done"])

@@ -36,7 +36,7 @@ revision unchanged).  When the daemon runs with a telemetry directory,
 they join the client's streamed events to the daemon's NDJSON event log
 and the per-point trace/metrics artifacts.  The ``metrics`` payload's
 ``stats.workers`` section carries the live fleet-health snapshot
-(per-worker throughput, lease ages, stragglers) that ``repro top``
+(per-worker throughput, lease ages, slowest in flight) that ``repro top``
 renders.
 
 Experiments are named server-side: a submit either references one of the

@@ -139,36 +139,22 @@ class ServeScheduler:
             executor — deterministic for tests, and the automatic
             degradation mode where worker processes cannot spawn.
         idle_workers: pool size the daemon shrinks to when fully idle.
-        redispatch_stragglers: when an in-flight point crosses the
-            straggler threshold, speculatively re-dispatch it to an
-            *idle* worker (never spawning one): first copy to finish
-            wins, the loser is killed, and the span carries a
-            ``point_retried reason=straggler_redispatch`` marker so
-            ``verify_chains`` excuses the duplicate execution.
     """
 
     def __init__(self, *, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  pool: Optional[WorkerPool] = None,
                  use_pool: bool = True,
-                 idle_workers: int = DEFAULT_IDLE_WORKERS,
-                 straggler_factor: float = 4.0,
-                 straggler_min_seconds: float = 1.0,
-                 redispatch_stragglers: bool = True) -> None:
+                 idle_workers: int = DEFAULT_IDLE_WORKERS) -> None:
         self.max_jobs = max(1, int(jobs)) if jobs else default_jobs()
         self.cache = cache
         self.use_pool = use_pool
-        self.redispatch_stragglers = bool(redispatch_stragglers)
         self._pool = pool
         self.idle_workers = max(0, int(idle_workers))
         self.registry = MetricsRegistry()
         #: Worker health model fed by every dispatch/completion; its
-        #: snapshot rides the metrics endpoint and ``repro top``, and a
-        #: point exceeding ``straggler_factor`` × the running median (at
-        #: least ``straggler_min_seconds``) is flagged in both the event
-        #: log and the ``serve.points.stragglers`` counter.
-        self.health = FleetHealth(straggler_factor=straggler_factor,
-                                  min_seconds=straggler_min_seconds)
+        #: snapshot rides the metrics endpoint and ``repro top``.
+        self.health = FleetHealth()
         self._queued: Dict[str, _Task] = {}
         self._running: Dict[str, _Task] = {}
         self._active = 0
@@ -471,26 +457,33 @@ class ServeScheduler:
                     break  # no worker processes here: run inline
                 worker_pid = handle.process.pid
                 self.health.record_dispatch(worker_pid, task.span_id,
-                                            point_slug=slug,
-                                            run_id=task.run_id)
+                                            point_slug=slug)
                 telemetry.emit("point_dispatched", run_id=task.run_id,
                                span_id=task.span_id, point_slug=slug,
                                worker_pid=worker_pid, attempt=_attempt)
                 try:
-                    payload, delta = await self._race_on_pool(handle, task,
-                                                              slug)
+                    payload, delta = await self._run_on_handle(handle, task)
                 except (EOFError, OSError, BrokenPipeError) as exc:
-                    # Every copy's worker died; flights were closed and
-                    # handles retired inside the race.
+                    self.health.record_done(worker_pid, task.span_id,
+                                            ok=False)
+                    self.pool.retire(handle)
                     self.registry.counter("serve.workers.died").inc()
                     telemetry.emit("point_retried", run_id=task.run_id,
                                    span_id=task.span_id, point_slug=slug,
+                                   worker_pid=worker_pid,
                                    reason="worker_died")
                     telemetry.log("warning", "serve",
                                   "worker died mid-point; retrying",
-                                  point=slug,
+                                  worker_pid=worker_pid, point=slug,
                                   error=f"{type(exc).__name__}: {exc}")
                     continue
+                except BaseException:
+                    self.health.record_done(worker_pid, task.span_id,
+                                            ok=False)
+                    self.pool.checkin(handle)
+                    raise
+                self.health.record_done(worker_pid, task.span_id, ok=True)
+                self.pool.checkin(handle)
                 self._record_warm(delta)
                 return payload, delta, "executed"
         self.registry.counter("serve.points.inline").inc()
@@ -499,7 +492,7 @@ class ServeScheduler:
         # can't trample each other's ambient span.
         inline_pid = os.getpid()
         self.health.record_dispatch(inline_pid, task.span_id,
-                                    point_slug=slug, run_id=task.run_id)
+                                    point_slug=slug)
         telemetry.emit("point_dispatched", run_id=task.run_id,
                        span_id=task.span_id, point_slug=slug,
                        worker_pid=inline_pid, inline=True)
@@ -509,145 +502,12 @@ class ServeScheduler:
             payload = await loop.run_in_executor(
                 None, _run_point, task.point, task.run_id, task.span_id)
         except BaseException:
-            self._finish_flight(inline_pid, task, slug, ok=False)
+            self.health.record_done(inline_pid, task.span_id, ok=False)
             raise
-        self._finish_flight(inline_pid, task, slug, ok=True)
+        self.health.record_done(inline_pid, task.span_id, ok=True)
         after = warmstore.counters()
         delta = {key: after[key] - before[key] for key in after}
         return payload, delta, "inline"
-
-    def _finish_flight(self, pid: int, task: _Task, slug: str,
-                       ok: bool, flight_key: Optional[str] = None) -> None:
-        """Close the health ledger on one dispatch attempt; a completion
-        over the straggler threshold is counted and logged exactly once."""
-        elapsed, straggler = self.health.record_done(
-            pid, flight_key or task.span_id, ok=ok)
-        if straggler:
-            self.registry.counter("serve.points.stragglers").inc()
-            telemetry.emit("point_straggler", run_id=task.run_id,
-                           span_id=task.span_id, point_slug=slug,
-                           worker_pid=pid, age_s=round(elapsed, 6),
-                           threshold_s=self.health.threshold())
-
-    async def _race_on_pool(self, handle: Any, task: _Task, slug: str,
-                            ) -> Tuple[Any, Dict[str, int]]:
-        """Run one dispatched task, speculatively re-dispatching it to an
-        idle worker if it is flagged a straggler mid-flight.
-
-        First copy to finish wins — its result is the task's result, and
-        every other copy is killed immediately (:meth:`WorkerPool.kill`)
-        and its flight released without polluting the duration median.
-        At most one speculative twin runs per point, it only ever claims
-        an *idle* worker (``checkout(spawn=False)`` — speculation never
-        grows the pool), and ``point_retried reason=straggler_redispatch``
-        is emitted before the twin's ``point_dispatched`` so the span's
-        duplicate execution is excused by :func:`verify_chains`.
-
-        Raises the last worker-death error only when *every* copy's
-        worker died (the caller's retry-once loop handles it); a point
-        *raising* wins the race like a success does — deterministic
-        points fail identically on any worker."""
-        loop = asyncio.get_running_loop()
-        copies: Dict[Any, Tuple[Any, str]] = {
-            loop.create_task(self._run_on_handle(handle, task)):
-                (handle, task.span_id)}
-        twin_launched = False
-        poll = min(0.5, max(0.05, self.health.min_seconds / 4.0))
-
-        def _kill_losers() -> None:
-            for fut, (loser, key) in copies.items():
-                fut.cancel()
-                self.health.record_cancelled(loser.process.pid, key)
-                telemetry.log("info", "serve",
-                              "killed losing straggler copy",
-                              point_slug=slug,
-                              worker_pid=loser.process.pid)
-                self.pool.kill(loser)
-
-        try:
-            while True:
-                speculate = (self.redispatch_stragglers
-                             and not twin_launched)
-                done, _pending = await asyncio.wait(
-                    list(copies), timeout=poll if speculate else None,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:
-                    # Poll tick: refresh the straggler flags and, when
-                    # this task's primary flight is flagged, try to
-                    # claim an idle worker for a speculative twin.
-                    self._flag_stragglers()
-                    if not self.health.is_straggler(task.span_id):
-                        continue
-                    twin = self.pool.checkout(spawn=False)
-                    if twin is None:
-                        continue
-                    twin_launched = True
-                    twin_key = f"{task.span_id}#r1"
-                    self.registry.counter(
-                        "serve.points.redispatched").inc()
-                    telemetry.emit("point_retried", run_id=task.run_id,
-                                   span_id=task.span_id, point_slug=slug,
-                                   reason="straggler_redispatch")
-                    self.health.record_dispatch(
-                        twin.process.pid, twin_key, point_slug=slug,
-                        run_id=task.run_id, redispatch_of=task.span_id)
-                    telemetry.emit("point_dispatched", run_id=task.run_id,
-                                   span_id=task.span_id, point_slug=slug,
-                                   worker_pid=twin.process.pid,
-                                   redispatch=True)
-                    copies[loop.create_task(
-                        self._run_on_handle(twin, task))] = (twin, twin_key)
-                    continue
-                last_death: Optional[BaseException] = None
-                for fut in done:
-                    winner, key = copies.pop(fut)
-                    try:
-                        payload, delta = fut.result()
-                    except (EOFError, OSError, BrokenPipeError) as exc:
-                        self.health.record_done(winner.process.pid, key,
-                                                ok=False)
-                        self.pool.retire(winner)
-                        last_death = exc
-                        continue
-                    except BaseException:
-                        self._finish_flight(winner.process.pid, task, slug,
-                                            ok=False, flight_key=key)
-                        self.pool.checkin(winner)
-                        _kill_losers()
-                        raise
-                    self._finish_flight(winner.process.pid, task, slug,
-                                        ok=True, flight_key=key)
-                    self.pool.checkin(winner)
-                    _kill_losers()
-                    return payload, delta
-                if not copies and last_death is not None:
-                    raise last_death
-        except asyncio.CancelledError:
-            # The scheduler itself is being cancelled: close every
-            # flight and release the leases, mirroring the pre-race
-            # BaseException path.
-            for fut, (copy, key) in copies.items():
-                fut.cancel()
-                self.health.record_done(copy.process.pid, key, ok=False)
-                self.pool.checkin(copy)
-            raise
-
-    def _flag_stragglers(self) -> None:
-        """Flag newly overdue in-flight points (each exactly once),
-        counting and logging them — shared by the metrics endpoint poll
-        and the re-dispatch watchdog."""
-        for flagged in self.health.flag_stragglers():
-            self.registry.counter("serve.points.stragglers").inc()
-            # A twin flight is keyed "<span>#rN"; its records must chain
-            # under the base span so verify_chains sees one story.
-            span = str(flagged["span_id"]).split("#", 1)[0]
-            telemetry.emit("point_straggler", run_id=flagged.get("run_id"),
-                           span_id=span,
-                           point_slug=flagged.get("point_slug"),
-                           worker_pid=flagged["pid"],
-                           age_s=flagged["age_s"],
-                           threshold_s=flagged["threshold_s"],
-                           in_flight=True)
 
     async def _run_on_handle(self, handle: Any, task: _Task,
                              ) -> Tuple[Any, Dict[str, int]]:
@@ -689,10 +549,7 @@ class ServeScheduler:
     # ------------------------------------------------------------------
 
     def _health_snapshot(self) -> Dict[str, Any]:
-        """Health view for the metrics endpoint; newly overdue in-flight
-        points are flagged here (each exactly once) so polling the
-        endpoint is what surfaces live stragglers."""
-        self._flag_stragglers()
+        """Health view for the metrics endpoint."""
         snapshot = self.health.snapshot()
         # Heartbeat gauges mirror the headline numbers into the registry
         # so a plain metrics scrape sees fleet health without parsing the
@@ -701,11 +558,6 @@ class ServeScheduler:
             len(snapshot["workers"]))
         self.registry.gauge("serve.points.in_flight").set(
             len(snapshot["in_flight"]))
-        if snapshot["median_point_seconds"] is not None:
-            self.registry.gauge("serve.point_seconds.median").set(
-                snapshot["median_point_seconds"])
-        self.registry.gauge("serve.stragglers.total").set(
-            snapshot["stragglers_total"])
         return snapshot
 
     def stats(self) -> Dict[str, Any]:

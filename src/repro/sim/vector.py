@@ -167,8 +167,8 @@ def vector_killed() -> bool:
         not in ("", "0", "false", "no", "off")
 
 
-def resolve_backend(backend: Optional[str], count: int,
-                    observer: object) -> str:
+def choose_backend(backend: Optional[str], count: int,
+                   observer: object) -> str:
     """Pick ``"vector"`` or ``"scalar"`` for one batch call.
 
     ``backend=None`` (or ``"auto"``) is auto; ``"vector"`` is a hard

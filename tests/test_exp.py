@@ -484,10 +484,13 @@ class TestPoolShrink:
         try:
             first = pool.checkout()
             assert first.leased
-            assert pool.checkout(spawn=False) is None  # all busy
+            second = pool.checkout()  # all busy: spawns a fresh worker
+            assert second is not first and len(pool) == 2
             pool.checkin(first)
-            assert pool.checkout(spawn=False) is first  # reused, not respawned
+            assert pool.checkout() is first  # reused, not respawned
+            assert len(pool) == 2
             pool.retire(first)
+            pool.retire(second)
             assert len(pool) == 0
         finally:
             pool.shutdown()

@@ -1,9 +1,5 @@
-"""Tests for the adaptive sweep engine (:mod:`repro.exp.adaptive`), the
-:class:`ExecutionBackend` seam, straggler re-dispatch, and the retry
-budget shared by every re-execution reason."""
-
-import os
-import socket
+"""Tests for the adaptive sweep engine (:mod:`repro.exp.adaptive`) and
+the runner's choice between the worker pool and this process."""
 
 import pytest
 
@@ -11,29 +7,19 @@ from repro.analysis.quality import relative_spread, wilson_halfwidth
 from repro.exp import (
     AdaptiveConfig,
     ConvergenceTarget,
-    PoolBackend,
     ResultCache,
-    SerialBackend,
-    ServeBackend,
-    StragglerPolicy,
     SweepPoint,
-    WorkerPool,
     bernoulli_probe_point,
-    resolve_backend,
     run_adaptive_sweep,
     run_sweep,
-    shutdown_pool,
 )
 from repro.exp import runner as runner_mod
 from repro.exp.adaptive import extract_streams
-from repro.exp.runner import PoolUnavailableError
-from repro.obs import telemetry
-from repro.obs import top as obs_top
 
 
-def probe(p, bits, **extra):
+def probe(p, bits):
     return SweepPoint("bernoulli", bernoulli_probe_point,
-                      {"p": p, "bits": bits, **extra})
+                      {"p": p, "bits": bits})
 
 
 def value_point(value):
@@ -76,7 +62,7 @@ class TestConvergenceMath:
 
 
 # ---------------------------------------------------------------------------
-# The adaptive engine (serial backend: deterministic and fast)
+# The adaptive engine (serial: deterministic and fast)
 # ---------------------------------------------------------------------------
 
 class TestAdaptiveEngine:
@@ -87,7 +73,7 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=0.2))
         outcome = run_adaptive_sweep([probe(0.0, 5000)], config=config,
-                                     jobs=1, backend="serial")
+                                     jobs=1)
         (result,) = outcome.results
         assert result.converged
         assert result.reps == 3
@@ -98,7 +84,7 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=0.001))
         outcome = run_adaptive_sweep([probe(0.5, 20)], config=config,
-                                     jobs=1, backend="serial")
+                                     jobs=1)
         (result,) = outcome.results
         assert not result.converged
         assert result.reps == config.max_reps
@@ -109,7 +95,7 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=None))
         outcome = run_adaptive_sweep([probe(0.1, 64)], config=config,
-                                     jobs=1, backend="serial")
+                                     jobs=1)
         assert outcome.executed_reps == 4
         assert outcome.rep_savings_ratio == 1.0
 
@@ -121,12 +107,11 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=None))
         declared = probe(0.2, 128)
-        adaptive = run_adaptive_sweep([declared], config=config, jobs=1,
-                                      backend="serial")
+        adaptive = run_adaptive_sweep([declared], config=config, jobs=1)
         (result,) = adaptive.results
         fixed_points = [declared.with_params(seed=config.value_for(rep))
                         for rep in range(config.max_reps)]
-        fixed = run_sweep(fixed_points, jobs=1, backend="serial")
+        fixed = run_sweep(fixed_points, jobs=1)
         assert result.payloads == list(fixed.results)
         pooled = result.pooled_streams()[""]
         assert pooled["errors"] == sum(p["errors"] for p in fixed.results)
@@ -137,20 +122,19 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=0.05))
         declared = probe(0.0, 1000)
-        outcome = run_adaptive_sweep([declared], config=config, jobs=1,
-                                     backend="serial")
+        outcome = run_adaptive_sweep([declared], config=config, jobs=1)
         (result,) = outcome.results
         assert result.converged and result.reps < config.max_reps
         fixed_points = [declared.with_params(seed=config.value_for(rep))
                         for rep in range(config.max_reps)]
-        fixed = run_sweep(fixed_points, jobs=1, backend="serial")
+        fixed = run_sweep(fixed_points, jobs=1)
         assert result.payloads == list(fixed.results)[:result.reps]
 
     def test_rep_values_override_the_axis(self):
         config = AdaptiveConfig(min_reps=2, max_reps=2, round_reps=1,
                                 rep_values=(11, 13))
         outcome = run_adaptive_sweep([probe(0.1, 64)], config=config,
-                                     jobs=1, backend="serial")
+                                     jobs=1)
         (result,) = outcome.results
         assert [p["seed"] for p in result.payloads] == [11, 13]
         assert result.rep_values == [11, 13]
@@ -168,195 +152,36 @@ class TestAdaptiveEngine:
                                 target=ConvergenceTarget(
                                     ber_ci_halfwidth=0.05))
         outcome = run_adaptive_sweep([probe(0.0, 2000)], config=config,
-                                     jobs=1, backend="serial")
+                                     jobs=1)
         assert outcome.fixed_reps == 8
         assert outcome.executed_reps == 2
         assert outcome.rep_savings_ratio == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
-# Backend resolution and the serve fallback
+# Where run_sweep executes: the worker pool or this process
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
-    def test_auto_picks_pool_only_when_it_helps(self):
-        assert isinstance(resolve_backend("auto", jobs=4, pending=4),
-                          PoolBackend)
-        assert isinstance(resolve_backend("auto", jobs=4, pending=1),
-                          SerialBackend)
-        assert isinstance(resolve_backend("auto", jobs=1, pending=4),
-                          SerialBackend)
-        assert isinstance(resolve_backend(None, jobs=1, pending=0),
-                          SerialBackend)
+    def test_auto_picks_pool_only_when_it_helps(self, monkeypatch, tmp_path):
+        """The pool runs a sweep only when ``jobs > 1`` and more than one
+        point is pending (result-cache hits do not count)."""
+        calls = []
 
-    def test_explicit_names(self):
-        assert isinstance(resolve_backend("serial", jobs=8, pending=8),
-                          SerialBackend)
-        pool = resolve_backend("pool", jobs=1, pending=1,
-                               straggler=StragglerPolicy())
-        assert isinstance(pool, PoolBackend)
-        serve = resolve_backend("serve", jobs=1, pending=1,
-                                serve_addr=("example.test", 1234))
-        assert isinstance(serve, ServeBackend)
-        assert (serve.host, serve.port) == ("example.test", 1234)
+        def fake_pool(points, jobs, on_result=None, span_ids=None):
+            calls.append((len(points), jobs))
+            for index, point in enumerate(points):
+                on_result(index, point.run(), {"hits": 0, "misses": 0})
 
-    def test_instance_passes_through(self):
-        backend = SerialBackend()
-        assert resolve_backend(backend, jobs=4, pending=4) is backend
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("quantum", jobs=1, pending=1)
-
-
-class TestServeFallback:
-    def test_unreachable_daemon_falls_back_to_serial(self):
-        # Grab a port with no listener behind it.
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        points = [probe(0.1, 64, seed=s) for s in (1, 2)]
-        outcome = run_sweep(points, jobs=1, backend="serve",
-                            serve_addr=("127.0.0.1", port))
-        assert outcome.fallback_reason
-        assert [p["seed"] for p in outcome.results] == [1, 2]
-
-
-# ---------------------------------------------------------------------------
-# The shared per-point retry budget
-# ---------------------------------------------------------------------------
-
-class TestRetryBudget:
-    def test_exhausted_budget_fails_instead_of_looping(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise PoolUnavailableError("injected")
-
-        monkeypatch.setattr(runner_mod, "_run_parallel", explode)
-        with pytest.raises(RuntimeError, match="retry budget exhausted"):
-            run_sweep([SweepPoint("exp", value_point, {"value": v})
-                       for v in (1, 2)],
-                      jobs=2, backend="pool", max_point_retries=0)
-
-    def test_budget_of_one_allows_the_serial_fallback(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise PoolUnavailableError("injected")
-
-        monkeypatch.setattr(runner_mod, "_run_parallel", explode)
-        outcome = run_sweep([SweepPoint("exp", value_point, {"value": v})
-                             for v in (1, 2)],
-                            jobs=2, backend="pool", max_point_retries=1)
-        assert [p["value"] for p in outcome.results] == [1, 2]
-        assert outcome.fallback_reason
-
-
-# ---------------------------------------------------------------------------
-# Straggler re-dispatch on the real pool
-# ---------------------------------------------------------------------------
-
-def _pool_or_skip():
-    pool = WorkerPool()
-    try:
-        pool.ensure(1)
-    except (OSError, PermissionError, RuntimeError, ImportError) as exc:
-        pool.shutdown()
-        pytest.skip(f"worker processes unavailable: {exc}")
-    return pool
-
-
-class TestStragglerRedispatch:
-    def test_twin_rescues_injected_straggler(self, tmp_path, monkeypatch):
-        _pool_or_skip().shutdown()
-        shutdown_pool()
-        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "tele"))
-        sentinel = str(tmp_path / "slow-once")
-        points = [probe(0.1, 128, seed=99, slow_sentinel=sentinel,
-                        slow_seconds=2.0, fast_seconds=0.02)]
-        points += [probe(0.1, 128, seed=s, fast_seconds=0.02)
-                   for s in range(1, 6)]
-        try:
-            outcome = run_sweep(
-                points, jobs=2, backend="pool",
-                telemetry_dir=str(tmp_path / "tele"),
-                straggler=StragglerPolicy(factor=3.0, min_seconds=0.1,
-                                          min_samples=3))
-        finally:
-            shutdown_pool()
-        assert outcome.redispatches >= 1
-        assert outcome.elapsed_seconds < 1.8  # did not wait out the sleeper
-        # Payloads are deterministic regardless of which copy won.
-        assert [p["seed"] for p in outcome.results] == [99, 1, 2, 3, 4, 5]
-
-        events = telemetry.read_events(str(tmp_path / "tele"))
-        assert not telemetry.verify_chains(events)
-        commits = {}
-        for event in events:
-            if event.get("event") == "point_committed":
-                span = event["span_id"]
-                commits[span] = commits.get(span, 0) + 1
-        assert len(commits) == len(points)
-        assert all(count == 1 for count in commits.values())
-        reasons = [e.get("reason") for e in events
-                   if e.get("event") == "point_retried"]
-        assert "straggler_redispatch" in reasons
-
-    def test_policy_poll_interval_is_bounded(self):
-        assert StragglerPolicy(min_seconds=100.0).poll_seconds() == 0.5
-        assert StragglerPolicy(min_seconds=0.01).poll_seconds() == 0.02
-
-
-# ---------------------------------------------------------------------------
-# `repro top` renders re-dispatch
-# ---------------------------------------------------------------------------
-
-class TestTopRedispatch:
-    def test_fleet_state_tracks_twins_offline(self):
-        events = [
-            {"event": "point_queued", "span_id": "s1", "point_slug": "a",
-             "ts": 0.1},
-            {"event": "point_dispatched", "span_id": "s1",
-             "point_slug": "a", "worker_pid": 7, "ts": 0.2},
-            {"event": "point_straggler", "span_id": "s1", "ts": 1.0},
-            {"event": "point_retried", "span_id": "s1",
-             "reason": "straggler_redispatch", "ts": 1.0},
-            {"event": "point_dispatched", "span_id": "s1",
-             "point_slug": "a", "worker_pid": 8, "redispatch": True,
-             "ts": 1.1},
-        ]
-        state = obs_top.fleet_state(events, now=1.5)
-        (flight,) = state["in_flight"]
-        assert flight["has_twin"] is True
-        assert flight["worker_pid"] == 7  # primary kept, twin credited
-        assert state["workers"]["8"]["redispatched"] == 1
-        frame = obs_top.render_state_frame(state, source="unit")
-        assert "redispatched" in frame
-        assert "STRAGGLER R" in frame
-
-    def test_metrics_frame_shows_redispatch_columns(self):
-        payload = {"stats": {
-            "max_jobs": 2, "queued_points": 0, "running_points": 2,
-            "jobs_total": 1, "jobs_done": 0, "pool_workers": 2,
-            "counters": {},
-            "workers": {
-                "completed_points": 4, "median_point_seconds": 0.1,
-                "straggler_threshold_seconds": 1.0, "stragglers_total": 1,
-                "workers": {
-                    "41": {"points": 4, "busy_seconds": 0.4,
-                           "points_per_sec": 10.0, "lease_age_s": 2.0,
-                           "in_flight": "slowpoint", "straggler": True,
-                           "redispatched": 0},
-                    "42": {"points": 0, "busy_seconds": 0.0,
-                           "points_per_sec": None, "lease_age_s": 0.1,
-                           "in_flight": "slowpoint", "straggler": False,
-                           "redispatched": 1}},
-                "in_flight": [
-                    {"span_id": "s1", "worker_pid": 41,
-                     "point_slug": "slowpoint", "age_s": 2.0,
-                     "straggler": True, "has_twin": True},
-                    {"span_id": "s1#r1", "worker_pid": 42,
-                     "point_slug": "slowpoint", "age_s": 0.1,
-                     "straggler": False, "twin": True}]}}}
-        frame = obs_top.render_metrics_frame(payload, source="test")
-        assert "redispatched" in frame
-        assert "STRAGGLER R" in frame  # the flagged primary
-        lines = [line for line in frame.splitlines() if "42" in line]
-        assert any(line.rstrip().endswith("R") for line in lines)
+        monkeypatch.setattr(runner_mod, "_run_parallel", fake_pool)
+        points = [SweepPoint("exp", value_point, {"value": v})
+                  for v in (1, 2, 3, 4)]
+        assert run_sweep(points, jobs=4).parallel
+        assert calls == [(4, 4)]
+        assert not run_sweep(points[:1], jobs=4).parallel
+        assert not run_sweep(points, jobs=1).parallel
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_sweep(points[:3], jobs=1, cache=cache)
+        outcome = run_sweep(points, jobs=4, cache=cache)
+        assert not outcome.parallel and outcome.cache_hits == 3
+        assert calls == [(4, 4)]

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.analysis import benchhistory
-from repro.exp import WorkerPool, run_sweep
+from repro.exp import WorkerPool, run_sweep, shutdown_pool
 from repro.exp.runner import (
     PoolUnavailableError,
     metrics_path,
@@ -41,11 +41,13 @@ def failing_tele_point(value=0):
 
 
 def crash_once_point(sentinel):
-    """Kills its worker on first run; succeeds on the retry."""
-    if not os.path.exists(sentinel):
-        open(sentinel, "w").close()
-        os._exit(1)
-    return {"retried": True}
+    """Kills its worker on first run; succeeds on the retry.  Whichever
+    executor atomically creates the sentinel is the one that dies."""
+    try:
+        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return {"retried": True}
+    os._exit(1)
 
 
 def _points(values, fn=tele_point, **extra):
@@ -157,6 +159,11 @@ class TestVerifyChains:
         bad = [e for e in events if e["event"] != "point_retried"]
         assert any("without a point_retried" in p
                    for p in telemetry.verify_chains(bad))
+        # One marker excuses one repeat, not two.
+        thrice = _chain("s1", "point_queued", "point_start", "point_retried",
+                        "point_start", "point_start", "point_committed")
+        assert any("3 executions" in p
+                   for p in telemetry.verify_chains(thrice))
 
     def test_mixed_slugs_flagged(self):
         events = (_chain("s1", "point_queued", slug="a")
@@ -178,56 +185,20 @@ class TestVerifyChains:
 # ---------------------------------------------------------------------------
 
 class TestFleetHealth:
-    def _warmed(self, **kwargs):
+    def _warmed(self):
         """A health model with four 1s completions on worker 1."""
-        health = telemetry.FleetHealth(straggler_factor=2.0, min_samples=4,
-                                       min_seconds=0.5, **kwargs)
+        health = telemetry.FleetHealth()
         for i in range(4):
             health.record_dispatch(1, f"s{i}", point_slug=f"p{i}",
                                    now=float(i))
             health.record_done(1, f"s{i}", now=float(i) + 1.0)
         return health
 
-    def test_median_warms_up(self):
-        health = telemetry.FleetHealth(min_samples=4)
-        assert health.median() is None
-        assert health.threshold() is None
-        assert health.flag_stragglers(now=100.0) == []
-        health = self._warmed()
-        assert health.median() == pytest.approx(1.0)
-        assert health.threshold() == pytest.approx(2.0)
-
-    def test_in_flight_straggler_flagged_once(self):
-        health = self._warmed()
-        health.record_dispatch(2, "slow", point_slug="pslow",
-                               run_id="run-x", now=10.0)
-        assert health.flag_stragglers(now=10.5) == []  # under threshold
-        (flagged,) = health.flag_stragglers(now=15.0)
-        assert flagged["span_id"] == "slow"
-        assert flagged["pid"] == 2
-        assert flagged["run_id"] == "run-x"
-        assert flagged["age_s"] == pytest.approx(5.0)
-        assert health.flag_stragglers(now=20.0) == []  # flag-once
-        assert health.stragglers_total == 1
-        # Completing an already-flagged point must not double-count.
-        elapsed, newly = health.record_done(2, "slow", now=20.0)
-        assert elapsed == pytest.approx(10.0)
-        assert newly is False
-        assert health.stragglers_total == 1
-
-    def test_completion_straggler_counted(self):
-        health = self._warmed()
-        health.record_dispatch(2, "slow", now=10.0)
-        elapsed, newly = health.record_done(2, "slow", now=17.0)
-        assert newly is True
-        assert health.stragglers_total == 1
-
     def test_snapshot_shape(self):
         health = self._warmed()
         health.record_dispatch(2, "slow", point_slug="pslow", now=10.0)
         snap = health.snapshot(now=11.0)
         assert snap["completed_points"] == 4
-        assert snap["median_point_seconds"] == pytest.approx(1.0)
         worker = snap["workers"]["1"]
         assert worker["points"] == 4
         assert worker["points_per_sec"] == pytest.approx(1.0)
@@ -237,6 +208,7 @@ class TestFleetHealth:
         assert busy["lease_age_s"] == pytest.approx(1.0)
         (flight,) = snap["in_flight"]
         assert flight["span_id"] == "slow"
+        assert flight["age_s"] == pytest.approx(1.0)
         assert json.dumps(snap)  # JSON-able end to end
 
     def test_failures_tracked(self):
@@ -348,6 +320,47 @@ class TestSweepChains:
         assert telemetry.verify_chains(events) == []
         (failed,) = [e for e in events if e["event"] == "point_failed"]
         assert "ValueError" in failed["error"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_sweep_closes_its_run(self, tele_dir, jobs):
+        points = _points(range(4))
+        points[2] = SweepPoint("tele", failing_tele_point, {"value": 2})
+        with pytest.raises(ValueError, match="bad point 2"):
+            run_sweep(points, jobs=jobs)
+        events = telemetry.read_events(tele_dir)
+        (start,) = [e for e in events if e["event"] == "run_start"]
+        (end,) = [e for e in events if e["event"] == "run_end"]
+        assert end["run_id"] == start["run_id"]
+        assert end["ok"] is False
+        assert "ValueError: bad point 2" in end["error"]
+
+    def test_worker_death_falls_back_with_clean_chains(self, tele_dir,
+                                                       tmp_path):
+        """A pool worker really dies mid-sweep: the points the pool did
+        not finish run once more in this process, each behind one
+        pool_fallback marker, and every span commits exactly once."""
+        _pool_or_skip().shutdown()
+        points = _points(range(6))
+        points[3] = SweepPoint("tele", crash_once_point,
+                               {"sentinel": str(tmp_path / "died-once")})
+        try:
+            outcome = run_sweep(points, jobs=2)
+        finally:
+            shutdown_pool()
+        assert outcome.fallback_reason
+        # The sentinel now exists, so the crash point returns in-process.
+        assert outcome.results == run_sweep(points, jobs=1).results
+        events = [e for e in telemetry.read_events(tele_dir)
+                  if e.get("run_id") == outcome.run_id]
+        _assert_complete(events, points, outcome)
+        chains = telemetry.causal_chains(events)
+        for chain in chains.values():
+            names = [e["event"] for e in chain]
+            assert names.count("point_committed") == 1
+            assert names.count("point_start") <= 2
+        retried = [e for e in events if e["event"] == "point_retried"]
+        assert retried
+        assert all(e["reason"] == "pool_fallback" for e in retried)
 
     def test_cached_points_skip_spans(self, tele_dir, tmp_path):
         from repro.exp import ResultCache
@@ -517,40 +530,7 @@ class TestSchedulerChains:
         assert stats["clients_queued"] == {}
         health = stats["workers"]
         assert health["completed_points"] == 2
-        assert health["stragglers_total"] == 0
         assert os.getpid() in {int(pid) for pid in health["workers"]}
-
-    def test_straggler_flagged_in_log_and_stats(self, tele_dir):
-        """An injected sleep point crossing the threshold shows up both
-        as a point_straggler event and in the metrics-endpoint health
-        snapshot (polling triggers the in-flight scan)."""
-
-        async def main():
-            sched = ServeScheduler(jobs=1, use_pool=False,
-                                   straggler_factor=1.5,
-                                   straggler_min_seconds=0.05)
-            await sched.start()
-            warmup = await sched.submit("c", _points(range(4)))
-            await asyncio.wait_for(warmup.done.wait(), timeout=30)
-            slow = await sched.submit("c", _points([9], delay=0.6))
-            flagged = None
-            for _ in range(200):
-                await asyncio.sleep(0.01)
-                snap = sched.stats()["workers"]
-                if snap["stragglers_total"] >= 1:
-                    flagged = snap
-                    break
-            await asyncio.wait_for(slow.done.wait(), timeout=30)
-            await sched.stop()
-            return flagged
-
-        flagged = _run(main())
-        assert flagged is not None, "straggler never flagged in stats"
-        assert flagged["stragglers_total"] >= 1
-        events = telemetry.read_events(tele_dir)
-        straggler = [e for e in events if e["event"] == "point_straggler"]
-        assert straggler
-        assert telemetry.verify_chains(events) == []
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +547,16 @@ class TestTopRendering:
                          "serve.points.deduped": 2,
                          "serve.points.cache_hits": 0},
             "workers": {
-                "completed_points": 6, "median_point_seconds": 0.5,
-                "straggler_threshold_seconds": 2.0, "stragglers_total": 1,
+                "completed_points": 6,
                 "workers": {"41": {
                     "points": 6, "failures": 0, "busy_seconds": 3.0,
                     "points_per_sec": 2.0, "heartbeat_age_s": 0.1,
-                    "in_flight": "slowpoint", "lease_age_s": 2.5,
-                    "straggler": True}},
+                    "in_flight": "slowpoint", "lease_age_s": 2.5}},
                 "in_flight": [{"span_id": "s9", "worker_pid": 41,
-                               "point_slug": "slowpoint", "age_s": 2.5,
-                               "straggler": True}]}}}
+                               "point_slug": "slowpoint", "age_s": 2.5}]}}}
         frame = obs_top.render_metrics_frame(payload, source="test")
         assert "alice" in frame and "bob" in frame
-        assert "STRAGGLER" in frame
+        assert "slowest in flight" in frame and "2.50" in frame
         assert "dedup 20.0%" in frame
         assert "slowpoint" in frame
         assert "41" in frame

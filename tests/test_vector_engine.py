@@ -209,7 +209,7 @@ def test_observer_falls_back_on_auto_but_raises_when_explicit():
     obs = system.hierarchy._obs
     assert obs is not None
     # Auto silently falls back to the reference loop...
-    assert vector.resolve_backend(None, 10_000, obs) == "scalar"
+    assert vector.choose_backend(None, 10_000, obs) == "scalar"
     # ...but an *explicit* vector request with an observer attached is a
     # configuration error and says so (PR 7 gating-asymmetry fix).  The
     # environment-level downgrades outrank it: under the kill switch or
@@ -218,10 +218,10 @@ def test_observer_falls_back_on_auto_but_raises_when_explicit():
     # would break every backend="vector" call site in sanitize CI).
     probe = [0x100000 + i * 64 for i in range(64)]
     if vector.vector_killed() or vector.sanitize_requested():
-        assert vector.resolve_backend("vector", 10_000, obs) == "scalar"
+        assert vector.choose_backend("vector", 10_000, obs) == "scalar"
     else:
         with pytest.raises(RuntimeError, match="observer attached"):
-            vector.resolve_backend("vector", 10_000, obs)
+            vector.choose_backend("vector", 10_000, obs)
         with pytest.raises(RuntimeError, match="set_observer"):
             system.hierarchy.access_batch(0, probe, 0, backend="vector")
     # Detaching the observer or passing backend="scalar" both work.
@@ -236,29 +236,29 @@ def test_explicit_vector_without_numpy_raises(monkeypatch):
     monkeypatch.setattr(vector, "_NUMPY_ERROR",
                         "repro.sim.vector needs numpy>=1.24 (test stub)")
     with pytest.raises(RuntimeError, match="needs numpy"):
-        vector.resolve_backend("vector", 10_000, None)
+        vector.choose_backend("vector", 10_000, None)
     # Auto quietly degrades to the scalar reference loop instead.
-    assert vector.resolve_backend(None, 10_000, None) == "scalar"
+    assert vector.choose_backend(None, 10_000, None) == "scalar"
 
 
 def test_kill_switch_disables_vector(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    assert vector.resolve_backend(None, 10_000, None) == "scalar"
-    assert vector.resolve_backend("vector", 10_000, None) == "scalar"
+    assert vector.choose_backend(None, 10_000, None) == "scalar"
+    assert vector.choose_backend("vector", 10_000, None) == "scalar"
     monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-    assert vector.resolve_backend(None, 10_000, None) == "vector"
+    assert vector.choose_backend(None, 10_000, None) == "vector"
 
 
 def test_auto_threshold_and_unknown_backend(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-    assert vector.resolve_backend(None, vector.MIN_VECTOR_BATCH - 1,
-                                  None) == "scalar"
-    assert vector.resolve_backend(None, vector.MIN_VECTOR_BATCH,
-                                  None) == "vector"
+    assert vector.choose_backend(None, vector.MIN_VECTOR_BATCH - 1,
+                                 None) == "scalar"
+    assert vector.choose_backend(None, vector.MIN_VECTOR_BATCH,
+                                 None) == "vector"
     with pytest.raises(ValueError, match="unknown backend"):
-        vector.resolve_backend("simd", 1000, None)
+        vector.choose_backend("simd", 1000, None)
 
 
 def test_numpy_requirement_reports_clearly():
