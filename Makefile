@@ -19,7 +19,7 @@ bench-sweep:
 	python scripts/bench_sweep.py
 
 bench-clean:
-	rm -rf benchmarks/results/.cache benchmarks/results/.warmstore
+	rm -rf benchmarks/results/.cache
 
 examples:
 	python examples/quickstart.py

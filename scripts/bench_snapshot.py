@@ -3,9 +3,9 @@
 
 Runs a reduced slice of every figure sweep through :mod:`repro.exp`
 (parallel + cached exactly like the benches), times raw simulator,
-scheduler, and warm-up/snapshot microbenchmarks, measures the
-warm-state store's cold-vs-warm figure passes, and writes the whole
-record to ``BENCH_PR10.json`` at the repo root.  Intended for
+scheduler, and warm-up/snapshot microbenchmarks, prices the telemetry
+event log on two identical figure passes, and writes the whole record
+to ``BENCH_PR10.json`` at the repo root.  Intended for
 ``make bench-quick``::
 
     PYTHONPATH=src python scripts/bench_snapshot.py [--jobs N] [--no-cache]
@@ -15,14 +15,11 @@ pytest benches), so a snapshot taken right after the benchmark suite is
 nearly free, and a second snapshot of unchanged code replays entirely
 from disk.
 
-The warm-store section runs the fig8+fig10+fig11 sweeps twice in *fresh
-subprocesses* with the result cache off: the first (cold) pass populates
-``benchmarks/results/.warmstore``, the second (warm) pass replays the
-same points against the populated store, so the speedup isolates
-warm-state reuse from result caching and in-process memos.  A third
-warm pass repeats the second with ``REPRO_TELEMETRY_DIR`` set, so the
-``telemetry_overhead`` section prices the causal event log against an
-identical telemetry-off pass (acceptance: < 5% wall clock).
+The figure-pass section runs the fig8+fig10+fig11 sweeps twice in
+*fresh subprocesses* with the result cache off, the second time with
+``REPRO_TELEMETRY_DIR`` set, so the ``telemetry_overhead`` section
+prices the causal event log against an identical telemetry-off pass
+(acceptance: < 5% wall clock).
 """
 
 from __future__ import annotations
@@ -51,12 +48,9 @@ from repro.exp.figures import (  # noqa: E402
 )
 
 CACHE_DIR = os.path.join(REPO_ROOT, "benchmarks", "results", ".cache")
-WARM_DIR = os.path.join(REPO_ROOT, "benchmarks", "results", ".warmstore")
 TELEMETRY_DIR = os.path.join(REPO_ROOT, "benchmarks", "results",
                              ".telemetry-bench")
 OUTPUT = os.path.join(REPO_ROOT, "BENCH_PR10.json")
-BASELINE = os.path.join(REPO_ROOT, "BENCH_PR7.json")
-BASELINE_NAME = os.path.basename(BASELINE)
 
 # Reduced axes: one quick pass over every figure, a couple of minutes
 # serial and cold, seconds warm or parallel.
@@ -69,23 +63,21 @@ QUICK_SWEEPS = [
 ]
 
 
-#: The warm-store measurement: the three figure sweeps whose points route
-#: through :mod:`repro.exp.warmstore` (fig2/fig3 points are stateless
-#: one-shot builds and gain nothing from warm state).
-WARM_SWEEPS = [
+#: The sweeps of each figure pass behind the telemetry-overhead
+#: measurement.
+PASS_SWEEPS = [
     ("fig8", lambda: fig8_sweep((8, 64))),
     ("fig10", lambda: fig10_sweep((1024, 8192))),
     ("fig11", lambda: fig11_sweep(("BC", "PR"), max_refs=20_000)),
 ]
 
 
-def run_warm_sweeps(jobs: int) -> dict:
-    """One pass over the warm sweeps, result cache off.  Runs inside the
-    ``--warm-pass`` subprocess so every in-process memo starts cold and
-    the only carried state is the on-disk warm store."""
+def run_figure_pass(jobs: int) -> dict:
+    """One pass over the pass sweeps, result cache off.  Runs inside the
+    ``--figure-pass`` subprocess so every in-process pool starts cold."""
     figures = {}
     total = 0.0
-    for name, build in WARM_SWEEPS:
+    for name, build in PASS_SWEEPS:
         points = build()
         outcome = run_sweep(points, jobs=jobs, cache=None)
         figures[name] = {
@@ -103,68 +95,43 @@ def run_warm_sweeps(jobs: int) -> dict:
     }
 
 
-def warm_store_two_pass(jobs: int) -> dict:
-    """Cold-then-warm figure passes in fresh subprocesses (see module
-    docstring); the warm pass is the ISSUE-5 headline measurement."""
-    shutil.rmtree(WARM_DIR, ignore_errors=True)
-    record = {"directory": os.path.relpath(WARM_DIR, REPO_ROOT),
-              "passes": {}}
-    env = dict(os.environ, REPRO_WARMSTORE_DIR=WARM_DIR)
+def figure_passes(jobs: int) -> dict:
+    """Plain and telemetry-on figure passes in fresh subprocesses (see
+    module docstring)."""
+    record = {"passes": {}}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     env.pop("REPRO_TELEMETRY_DIR", None)
-    # The third pass repeats the warm one with the event log on: same
-    # points, same populated store, so the delta prices telemetry alone.
-    for label in ("cold", "warm", "warm_telemetry"):
+    # Same points twice, the second with the event log on, so the delta
+    # prices telemetry alone.
+    for label in ("plain", "telemetry"):
         pass_env = dict(env)
-        if label == "warm_telemetry":
+        if label == "telemetry":
             shutil.rmtree(TELEMETRY_DIR, ignore_errors=True)
             os.makedirs(TELEMETRY_DIR, exist_ok=True)
             pass_env["REPRO_TELEMETRY_DIR"] = TELEMETRY_DIR
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__),
-             "--warm-pass", "--jobs", str(jobs)],
+             "--figure-pass", "--jobs", str(jobs)],
             capture_output=True, text=True, env=pass_env)
         if proc.returncode != 0:
-            raise RuntimeError(f"warm {label} pass failed:\n{proc.stderr}")
+            raise RuntimeError(f"{label} figure pass failed:\n{proc.stderr}")
         record["passes"][label] = json.loads(proc.stdout)
-    cold = record["passes"]["cold"]["seconds"]
-    warm = record["passes"]["warm"]["seconds"]
-    record["speedup_vs_cold"] = round(cold / max(warm, 1e-9), 2)
-    if os.path.exists(BASELINE):
-        try:
-            with open(BASELINE) as handle:
-                baseline = json.load(handle)
-            # Prefer the baseline's own warm-store warm pass (same
-            # measurement, fresh subprocess); its top-level figure
-            # timings may be result-cache hits (~0s) and incomparable.
-            try:
-                baseline_seconds = (
-                    baseline["warm_store"]["passes"]["warm"]["seconds"])
-            except KeyError:
-                baseline_seconds = sum(
-                    baseline["figures"][name]["seconds"]
-                    for name, _ in WARM_SWEEPS)
-            if baseline_seconds > 0.0:
-                record["baseline_seconds"] = round(baseline_seconds, 3)
-                record["speedup_vs_baseline"] = round(
-                    baseline_seconds / max(warm, 1e-9), 2)
-        except (OSError, KeyError, ValueError):
-            pass
     return record
 
 
-def telemetry_overhead(warm_record: dict) -> dict:
-    """Price of the causal event log: the telemetry-on warm pass vs the
+def telemetry_overhead(pass_record: dict) -> dict:
+    """Price of the causal event log: the telemetry-on pass vs the
     identical telemetry-off one, plus a chain-integrity check over the
     log the pass just wrote (every span complete, none duplicated)."""
     from repro.obs import telemetry
 
-    passes = warm_record["passes"]
-    plain = passes["warm"]["seconds"]
-    logged = passes["warm_telemetry"]["seconds"]
+    passes = pass_record["passes"]
+    plain = passes["plain"]["seconds"]
+    logged = passes["telemetry"]["seconds"]
     events = telemetry.read_events(TELEMETRY_DIR)
     return {
-        "warm_seconds": plain,
+        "plain_seconds": plain,
         "telemetry_seconds": logged,
         "overhead_pct": round((logged - plain) / max(plain, 1e-9) * 100.0,
                               2),
@@ -178,17 +145,16 @@ def _quiesce_heap() -> None:
     """Drop sweep leftovers and stop the GC from scanning what remains.
 
     The figure sweeps that run before the micro-benches leave large
-    resident heaps (the pristine-system pool, warm-state payloads, sweep
-    results).  Generational GC then scans those heaps from inside the
+    resident heaps (the pristine-system pool, sweep results).
+    Generational GC then scans those heaps from inside the
     timed loops — measured at a ~13% ops/s penalty on the simulator
     hot path (the PR2->PR5 "regression" was exactly this, not access-path
     code).  Clearing the pools and freezing survivors takes the heap out
     of collection entirely."""
     from repro.exp import shutdown_pool
-    from repro.exp.warmstore import clear_pristine_pool, reset_active_store
+    from repro.exp.warmstore import clear_pristine_pool
 
     clear_pristine_pool()
-    reset_active_store()
     shutdown_pool()
     gc.collect()
     gc.freeze()
@@ -417,14 +383,14 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
     parser.add_argument("--output", default=OUTPUT)
-    parser.add_argument("--warm-pass", action="store_true",
-                        help=argparse.SUPPRESS)  # internal: one warm pass,
-    # JSON on stdout (spawned twice by warm_store_two_pass)
+    parser.add_argument("--figure-pass", action="store_true",
+                        help=argparse.SUPPRESS)  # internal: one figure
+    # pass, JSON on stdout (spawned twice by figure_passes)
     args = parser.parse_args(argv)
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    if args.warm_pass:
-        json.dump(run_warm_sweeps(jobs), sys.stdout)
+    if args.figure_pass:
+        json.dump(run_figure_pass(jobs), sys.stdout)
         return 0
     cache = None if args.no_cache else ResultCache(CACHE_DIR)
 
@@ -484,20 +450,11 @@ def main(argv=None) -> int:
     print(f"snapshot restore: {record['snapshot']['speedup']}x faster "
           f"than re-warming")
 
-    print("measuring warm-state store (cold + warm passes)...")
-    record["warm_store"] = warm_store_two_pass(jobs)
-    warm = record["warm_store"]
-    line = (f"warm store: cold {warm['passes']['cold']['seconds']:.2f}s -> "
-            f"warm {warm['passes']['warm']['seconds']:.2f}s "
-            f"({warm['speedup_vs_cold']}x, "
-            f"{warm['passes']['warm']['warm_hits']} warm hits)")
-    if "speedup_vs_baseline" in warm:
-        line += f"; {warm['speedup_vs_baseline']}x vs {BASELINE_NAME}"
-    print(line)
-
-    record["telemetry_overhead"] = telemetry_overhead(warm)
+    print("measuring figure passes (plain + telemetry)...")
+    record["figure_passes"] = figure_passes(jobs)
+    record["telemetry_overhead"] = telemetry_overhead(record["figure_passes"])
     overhead = record["telemetry_overhead"]
-    print(f"telemetry: warm {overhead['warm_seconds']:.2f}s -> "
+    print(f"telemetry: plain {overhead['plain_seconds']:.2f}s -> "
           f"logged {overhead['telemetry_seconds']:.2f}s "
           f"({overhead['overhead_pct']:+.1f}%, {overhead['events']} events, "
           f"{overhead['spans']} spans, "

@@ -32,7 +32,6 @@ BENCH_METRICS: List[Tuple[str, str, str]] = [
     ("scheduler.checkpoints_per_sec",
      "scheduler.fast_path.checkpoints_per_sec", "higher"),
     ("snapshot.restore_speedup", "snapshot.speedup", "higher"),
-    ("warm_store.speedup_vs_cold", "warm_store.speedup_vs_cold", "higher"),
     ("suite_seconds", "suite_seconds", "lower"),
     ("serve.points_per_sec", "unique_load.points_per_sec", "higher"),
     ("serve.storm_p99_over_solo_p50",

@@ -14,7 +14,7 @@ Streamline:
 
 - **pseudorandom traversal** — a sequential walk would let the stream
   prefetchers fill lines ahead of the receiver and fake hits; the shared
-  shuffled order defeats them;
+  pseudorandom order defeats them;
 - **redundancy** — each bit spans ``redundancy`` lines, majority-voted
   (Streamline's error-margin coding; also what the §5.1 analytical bound
   charges);
@@ -45,51 +45,17 @@ from repro.system import System
 #: A probe faster than this hit the LLC (shared-array line present).
 HIT_THRESHOLD_CYCLES = 100
 
-#: Process-level memo of shared traversal orders, keyed (total_lines,
-#: seed).  The shuffle is the single most expensive piece of building a
-#: Streamline channel (millions of indices at large LLC sizes).
-_ORDER_MEMO: dict = {}
 
+def shared_order(length: int, total_lines: int, seed: int) -> List[int]:
+    """The pre-agreed pseudorandom traversal of a ``total_lines``-line
+    shared array, ``length`` slots long.
 
-def shared_order(total_lines: int, seed: int) -> List[int]:
-    """The pre-agreed pseudorandom traversal order of the shared array.
-
-    Bit-for-bit ``random.Random(seed).shuffle(list(range(total_lines)))``,
-    but deterministic in its inputs and expensive to build — so it is
-    memoized per process and persisted as a :mod:`repro.exp.warmstore`
-    artifact (as a compact typed array) when a store is active.  The
-    returned list is shared between callers and must be treated as
-    immutable.  ``REPRO_NO_WARMSTORE=1`` forces the from-scratch build.
+    ``random.Random(seed).sample`` draws ``length`` distinct line indices
+    in O(``length``): the same distribution as a prefix of a seeded
+    shuffle of the whole array, without building the whole permutation.
+    Raises ``ValueError`` when ``length`` exceeds ``total_lines``.
     """
-    from array import array
-
-    from repro.exp import warmstore
-
-    if not warmstore.enabled():
-        order = list(range(total_lines))
-        random.Random(seed).shuffle(order)
-        return order
-    key = (total_lines, seed)
-    order = _ORDER_MEMO.get(key)
-    if order is not None:
-        warmstore.record_event("hits")
-        return order
-    store = warmstore.current()
-    recipe = ("streamline-order", total_lines, seed)
-    if store is not None:
-        loaded = store.load_artifact(recipe)
-        if not store.is_missing(loaded):
-            order = list(loaded)
-            _ORDER_MEMO[key] = order
-            return order
-    order = list(range(total_lines))
-    random.Random(seed).shuffle(order)
-    _ORDER_MEMO[key] = order
-    if store is not None:
-        store.store_artifact(recipe, array("l", order))
-    else:
-        warmstore.record_event("misses")
-    return order
+    return random.Random(seed).sample(range(total_lines), length)
 
 
 def line_period_cycles(system: System) -> int:
@@ -136,7 +102,9 @@ class StreamlineChannel(CovertChannel):
         capacity = system.config.geometry.capacity_bytes
         self._base = capacity // 2  # far from other experiments' regions
         self._line = line
-        self._order = shared_order(total_lines, order_seed)
+        self._total_lines = total_lines
+        self._order: List[int] = []
+        self.order_seed = order_seed
         self.line_period = line_period_cycles(system)
 
     def decode(self, latency: int) -> int:
@@ -144,14 +112,17 @@ class StreamlineChannel(CovertChannel):
         return 1 if latency < self.threshold_cycles else 0
 
     def _addr(self, slot: int) -> int:
-        return self._base + self._order[slot % len(self._order)] * self._line
+        return self._base + self._order[slot] * self._line
 
     def transmit(self, bits: Sequence[int]) -> ChannelResult:
         message = self.check_bits(bits)
         system = self.system
         total_slots = len(message) * self.redundancy
-        if total_slots + self.lag_line_slots > len(self._order):
+        if total_slots + self.lag_line_slots > self._total_lines:
             raise ValueError("message too long for the shared array")
+        # Only the slots this transmission reads are drawn.
+        self._order = shared_order(total_slots + self.lag_line_slots,
+                                   self._total_lines, self.order_seed)
 
         sched = Scheduler()
         start_barrier = Barrier(parties=2, name="start")

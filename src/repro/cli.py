@@ -316,36 +316,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or prune the on-disk result cache and warm-state store."""
-    import os
-
+    """Inspect or prune the on-disk result cache."""
     from repro.exp.cache import ResultCache
-    from repro.exp.warmstore import WarmStore
 
-    warm_dir = (args.warm_dir or os.environ.get("REPRO_WARMSTORE_DIR")
-                or "benchmarks/results/.warmstore")
-    stores = [("results", ResultCache(args.results_dir)),
-              ("warm", WarmStore(warm_dir))]
+    store = ResultCache(args.results_dir)
     if args.action == "prune":
-        for label, store in stores:
-            removed = store.prune()
-            print(f"{label}: removed {removed} stale entries from "
-                  f"{store.directory}")
-    rows = []
-    for label, store in stores:
-        stats = store.stats()
-        rows.append((label, stats["directory"], stats["entries"],
-                     stats["stale_entries"], f"{stats['bytes'] / 1e6:.1f}"))
+        removed = store.prune()
+        print(f"results: removed {removed} stale entries from "
+              f"{store.directory}")
+    stats = store.stats()
+    rows = [("results", stats["directory"], stats["entries"],
+             stats["stale_entries"], f"{stats['bytes'] / 1e6:.1f}")]
     print(format_table(
         ["store", "directory", "entries", "stale", "MB"], rows,
-        title=f"on-disk caches (code version {stores[0][1].version})"))
+        title=f"on-disk result cache (code version {store.version})"))
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation-as-a-service daemon: many clients submit sweeps
     over JSON-lines TCP, scheduled fair-share onto the persistent
-    fork-server pool with result-cache / warm-store / in-flight dedup."""
+    fork-server pool with result-cache / in-flight dedup."""
     import asyncio
     import os
 
@@ -353,8 +344,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeScheduler
     from repro.serve.server import run_server
 
-    if args.warm_dir:
-        os.environ["REPRO_WARMSTORE_DIR"] = args.warm_dir
     if args.telemetry_dir:
         os.makedirs(args.telemetry_dir, exist_ok=True)
         os.environ["REPRO_TELEMETRY_DIR"] = args.telemetry_dir
@@ -713,16 +702,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect or prune the result cache and warm-state store")
+        help="inspect or prune the on-disk result cache")
     p.add_argument("action", choices=["stats", "prune"],
                    help="stats: show entry counts/sizes; prune: drop "
                         "entries from other code versions, then show stats")
     p.add_argument("--results-dir", default="benchmarks/results/.cache",
                    metavar="DIR", help="result-cache directory")
-    p.add_argument("--warm-dir", default=None, metavar="DIR",
-                   help="warm-state store directory (default: "
-                        "$REPRO_WARMSTORE_DIR or "
-                        "benchmarks/results/.warmstore)")
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("recon", help="reverse-engineer the bank function")
@@ -769,9 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max concurrent points (default: CPU count)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist point results to a ResultCache here")
-    p.add_argument("--warm-dir", default=None, metavar="DIR",
-                   help="set REPRO_WARMSTORE_DIR so workers share warm "
-                        "state on disk")
     p.add_argument("--port-file", default=None, metavar="PATH",
                    help="write the bound port here once listening")
     p.add_argument("--no-pool", action="store_true",

@@ -499,7 +499,7 @@ class MemoryController:
         for bank, bank_state in zip(banks, saved):
             bank.restore_state(bank_state)
         self._locked_until = state["locked_until"]
-        self.device.refresh_epoch = state.get("refresh_epoch", 0)
+        self.device.refresh_epoch = state["refresh_epoch"]
         self._partition = dict(state["partition"])
         self.requestor_stats = {
             name: RequestorStats(*vals)

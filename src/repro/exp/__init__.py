@@ -42,7 +42,7 @@ from repro.exp.runner import (
     shutdown_pool,
 )
 from repro.exp.sweep import SweepPoint, sweep_points
-from repro.exp.warmstore import WarmStore, pristine_system
+from repro.exp.warmstore import pristine_system
 
 __all__ = [
     "MISSING",
@@ -54,7 +54,6 @@ __all__ = [
     "ResultCache",
     "SweepOutcome",
     "SweepPoint",
-    "WarmStore",
     "WorkerHandle",
     "WorkerPool",
     "bernoulli_probe_point",

@@ -238,7 +238,6 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
                        cache: Optional[ResultCache] = None,
                        trace_dir: Optional[str] = None,
                        metrics_dir: Optional[str] = None,
-                       warm_dir: Optional[str] = None,
                        telemetry_dir: Optional[str] = None,
                        ) -> AdaptiveOutcome:
     """Run ``points`` adaptively: repetitions in rounds, early-stopping
@@ -278,7 +277,7 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
         rounds += 1
         outcome = run_sweep(batch, jobs=jobs, cache=cache,
                             trace_dir=trace_dir, metrics_dir=metrics_dir,
-                            warm_dir=warm_dir, telemetry_dir=telemetry_dir)
+                            telemetry_dir=telemetry_dir)
         sweeps.append(outcome)
         for index, payload in zip(owners, outcome.results):
             states[index].payloads.append(payload)

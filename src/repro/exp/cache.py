@@ -12,9 +12,11 @@ dicts of floats/ints/strings, which also keeps cached artifacts diffable
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import time
 from typing import Any, Dict, Mapping, Optional
 
@@ -134,10 +136,20 @@ class ResultCache:
             "created": time.time(),
             "payload": payload,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(entry, handle, default=str)
-        os.replace(tmp, path)
+        # A private temp file per call: two writers of one key (another
+        # process, or another ResultCache on this directory) must not
+        # rename each other's half-written files away.
+        fd, tmp = tempfile.mkstemp(dir=self.directory,
+                                   prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(entry, handle, default=str)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         self._touch(path)
         if self.max_entries is not None:
             self._evict(self.max_entries)

@@ -11,13 +11,11 @@ Results are bit-identical to the historical in-bench implementations:
 each point builds its own :class:`repro.system.System` from a config and
 all randomness is seeded per-config or per-call.
 
-Warm-state reuse: the fig8/fig10/fig11 points route their deterministic,
-expensive-to-rebuild pieces through :mod:`repro.exp.warmstore` — pristine
-systems and the Streamline traversal order (fig8), the victim probe
-schedule (fig10), reference streams and post-warm-up snapshots (fig11).
-Reuse is pure: a point served from warm state is bit-identical to one
-built from scratch (``REPRO_NO_WARMSTORE=1`` forces the scratch path; the
-equivalence tests diff both).
+Construction reuse: the fig8 and fig10 points lease their systems from
+the in-process pristine-system pool
+(:func:`repro.exp.warmstore.pristine_system`).  Reuse is pure: a pooled
+system is indistinguishable from a fresh one (``REPRO_NO_WARMSTORE=1``
+forces fresh construction; the equivalence tests diff both).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional
 
 from repro.config import SystemConfig
-from repro.exp import warmstore
 from repro.exp.warmstore import pristine_system
 from repro.system import System
 
@@ -205,51 +202,23 @@ def _fig10_world():
     return reference, reads, base_index
 
 
-#: Per-process memo of victim probe schedules, keyed (num_banks, rounds).
-_FIG10_SCHEDULES: dict = {}
-
-
 def _fig10_schedule(num_banks: int, rounds: int):
     """The victim's probe schedule and index occupancy for one point.
 
     Building the schedule means restriping the 1024-bank base index and
     replaying the read mapper — pure in (num_banks, rounds) since every
-    seed in :func:`_fig10_world` is fixed.  Memoized per process and
-    persisted as a warm-store artifact; ``REPRO_NO_WARMSTORE=1`` forces
-    the from-scratch build.  Returns ``(schedule, entries_per_bank)``.
+    seed in :func:`_fig10_world` is fixed.  Returns
+    ``(schedule, entries_per_bank)``.
     """
-    def build():
-        from repro.genomics import PimReadMapper
+    from repro.genomics import PimReadMapper
 
-        reference, reads, base_index = _fig10_world()
-        index = base_index.restripe(num_banks)
-        # trace_for_reads only consults the software mapper and index, so
-        # no System is needed to reconstruct the victim's schedule.
-        mapper = PimReadMapper(None, reference, index)
-        return (mapper.trace_for_reads(reads)[:rounds],
-                index.entries_per_bank)
-
-    if not warmstore.enabled():
-        return build()
-    key = (num_banks, rounds)
-    value = _FIG10_SCHEDULES.get(key)
-    if value is not None:
-        warmstore.record_event("hits")
-        return value
-    store = warmstore.current()
-    recipe = ("fig10-schedule", num_banks, rounds)
-    if store is not None:
-        loaded = store.load_artifact(recipe)
-        if not store.is_missing(loaded):
-            _FIG10_SCHEDULES[key] = loaded
-            return loaded
-    value = build()
-    _FIG10_SCHEDULES[key] = value
-    if store is not None:
-        store.store_artifact(recipe, value)
-    else:
-        warmstore.record_event("misses")
-    return value
+    reference, reads, base_index = _fig10_world()
+    index = base_index.restripe(num_banks)
+    # trace_for_reads only consults the software mapper and index, so no
+    # System is needed to reconstruct the victim's schedule.
+    mapper = PimReadMapper(None, reference, index)
+    return (mapper.trace_for_reads(reads)[:rounds],
+            index.entries_per_bank)
 
 
 def fig10_point(num_banks: int, rounds: int = 100) -> Dict[str, Any]:
@@ -290,54 +259,11 @@ def side_channel_payload(result) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-#: Per-process warm-up cache shared by every fig11 point (lazy; only used
-#: when the warm store is enabled, so ``REPRO_NO_WARMSTORE=1`` still
-#: exercises the full from-scratch warm-up path).
-_FIG11_WARM = None
-
-
-def _fig11_warm_cache():
-    global _FIG11_WARM
-    if _FIG11_WARM is None:
-        from repro.workloads import WarmupCache
-
-        _FIG11_WARM = WarmupCache()
-    return _FIG11_WARM
-
-
-def _fig11_stream(workload: str, max_refs: int):
-    """The workload's reference stream, persisted as a warm-store artifact.
-
-    Building a stream means constructing the scaled graph input and
-    replaying the kernel — pure in (workload, max_refs).  Returns ``None``
-    when no store is active (the caller lets
-    :func:`repro.workloads.evaluate_defenses` build the stream itself).
-    """
-    store = warmstore.current()
-    if store is None:
-        return None
-    recipe = ("fig11-stream", workload, max_refs)
-    loaded = store.load_artifact(recipe)
-    if not store.is_missing(loaded):
-        return loaded
-    from repro.workloads.kernels import workload_spec
-
-    spec = workload_spec(workload)
-    stream = spec.refs(graph=spec.build_graph(), max_refs=max_refs)
-    store.store_artifact(recipe, stream)
-    return stream
-
-
 def fig11_point(workload: str, max_refs: int = 60_000) -> Dict[str, Any]:
     """One Fig. 11 workload under open/crp/ctd row policies."""
     from repro.workloads import evaluate_defenses
 
-    warm_cache = stream = None
-    if warmstore.enabled():
-        warm_cache = _fig11_warm_cache()
-        stream = _fig11_stream(workload, max_refs)
-    evaluation = evaluate_defenses(workload, max_refs=max_refs,
-                                   warm_cache=warm_cache, stream=stream)
+    evaluation = evaluate_defenses(workload, max_refs=max_refs)
     policies = {
         policy: {
             "cycles": run.cycles,

@@ -9,14 +9,12 @@ time, never numbers.
 
 Unlike the per-sweep ``ProcessPoolExecutor`` this replaced, the pool's
 workers survive across sweeps: each worker keeps its
-:mod:`repro.exp.warmstore` memory LRU of restored snapshots, its
-pristine-system pool, and its artifact memos, so a worker that has
-already warmed (or loaded) the 64 MB-LLC state serves every subsequent
-point sharing that config without re-warming or re-unpickling.  Because
-workers fork *before* later environment changes, every task carries a
-``REPRO_*`` environment overlay captured in the parent at dispatch time —
-trace/metrics/warm-store directories and sanitizer flags behave exactly
-as if the worker had been forked fresh.
+:mod:`repro.exp.warmstore` pristine-system pool, so a worker that has
+already built the 64 MB-LLC system serves every subsequent point sharing
+that config without rebuilding it.  Because workers fork *before* later
+environment changes, every task carries a ``REPRO_*`` environment overlay
+captured in the parent at dispatch time — trace/metrics directories and
+sanitizer flags behave exactly as if the worker had been forked fresh.
 
 Degradation is graceful by design: ``jobs=1``, a single pending point, or
 an environment where worker processes cannot be spawned (sandboxes without
@@ -95,8 +93,8 @@ class SweepOutcome:
     elapsed_seconds: float = 0.0
     fallback_reason: Optional[str] = None
     #: Warm-state reuse during the executed (non-result-cached) points:
-    #: snapshot/artifact loads and pristine-system restores served from
-    #: the :mod:`repro.exp.warmstore` layers vs. paid from scratch.
+    #: pristine-system leases served from the :mod:`repro.exp.warmstore`
+    #: pool vs. built from scratch.
     warm_hits: int = 0
     warm_misses: int = 0
     points: Sequence[SweepPoint] = field(default_factory=tuple)
@@ -212,7 +210,7 @@ def _pool_worker_main(conn) -> None:
     exactly (removing stale keys) before running the point, so a worker
     forked long ago behaves like one forked for this sweep.  Replies are
     ``(seq, ok, payload, warm_delta)`` — ``payload`` is the point result
-    or the raised exception, ``warm_delta`` the warm-store hit/miss
+    or the raised exception, ``warm_delta`` the pristine-pool hit/miss
     counts this point generated.  ``None`` shuts the worker down.
     """
     while True:
@@ -291,12 +289,12 @@ class WorkerPool:
     """Reusable fork-server pool of :func:`_pool_worker_main` processes.
 
     Workers persist across :func:`run_sweep` calls (that is the point:
-    their in-memory warm-state LRUs keep paying off), grow on demand up
+    their pristine-system pools keep paying off), grow on demand up
     to the ``jobs`` currently requested, and are torn down via
     :func:`shutdown_pool` (registered ``atexit``).  The pool no longer
     only grows: :meth:`run` trims back to the requested parallelism when
     it finishes and :meth:`shrink` retires idle workers on demand, so one
-    wide sweep does not pin worker processes (and their warm memos) at
+    wide sweep does not pin worker processes (and their pooled systems) at
     the high-water mark forever.
 
     Two dispatch seams share the same workers: the blocking :meth:`run`
@@ -384,7 +382,7 @@ class WorkerPool:
     def shrink(self, target: int) -> int:
         """Retire idle workers until at most ``target`` remain (leased
         workers are never touched); returns how many were retired.
-        Newest workers go first, so the longest-lived — warmest — memos
+        Newest workers go first, so the longest-lived — warmest — pools
         survive."""
         target = max(0, int(target))
         removed = 0
@@ -501,7 +499,7 @@ def _get_pool() -> WorkerPool:
 def get_pool() -> WorkerPool:
     """The process-wide persistent :class:`WorkerPool`, created on first
     use.  ``run_sweep`` and the ``repro serve`` scheduler share it, so a
-    daemon's workers keep serving ad-hoc sweeps' warm state and vice
+    daemon's workers keep serving ad-hoc sweeps' pooled systems and vice
     versa."""
     return _get_pool()
 
@@ -532,7 +530,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
               trace_dir: Optional[str] = None,
               metrics_dir: Optional[str] = None,
-              warm_dir: Optional[str] = None,
               telemetry_dir: Optional[str] = None) -> SweepOutcome:
     """Run every point, in parallel when possible, and return a
     :class:`SweepOutcome` whose ``results`` align with ``points``.
@@ -558,11 +555,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
             JSON (counters, histograms, phase profile) into this
             directory, keyed like the trace files (exported as
             ``REPRO_METRICS_DIR``).  Cached points are not re-measured.
-        warm_dir: when given, points resolve a shared
-            :class:`repro.exp.warmstore.WarmStore` rooted here (exported
-            as ``REPRO_WARMSTORE_DIR``): warm-up snapshots and
-            deterministic artifacts are loaded instead of recomputed, and
-            the outcome's ``warm_hits``/``warm_misses`` report the reuse.
         telemetry_dir: when given, the sweep appends causal lifecycle
             records (queued/dispatched/executed/committed per point) to
             NDJSON files in this directory (exported as
@@ -574,8 +566,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
         overlay["REPRO_TRACE_DIR"] = trace_dir
     if metrics_dir is not None:
         overlay["REPRO_METRICS_DIR"] = metrics_dir
-    if warm_dir is not None:
-        overlay["REPRO_WARMSTORE_DIR"] = warm_dir
     if telemetry_dir is not None:
         overlay[telemetry.ENV_TELEMETRY_DIR] = telemetry_dir
     if overlay:

@@ -433,7 +433,7 @@ def snapshot() -> Dict[str, Any]:
 
     The read-only counterpart of :func:`current` for wire consumers — the
     ``repro serve`` metrics endpoint streams this to clients so live
-    telemetry (DRAM op counters, warm-store hits, phase timings) is
+    telemetry (DRAM op counters, pristine-pool hits, phase timings) is
     observable without touching the registry object itself."""
     registry = _active
     return registry.to_dict() if registry is not None else {}

@@ -1,7 +1,7 @@
 """Simulation-as-a-service: the ``repro serve`` daemon and its client.
 
-The cache hierarchy the sweeps already use — result cache → warm store →
-pooled pristine systems on a persistent fork-server
+The cache hierarchy the sweeps already use — result cache → pooled
+pristine systems on a persistent fork-server
 :class:`~repro.exp.runner.WorkerPool` — promoted into a long-running
 multi-tenant service.  Many concurrent clients submit experiment sweeps
 over a stdlib JSON-lines TCP protocol; the scheduler fair-shares the

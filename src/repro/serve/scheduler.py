@@ -11,9 +11,9 @@ serves them through the same hierarchy ad-hoc sweeps use, now shared:
   point_key`) queued or running for *any* client are executed once; every
   subscriber receives the payload when it lands.  A duplicate submission
   therefore performs zero extra point executions.
-- **Warm store / fork-server pool** — executions dispatch onto the
-  persistent :class:`repro.exp.runner.WorkerPool` (shared with
-  ``run_sweep``), whose workers keep warm memos across jobs and clients.
+- **Fork-server pool** — executions dispatch onto the persistent
+  :class:`repro.exp.runner.WorkerPool` (shared with ``run_sweep``), whose
+  workers keep their pristine-system pools across jobs and clients.
 
 Scheduling is per-client fair share with priorities: when a slot frees,
 the client with the fewest running points goes first (ties to the least

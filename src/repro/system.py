@@ -173,9 +173,9 @@ class System:
         prefetcher tables, predictor weights, RNG stream positions, and all
         statistics counters — as an independent copy.
 
-        A snapshot taken after a warm-up replay lets runners restore a warm
-        machine instead of re-running the warm-up for every measurement
-        sharing the same configuration (see :mod:`repro.sim.snapshot`).
+        A snapshot taken at construction lets the pristine-system pool
+        hand out a fresh-equivalent machine without rebuilding it (see
+        :mod:`repro.sim.snapshot`).
         """
         predictor = self.offchip_predictor
         payload = {

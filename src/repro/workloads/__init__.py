@@ -28,7 +28,6 @@ from repro.workloads.kernels import (
 from repro.workloads.runner import (
     DefenseEvaluation,
     RunResult,
-    WarmupCache,
     evaluate_defenses,
     fig11_config,
     run_multiprogrammed,
@@ -47,7 +46,6 @@ __all__ = [
     "MemoryRef",
     "RunResult",
     "TraceProfile",
-    "WarmupCache",
     "WorkloadSpec",
     "bc_kernel",
     "bfs_kernel",

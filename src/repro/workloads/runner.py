@@ -11,10 +11,9 @@ full hierarchy latency, with the kernel's compute cycles in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.sim.snapshot import SystemSnapshot
 from repro.system import System
 from repro.workloads.kernels import MemoryRef, WorkloadSpec, workload_spec
 
@@ -49,77 +48,9 @@ def _warm(system: System, streams: Sequence[Sequence[MemoryRef]]) -> None:
     system.reset_stats()
 
 
-class WarmupCache:
-    """Reuses warm machine state across runs sharing a configuration.
-
-    The warm-up replay dominates a multiprogrammed run's cost, and its end
-    state depends only on (system configuration, reference streams).  The
-    cache runs that replay once per distinct key, snapshots the warm
-    machine (:meth:`repro.system.System.snapshot`), and restores the
-    snapshot into every later system with an equal configuration.
-
-    The default key is the streams' object identities, so it only matches
-    when the caller replays the *same* stream objects; pass an explicit
-    ``key`` (e.g. ``(workload_name, max_refs)``) to share warm state
-    across runs that rebuild equal streams from scratch.  The system's
-    ``SystemConfig`` is always part of the key — warm state captured under
-    one row policy or geometry never leaks into another.
-
-    Explicitly-keyed entries additionally persist through the process-wide
-    :mod:`repro.exp.warmstore` (when one is active): the post-warm-up
-    snapshot is written to disk under recipe ``("warmup", key)`` and later
-    runs — including runs in other processes — restore it instead of
-    replaying the warm-up.  Identity-keyed entries stay memory-only (an
-    ``id()`` is meaningless across processes).  ``REPRO_NO_WARMSTORE=1``
-    disables the disk layer.
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: Dict[Tuple[SystemConfig, Hashable],
-                              SystemSnapshot] = {}
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def warm(self, system: System, streams: Sequence[Sequence[MemoryRef]],
-             *, key: Optional[Hashable] = None) -> bool:
-        """Bring ``system`` to its post-warm-up state; True on a cache hit
-        (state restored from a snapshot instead of replayed)."""
-        from repro.exp import warmstore
-
-        stream_key = key if key is not None else tuple(id(s) for s in streams)
-        cache_key = (system.config, stream_key)
-        snap = self._snapshots.get(cache_key)
-        if snap is not None:
-            system.restore(snap)
-            if warmstore.enabled():
-                warmstore.record_event("hits")
-            return True
-        store = recipe = None
-        if key is not None and warmstore.enabled():
-            store = warmstore.current()
-        if store is not None:
-            recipe = ("warmup", key)
-            snap = store.load_snapshot(system.config, recipe)
-            if snap is not None:
-                system.restore(snap)
-                self._snapshots[cache_key] = snap
-                return True
-        _warm(system, streams)
-        snap = system.snapshot()
-        self._snapshots[cache_key] = snap
-        if store is not None:
-            store.store_snapshot(snap, recipe)
-        elif warmstore.enabled():
-            warmstore.record_event("misses")
-        return False
-
-
 def run_multiprogrammed(system: System,
                         streams: Sequence[Sequence[MemoryRef]],
-                        warmup: bool = True,
-                        warm_cache: Optional[WarmupCache] = None,
-                        warm_key: Optional[Hashable] = None) -> RunResult:
+                        warmup: bool = True) -> RunResult:
     """Replay one reference stream per core; returns combined stats.
 
     Cores advance independently (event-driven, lowest-time-first), so
@@ -128,15 +59,10 @@ def run_multiprogrammed(system: System,
 
     With ``warmup`` (the default, matching §5.1's warm-up methodology)
     the streams are replayed once beforehand to populate caches and TLBs;
-    only the second, warm replay is measured.  Passing a
-    :class:`WarmupCache` replaces repeated warm-up replays with
-    snapshot restores for runs sharing a (config, ``warm_key``) pair.
+    only the second, warm replay is measured.
     """
     if warmup:
-        if warm_cache is not None:
-            warm_cache.warm(system, streams, key=warm_key)
-        else:
-            _warm(system, streams)
+        _warm(system, streams)
     return _replay(system, streams)
 
 
@@ -238,30 +164,20 @@ def fig11_config() -> SystemConfig:
 def evaluate_defenses(name: str, base_config: Optional[SystemConfig] = None,
                       max_refs: int = 60_000,
                       policies: Sequence[str] = ("open", "crp", "ctd"),
-                      warm_cache: Optional[WarmupCache] = None,
-                      stream: Optional[Sequence[MemoryRef]] = None,
                       ) -> DefenseEvaluation:
     """Run one Fig. 11 workload under each row policy.
 
     Two instances of the same kernel on the same input share the memory
     system; ``max_refs`` bounds each instance's replayed stream so the
-    sweep completes at simulation scale.  A shared :class:`WarmupCache`
-    makes repeated evaluations of the same workload pay one warm-up per
-    (policy, workload) instead of one per call.  ``stream`` lets callers
-    supply the workload's prebuilt reference stream (e.g. restored from
-    the warm store); it must equal ``spec.refs(...)`` for (``name``,
-    ``max_refs``) or results will not match the from-scratch run.
+    sweep completes at simulation scale.
     """
     spec = workload_spec(name)
-    if stream is None:
-        graph = spec.build_graph()
-        stream = spec.refs(graph=graph, max_refs=max_refs)
+    graph = spec.build_graph()
+    stream = spec.refs(graph=graph, max_refs=max_refs)
     base = base_config or fig11_config()
     results: Dict[str, RunResult] = {}
     for policy in policies:
         system = System(base.with_defense(policy))
-        results[policy] = run_multiprogrammed(
-            system, [stream, stream], warm_cache=warm_cache,
-            warm_key=(spec.name, max_refs))
+        results[policy] = run_multiprogrammed(system, [stream, stream])
     return DefenseEvaluation(workload=spec.name, results=results,
                              paper_mpki=spec.paper_mpki)

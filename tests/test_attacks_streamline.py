@@ -59,8 +59,8 @@ def test_throughput_degrades_with_llc_size():
 
 
 def test_survives_prefetchers_via_random_traversal():
-    """The shuffled walk starves the stream prefetchers; a sequential walk
-    would hand the receiver false hits."""
+    """The pseudorandom walk starves the stream prefetchers; a sequential
+    walk would hand the receiver false hits."""
     result = make_channel(prefetchers=True).transmit_random(96, seed=7)
     assert result.error_rate < 0.05
 
@@ -80,28 +80,16 @@ def test_config_validation():
         make_channel(llc_mb=8.0, array_mb=8.0)  # array must outsize LLC
 
 
-def test_shared_order_is_the_seeded_shuffle_every_way(tmp_path, monkeypatch):
-    """The traversal order must be bit-for-bit the historical inline
-    shuffle on every path: kill switch, memo, and on-disk artifact."""
-    import random
+def test_shared_order_draws_distinct_seeded_slots():
+    """The traversal order is a seeded draw of distinct line indices:
+    deterministic in its seed, inside the array, never longer than it."""
+    from repro.attacks.streamline import shared_order
 
-    from repro.attacks import streamline
-    from repro.exp import warmstore
-
-    expected = list(range(5000))
-    random.Random(7).shuffle(expected)
-
-    monkeypatch.setenv("REPRO_NO_WARMSTORE", "1")
-    assert streamline.shared_order(5000, 7) == expected
-
-    monkeypatch.delenv("REPRO_NO_WARMSTORE")
-    monkeypatch.setenv("REPRO_WARMSTORE_DIR", str(tmp_path))
-    warmstore.reset_active_store()
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    assert streamline.shared_order(5000, 7) == expected  # built + stored
-    assert streamline.shared_order(5000, 7) == expected  # memo hit
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    warmstore.reset_active_store()
-    assert streamline.shared_order(5000, 7) == expected  # disk artifact
-    streamline._ORDER_MEMO.pop((5000, 7), None)
-    warmstore.reset_active_store()
+    order = shared_order(600, 5000, 7)
+    assert order == shared_order(600, 5000, 7)
+    assert order != shared_order(600, 5000, 8)
+    assert len(set(order)) == 600
+    assert all(0 <= line < 5000 for line in order)
+    assert sorted(shared_order(5000, 5000, 7)) == list(range(5000))
+    with pytest.raises(ValueError):
+        shared_order(5001, 5000, 7)

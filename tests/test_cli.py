@@ -118,21 +118,15 @@ def test_trace_summary_missing_file(tmp_path, capsys):
 
 def test_cache_command_stats_and_prune(tmp_path, capsys):
     from repro.exp.cache import ResultCache
-    from repro.exp.warmstore import WarmStore
 
     results_dir = tmp_path / "results"
-    warm_dir = tmp_path / "warm"
     ResultCache(results_dir, version="old",
                 max_entries=None).put("exp", {"a": 1}, {"r": 1})
-    WarmStore(warm_dir, version="old").store_artifact(("r",), [1])
-    argv = ["cache", "stats", "--results-dir", str(results_dir),
-            "--warm-dir", str(warm_dir)]
-    assert main(argv) == 0
+    assert main(["cache", "stats", "--results-dir", str(results_dir)]) == 0
     out = capsys.readouterr().out
-    assert "results" in out and "warm" in out
+    assert "results" in out and "warm" not in out
 
-    assert main(["cache", "prune", "--results-dir", str(results_dir),
-                 "--warm-dir", str(warm_dir)]) == 0
+    assert main(["cache", "prune", "--results-dir", str(results_dir)]) == 0
     out = capsys.readouterr().out
     assert "removed 1 stale entries" in out
     assert ResultCache(results_dir).entry_count() == 0

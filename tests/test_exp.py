@@ -40,11 +40,12 @@ def pid_point(value):
 
 
 def warm_point(value):
-    """Touches the warm store via Streamline's shared traversal order."""
-    from repro.attacks.streamline import shared_order
+    """Leases a pristine system from the in-process pool."""
+    from repro.exp.warmstore import pristine_system
+    from repro.workloads.runner import fig11_config
 
-    order = shared_order(20_000, value)
-    return {"value": value, "first": order[0], "n": len(order)}
+    system = pristine_system(fig11_config())
+    return {"value": value, "cores": system.config.num_cores}
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +150,43 @@ class TestResultCache:
             assert new.get("exp", {"b": i}) == {"r": i}
         assert new.stats()["stale_entries"] == 1
 
+    def test_concurrent_writers_of_one_entry_both_commit(self, tmp_path,
+                                                         monkeypatch):
+        """A second cache on the same directory commits the same entry
+        while the first writer is mid-dump: both puts succeed and no temp
+        file is left behind."""
+        from repro.exp import cache as cache_module
+
+        real_dump = json.dump
+        first = ResultCache(tmp_path, version="v1")
+        second = ResultCache(tmp_path, version="v1")
+        nested = []
+
+        def dump(obj, handle, **kwargs):
+            if not nested:
+                nested.append(True)
+                second.put("exp", {"a": 1}, {"writer": 2})
+            real_dump(obj, handle, **kwargs)
+
+        monkeypatch.setattr(cache_module.json, "dump", dump)
+        path = first.put("exp", {"a": 1}, {"writer": 1})
+        assert nested
+        assert first.get("exp", {"a": 1}) == {"writer": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [Path(path).name, ResultCache.INDEX_NAME])
+
+    def test_failed_put_removes_its_temp_file(self, tmp_path, monkeypatch):
+        from repro.exp import cache as cache_module
+
+        def dump(obj, handle, **kwargs):
+            raise TypeError("unserializable")
+
+        cache = ResultCache(tmp_path, version="v1")
+        monkeypatch.setattr(cache_module.json, "dump", dump)
+        with pytest.raises(TypeError):
+            cache.put("exp", {"a": 1}, {"r": 1})
+        assert list(tmp_path.iterdir()) == []
+
     def test_prune_drops_only_stale_versions(self, tmp_path):
         ResultCache(tmp_path, version="v1",
                     max_entries=None).put("exp", {"a": 1}, {"r": 1})
@@ -229,25 +267,20 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep([SweepPoint("exp", failing_point)], jobs=1)
 
-    def test_warm_counts_reported_in_outcome(self, tmp_path):
+    def test_warm_counts_reported_in_outcome(self):
+        from repro import obs
         from repro.exp import warmstore
 
-        if not warmstore.enabled():
-            pytest.skip("warm store disabled via REPRO_NO_WARMSTORE")
+        if not warmstore.enabled() or obs.sanitize_requested():
+            pytest.skip("pristine-system pool bypassed")
+        warmstore.clear_pristine_pool()
         points = sweep_points("exp", warm_point, "value", [11, 12])
-        first = run_sweep(points, jobs=1, warm_dir=str(tmp_path))
-        assert first.warm_misses > 0
-        second = run_sweep(points, jobs=1, warm_dir=str(tmp_path))
-        assert second.warm_hits > 0 and second.warm_misses == 0
+        first = run_sweep(points, jobs=1)
+        assert first.warm_misses == 1 and first.warm_hits == 1
+        second = run_sweep(points, jobs=1)
+        assert second.warm_hits == 2 and second.warm_misses == 0
         assert second.results == first.results
-
-    def test_warm_dir_env_is_restored(self, tmp_path):
-        import os
-
-        assert "REPRO_WARMSTORE_DIR" not in os.environ
-        run_sweep(sweep_points("exp", counting_point, "value", [1]),
-                  jobs=1, warm_dir=str(tmp_path))
-        assert "REPRO_WARMSTORE_DIR" not in os.environ
+        warmstore.clear_pristine_pool()
 
 
 class TestMetricsDir:

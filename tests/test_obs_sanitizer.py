@@ -298,13 +298,6 @@ class TestRefreshEpoch:
         other.restore_state(snap)
         assert other.device.refresh_epoch == 12345
 
-    def test_old_snapshots_without_epoch_still_restore(self):
-        mc = make_controller(refresh_enabled=True)
-        snap = mc.snapshot_state()
-        del snap["refresh_epoch"]
-        mc.restore_state(snap)  # must not raise
-        assert mc.device.refresh_epoch == 0
-
     def test_rebase_noop_when_refresh_disabled(self):
         mc = make_controller()
         mc.device.banks[0].busy_until = 9999

@@ -1,4 +1,4 @@
-"""Warm-state snapshot/restore: round trips, aliasing, and reuse."""
+"""State snapshot/restore: round trips, aliasing, and config checks."""
 
 import pytest
 
@@ -8,12 +8,7 @@ from repro.dram.bank import Bank
 from repro.dram.timings import DRAMTimings
 from repro.sim.snapshot import SystemSnapshot, restore_rows
 from repro.system import System
-from repro.workloads.kernels import workload_spec
-from repro.workloads.runner import (
-    WarmupCache,
-    fig11_config,
-    run_multiprogrammed,
-)
+from repro.workloads.runner import fig11_config
 
 
 def _drive(system, count, seed_stride=7, start=0):
@@ -145,103 +140,3 @@ def test_snapshot_covers_predictor_and_tlbs():
     system.restore(snap)
     assert predictor.predictions == predictions_at_snap
     assert system.mmus[0].l2.snapshot_state() == tlb_before
-
-
-def test_warmup_cache_matches_uncached_run():
-    spec = workload_spec("bfs")
-    stream = spec.refs(graph=spec.build_graph(), max_refs=2500)
-    config = fig11_config()
-    baseline = run_multiprogrammed(System(config), [stream, stream])
-    cache = WarmupCache()
-    first = run_multiprogrammed(System(config), [stream, stream],
-                                warm_cache=cache)
-    second = run_multiprogrammed(System(config), [stream, stream],
-                                 warm_cache=cache)
-    assert len(cache) == 1  # second run restored instead of re-warming
-    for run in (first, second):
-        assert run.cycles == baseline.cycles
-        assert run.llc_misses == baseline.llc_misses
-        assert run.instructions == baseline.instructions
-
-
-def test_warmup_cache_keys_on_config():
-    spec = workload_spec("bfs")
-    stream = spec.refs(graph=spec.build_graph(), max_refs=1000)
-    cache = WarmupCache()
-    base = fig11_config()
-    run_multiprogrammed(System(base), [stream, stream], warm_cache=cache)
-    run_multiprogrammed(System(base.with_defense("crp")), [stream, stream],
-                        warm_cache=cache)
-    assert len(cache) == 2  # different row policy => different warm state
-
-
-# ---------------------------------------------------------------------------
-# Versioned byte serialization (the warm store's wire format)
-# ---------------------------------------------------------------------------
-
-def test_snapshot_bytes_round_trip():
-    from repro.sim.snapshot import SNAPSHOT_FORMAT_VERSION, SnapshotFormatError
-
-    system = System(fig11_config())
-    _drive(system, 500)
-    snap = system.snapshot()
-    data = snap.to_bytes()
-    assert data[:8] == b"RPRSNAP1"
-    loaded = SystemSnapshot.from_bytes(data)
-    assert loaded.config == snap.config
-    restored = System(fig11_config())
-    restored.restore(loaded)
-    tail_restored, _ = _drive(restored, 300, seed_stride=13, start=50_000)
-    tail_original, _ = _drive(system, 300, seed_stride=13, start=50_000)
-    assert tail_restored == tail_original
-    assert SNAPSHOT_FORMAT_VERSION == 1
-    with pytest.raises(SnapshotFormatError):
-        SystemSnapshot.from_bytes(b"definitely not a snapshot")
-    with pytest.raises(SnapshotFormatError):
-        # Same magic, unknown format version.
-        SystemSnapshot.from_bytes(data[:8] + b"\xff\xff" + data[10:])
-
-
-def test_snapshot_bytes_cross_process_round_trip(tmp_path):
-    """A snapshot serialized by another process restores here and replays
-    bit-identically to warm state produced in-process."""
-    import json
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    child = r"""
-import json, sys
-from repro.system import System
-from repro.workloads.runner import fig11_config
-
-system = System(fig11_config())
-now = 0
-for i in range(2000):
-    result = system.hierarchy.access(
-        i % system.config.num_cores, (i * 64 * 7) % (1 << 22), now, pc=i % 53)
-    now = result.finish
-with open(sys.argv[1], "wb") as handle:
-    handle.write(system.snapshot().to_bytes())
-print(json.dumps({"now": now}))
-"""
-    path = tmp_path / "warm.snap"
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run([sys.executable, "-c", child, str(path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    now = json.loads(proc.stdout)["now"]
-
-    snap = SystemSnapshot.from_bytes(path.read_bytes())
-    restored = System(fig11_config())
-    restored.restore(snap)
-    tail_restored, _ = _drive(restored, 800, seed_stride=13, start=now)
-
-    reference = System(fig11_config())
-    _, reference_now = _drive(reference, 2000)
-    assert reference_now == now
-    tail_reference, _ = _drive(reference, 800, seed_stride=13, start=now)
-    assert tail_restored == tail_reference

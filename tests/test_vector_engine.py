@@ -6,7 +6,7 @@ times, same per-access latencies, same cache tags/dirty bits/replacement
 state, same hierarchy and DRAM statistics, access for access.  These
 tests drive randomized mixed streams through both backends on twin
 systems and compare everything observable, plain and sanitized, through
-snapshot and warm-store round-trips, and for the chained DRAM run engine
+snapshot round-trips, and for the chained DRAM run engine
 across every bundled address mapping.
 """
 
@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.config import SystemConfig
-from repro.exp.warmstore import WarmStore
 from repro.sim import vector
 from repro.system import System
 
@@ -270,7 +269,7 @@ def test_numpy_requirement_reports_clearly():
 
 
 # ----------------------------------------------------------------------
-# Snapshot / warm-store round-trips
+# Snapshot round-trips
 # ----------------------------------------------------------------------
 
 
@@ -286,29 +285,6 @@ def test_snapshot_restore_replay_is_backend_agnostic():
     for backend in ("scalar", "vector"):
         fresh = System(config)
         fresh.restore(snap)
-        finish = fresh.hierarchy.access_batch(0, addrs, 5000,
-                                              backend=backend)
-        results[backend] = (finish, _full_state(fresh))
-    assert results["vector"] == results["scalar"]
-
-
-def test_warm_store_round_trip_replay(tmp_path):
-    config = _config()
-    warm = System(config)
-    rng = random.Random(4)
-    probe, addrs = _mixed_stream(rng, 2000)
-    warm.hierarchy.access_batch(0, probe, 0, backend="vector")
-
-    store = WarmStore(str(tmp_path), version="v-test")
-    store.store_snapshot(warm.snapshot(), recipe=("vector-test",))
-    loaded = WarmStore(str(tmp_path), version="v-test").load_snapshot(
-        config, ("vector-test",))
-    assert loaded is not None
-
-    results = {}
-    for backend in ("scalar", "vector"):
-        fresh = System(config)
-        fresh.restore(loaded)
         finish = fresh.hierarchy.access_batch(0, addrs, 5000,
                                               backend=backend)
         results[backend] = (finish, _full_state(fresh))

@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.config import SystemConfig
-from repro.exp.warmstore import WarmStore
 from repro.sim import vector
 from repro.system import System
 
@@ -191,7 +190,7 @@ def test_dirty_line_counter_tracks_ground_truth():
 
 
 # ----------------------------------------------------------------------
-# Snapshot / warm-store round-trips through miss-heavy state
+# Snapshot round-trips through miss-heavy state
 # ----------------------------------------------------------------------
 
 
@@ -208,29 +207,6 @@ def test_snapshot_roundtrip_mid_conflict_stream():
         fresh = System(config)
         fresh.restore(snap)
         tail = fresh.hierarchy.access_batch(0, addrs[5000:], finish,
-                                            requestor="recv",
-                                            backend=backend)
-        tails[backend] = (tail, _full_state(fresh))
-    assert tails["scalar"] == tails["vector"]
-
-
-def test_warm_store_roundtrip_mid_conflict_stream(tmp_path):
-    config = _config(prefetchers=False)
-    addrs = _conflict_replay(System(config), 8000)
-    warm = System(config)
-    finish = warm.hierarchy.access_batch(0, addrs[:4000], 0,
-                                         requestor="recv",
-                                         backend="vector")
-    store = WarmStore(str(tmp_path), version="v-miss-test")
-    store.store_snapshot(warm.snapshot(), recipe=("miss-test",))
-    loaded = WarmStore(str(tmp_path), version="v-miss-test").load_snapshot(
-        config, recipe=("miss-test",))
-    assert loaded is not None
-    tails = {}
-    for backend in ("scalar", "vector"):
-        fresh = System(config)
-        fresh.restore(loaded)
-        tail = fresh.hierarchy.access_batch(0, addrs[4000:], finish,
                                             requestor="recv",
                                             backend=backend)
         tails[backend] = (tail, _full_state(fresh))
