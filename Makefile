@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-quick bench-serve bench-sweep bench-clean examples results clean
+.PHONY: install test bench bench-quick bench-sweep bench-clean examples results clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -11,9 +11,6 @@ bench:
 
 bench-quick:
 	python scripts/bench_snapshot.py
-
-bench-serve:
-	python scripts/bench_serve.py
 
 bench-sweep:
 	python scripts/bench_sweep.py

@@ -8,9 +8,9 @@ turns the whole committed sequence into a per-metric trend table —
 gate's failure diagnostics — so "simulator ops/s dropped 18%" comes with
 the context of where the metric has been since PR 1.
 
-Snapshots have grown sections over time (miss-batch engine in PR 7, the
-serve daemon in PR 8, telemetry overhead in PR 9, the adaptive sweep
-engine in PR 10); missing sections render as gaps, not errors.
+Snapshots have grown sections over time (the miss-batch engine,
+telemetry overhead, the adaptive sweep engine); missing sections render
+as gaps, not errors.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ BENCH_METRICS: List[Tuple[str, str, str]] = [
      "scheduler.fast_path.checkpoints_per_sec", "higher"),
     ("snapshot.restore_speedup", "snapshot.speedup", "higher"),
     ("suite_seconds", "suite_seconds", "lower"),
-    ("serve.points_per_sec", "unique_load.points_per_sec", "higher"),
-    ("serve.storm_p99_over_solo_p50",
-     "acceptance.storm_p99_over_solo_p50", "lower"),
     ("telemetry.warm_overhead_pct",
      "telemetry_overhead.overhead_pct", "lower"),
     ("sweep.adaptive_rep_savings",

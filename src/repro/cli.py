@@ -255,8 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a fig8-style quality sweep through the sweep engine directly
     and — with ``--adaptive`` — schedule repetitions in rounds and
     early-stop each point once its BER confidence interval is tight
-    enough.  To run the sweep on a daemon, use ``repro submit
-    fig8-quality --axis llc_mb ...``."""
+    enough."""
     from repro.exp import (
         AdaptiveConfig,
         ConvergenceTarget,
@@ -333,124 +332,19 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the simulation-as-a-service daemon: many clients submit sweeps
-    over JSON-lines TCP, scheduled fair-share onto the persistent
-    fork-server pool with result-cache / in-flight dedup."""
-    import asyncio
-    import os
-
-    from repro.exp.cache import ResultCache
-    from repro.serve import ServeScheduler
-    from repro.serve.server import run_server
-
-    if args.telemetry_dir:
-        os.makedirs(args.telemetry_dir, exist_ok=True)
-        os.environ["REPRO_TELEMETRY_DIR"] = args.telemetry_dir
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-
-    async def _main() -> None:
-        scheduler = ServeScheduler(jobs=args.jobs, cache=cache,
-                                   use_pool=not args.no_pool)
-        await run_server(scheduler, args.host, args.port,
-                         port_file=args.port_file)
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a sweep to a running ``repro serve`` daemon and stream its
-    progress; also the CLI surface for the daemon's metrics/status."""
-    import json
-
-    from repro.serve import ServeClient, ServeError
-
-    try:
-        client = ServeClient(host=args.host, port=args.port,
-                             timeout=args.timeout)
-    except OSError as exc:
-        print(f"cannot reach repro serve at {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.metrics or args.status:
-            payload = client.metrics() if args.metrics else client.status()
-            print(json.dumps(payload, indent=2, default=str))
-            return 0
-        if args.shutdown:
-            client.shutdown_server()
-            print("daemon shutting down")
-            return 0
-        if not args.experiment and not args.fn:
-            print("submit needs an experiment or --fn (or --metrics/"
-                  "--status/--shutdown)", file=sys.stderr)
-            return 2
-        if args.points:
-            point_params = json.loads(args.points)
-        elif args.axis:
-            point_params = [{args.axis: value}
-                            for value in (json.loads(v) for v in args.values)]
-        else:
-            point_params = [{}]
-
-        def _progress(event):
-            if event.get("event") == "point":
-                print(f"  point {event['index']}: {event['source']} "
-                      f"({event['elapsed_s']:.2f}s)")
-
-        try:
-            job = client.submit(args.experiment, point_params,
-                                fn=args.fn, priority=args.priority,
-                                on_event=_progress if not args.quiet
-                                else None)
-        except ServeError as exc:
-            print(f"rejected: {exc}", file=sys.stderr)
-            return 1
-        status = "ok" if job.ok else f"FAILED ({'; '.join(job.errors)})"
-        print(f"{job.job_id}: {len(job.results)} points in "
-              f"{job.elapsed_seconds:.2f}s, warm {job.warm_hits} hit / "
-              f"{job.warm_misses} miss — {status}")
-        print(json.dumps(job.results, indent=2, default=str))
-        return 0 if job.ok else 1
-    finally:
-        client.close()
-
-
 def cmd_top(args: argparse.Namespace) -> int:
-    """Live fleet view: poll a daemon's metrics endpoint, or reconstruct
-    the same dashboard offline from a telemetry event-log directory."""
+    """Live worker view, reconstructed from a telemetry event-log
+    directory."""
     import time
 
     from repro.obs import top as obs_top
 
-    def one_frame() -> str:
-        if args.dir:
-            return obs_top.frame_from_dir(args.dir)
-        from repro.serve import ServeClient
-
-        with ServeClient(host=args.host, port=args.port,
-                         timeout=args.timeout) as client:
-            payload = client.metrics()
-        return obs_top.render_metrics_frame(
-            payload, source=f"{args.host}:{args.port}")
-
     while True:
-        try:
-            frame = one_frame()
-        except OSError as exc:
-            print(f"repro top: cannot read "
-                  f"{args.dir or f'{args.host}:{args.port}'}: {exc}",
-                  file=sys.stderr)
-            return 2
+        frame = obs_top.frame_from_dir(args.dir)
         if args.once:
             print(frame)
             return 0
-        # Clear + home, like top(1); each poll reconnects so a daemon
-        # restart mid-watch just shows up as the next frame.
+        # Clear + home, like top(1).
         print("\x1b[2J\x1b[H" + frame, flush=True)
         try:
             time.sleep(args.interval)
@@ -744,71 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(
-        "serve",
-        help="run the simulation-as-a-service daemon (JSON-lines TCP over "
-             "the persistent worker pool)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9306,
-                   help="listen port; 0 picks a free one (default 9306)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="max concurrent points (default: CPU count)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist point results to a ResultCache here")
-    p.add_argument("--port-file", default=None, metavar="PATH",
-                   help="write the bound port here once listening")
-    p.add_argument("--no-pool", action="store_true",
-                   help="run points inline instead of on the fork-server "
-                        "pool (debugging)")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="write the causal NDJSON event log here (sets "
-                        "REPRO_TELEMETRY_DIR for the daemon and its "
-                        "workers); `repro top --dir` can tail it")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
         "top",
-        help="live fleet view: per-client queues, worker throughput, "
-             "slowest in flight (polls a daemon, or tails a telemetry dir)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9306)
-    p.add_argument("--dir", default=None, metavar="DIR",
-                   help="offline mode: reconstruct the view from this "
-                        "telemetry event-log directory instead of a daemon")
+        help="live worker view (throughput, slowest in flight) from a "
+             "sweep's telemetry event-log directory")
+    p.add_argument("--dir", required=True, metavar="DIR",
+                   help="telemetry event-log directory to read "
+                        "(run_sweep(telemetry_dir=...), "
+                        "repro sweep --telemetry-dir)")
     p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
                    help="refresh period (default 2s)")
     p.add_argument("--once", action="store_true",
                    help="render one frame and exit (no screen clearing)")
-    p.add_argument("--timeout", type=float, default=10.0)
     p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit a sweep to a running `repro serve` daemon")
-    p.add_argument("experiment", nargs="?", default=None,
-                   help="registered experiment name (e.g. fig8, covert)")
-    p.add_argument("--fn", default=None, metavar="MODULE:ATTR",
-                   help="module-level point function instead of a "
-                        "registered experiment")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=9306)
-    p.add_argument("--points", default=None, metavar="JSON",
-                   help='explicit point list, e.g. \'[{"llc_mb": 8}]\'')
-    p.add_argument("--axis", default=None, metavar="NAME",
-                   help="sweep one parameter: --axis llc_mb --values 8 64")
-    p.add_argument("--values", nargs="*", default=[], metavar="V",
-                   help="JSON values for --axis")
-    p.add_argument("--priority", type=int, default=0,
-                   help="higher runs earlier within this client")
-    p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-point progress lines")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the daemon's metrics snapshot and exit")
-    p.add_argument("--status", action="store_true",
-                   help="print scheduler status and exit")
-    p.add_argument("--shutdown", action="store_true",
-                   help="ask the daemon to exit")
-    p.set_defaults(func=cmd_submit)
     return parser
 
 

@@ -35,7 +35,6 @@ from repro.exp.runner import (
     WorkerHandle,
     WorkerPool,
     default_jobs,
-    get_pool,
     metrics_path,
     point_slug,
     run_sweep,
@@ -59,7 +58,6 @@ __all__ = [
     "bernoulli_probe_point",
     "code_version",
     "default_jobs",
-    "get_pool",
     "metrics_path",
     "point_slug",
     "pristine_system",

@@ -72,9 +72,8 @@ class ResultCache:
     put pushes the entry count past ``max_entries`` the least-recently-
     used entries are evicted — preferring entries written by *other* code
     versions, whose keys can never be looked up again.  Recency used to
-    ride on file mtimes (wall clock): an NTP step or VM resume could
-    reorder eviction and, worse, make the ``repro serve`` dedup layer
-    distrust what "most recent" means.  The counter only ever goes up.
+    ride on file mtimes (wall clock), so an NTP step or VM resume could
+    reorder eviction.  The counter only ever goes up.
     """
 
     #: Sidecar recency index (filename -> sequence number).  Deliberately

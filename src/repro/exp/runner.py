@@ -135,8 +135,8 @@ def _run_point(point: SweepPoint, run_id: Optional[str] = None,
     metrics_dir = os.environ.get("REPRO_METRICS_DIR")
     if not trace_dir and not metrics_dir and not telemetry.enabled():
         return point.run()
-    # Causal IDs arrive explicitly (serial/inline paths) or through the
-    # env overlay mirrored into forked workers (pool path).
+    # Causal IDs arrive explicitly (serial path) or through the env
+    # overlay mirrored into forked workers (pool path).
     run_id = run_id or os.environ.get(telemetry.ENV_RUN_ID)
     span_id = span_id or os.environ.get(telemetry.ENV_SPAN_ID)
     slug = point_slug(point)
@@ -251,38 +251,17 @@ def pool_task_env() -> Dict[str, str]:
 
 
 class WorkerHandle:
-    """One persistent fork-server worker: process plus duplex pipe.
+    """One persistent fork-server worker: process plus duplex pipe."""
 
-    Handles are *leased* for exactly one in-flight task at a time —
-    :meth:`WorkerPool.checkout` marks the lease, :meth:`WorkerPool.checkin`
-    releases it.  :meth:`fileno` exposes the reply pipe so an event loop
-    can await the worker's answer without blocking (the ``repro serve``
-    scheduler registers it with ``loop.add_reader``); the blocking
-    :meth:`WorkerPool.run` path waits on the same pipe via
-    ``multiprocessing.connection.wait``.
-    """
-
-    __slots__ = ("process", "conn", "leased")
+    __slots__ = ("process", "conn")
 
     def __init__(self, process: Any, conn: Any) -> None:
         self.process = process
         self.conn = conn
-        self.leased = False
-
-    def fileno(self) -> int:
-        return self.conn.fileno()
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
 
     def send_task(self, seq: int, point: SweepPoint,
-                  env: Optional[Dict[str, str]] = None) -> None:
-        self.conn.send((seq, point, pool_task_env() if env is None else env))
-
-    def recv(self) -> Tuple[int, bool, Any, Dict[str, int]]:
-        """The worker's next ``(seq, ok, payload, warm_delta)`` reply.
-        Raises ``EOFError``/``OSError`` when the worker died."""
-        return self.conn.recv()
+                  env: Dict[str, str]) -> None:
+        self.conn.send((seq, point, env))
 
 
 class WorkerPool:
@@ -295,12 +274,7 @@ class WorkerPool:
     only grows: :meth:`run` trims back to the requested parallelism when
     it finishes and :meth:`shrink` retires idle workers on demand, so one
     wide sweep does not pin worker processes (and their pooled systems) at
-    the high-water mark forever.
-
-    Two dispatch seams share the same workers: the blocking :meth:`run`
-    loop used by :func:`run_sweep`, and the lease-based
-    :meth:`checkout`/:meth:`checkin`/:meth:`retire` trio the async
-    ``repro serve`` scheduler drives one task at a time.
+    the high-water mark forever.  :meth:`run` is the only dispatcher.
     """
 
     def __init__(self) -> None:
@@ -334,31 +308,8 @@ class WorkerPool:
 
     def _reap_dead(self) -> None:
         for handle in [h for h in self._workers
-                       if not h.leased and not h.alive()]:
+                       if not h.process.is_alive()]:
             self._dismiss(handle)
-
-    # -- lease-based dispatch (the async scheduler's seam) --------------
-
-    def checkout(self) -> WorkerHandle:
-        """Lease an idle worker, spawning one when none is free."""
-        self._reap_dead()
-        for handle in self._workers:
-            if not handle.leased:
-                handle.leased = True
-                return handle
-        handle = self._spawn()
-        handle.leased = True
-        self._workers.append(handle)
-        return handle
-
-    def checkin(self, handle: WorkerHandle) -> None:
-        """Release a leased worker back to the idle set."""
-        handle.leased = False
-
-    def retire(self, handle: WorkerHandle) -> None:
-        """Remove a (possibly dead) worker from the pool and reap its
-        process; the caller's lease, if any, is void afterwards."""
-        self._dismiss(handle)
 
     def _dismiss(self, handle: WorkerHandle) -> None:
         try:
@@ -373,29 +324,21 @@ class WorkerPool:
             handle.conn.close()
         except Exception:
             pass
-        handle.leased = False
         try:
             self._workers.remove(handle)
         except ValueError:
             pass
 
     def shrink(self, target: int) -> int:
-        """Retire idle workers until at most ``target`` remain (leased
-        workers are never touched); returns how many were retired.
-        Newest workers go first, so the longest-lived — warmest — pools
-        survive."""
+        """Retire idle workers until at most ``target`` remain; returns
+        how many were retired.  Newest workers go first, so the
+        longest-lived — warmest — pools survive."""
         target = max(0, int(target))
         removed = 0
-        for handle in reversed(list(self._workers)):
-            if len(self._workers) <= target:
-                break
-            if handle.leased:
-                continue
-            self._dismiss(handle)
+        while len(self._workers) > target:
+            self._dismiss(self._workers[-1])
             removed += 1
         return removed
-
-    # -- blocking batch dispatch (run_sweep's seam) ---------------------
 
     def run(self, points: Sequence[SweepPoint], jobs: int,
             on_result: Optional[Callable[[int, Any, Dict[str, int]],
@@ -423,14 +366,10 @@ class WorkerPool:
         out: List[Optional[Tuple[Any, Dict[str, int]]]] = [None] * len(points)
         failure: Optional[BaseException] = None
         next_index = 0
-        # checkout (not a raw scan) so concurrent lease holders — e.g. the
-        # serve scheduler sharing this pool — never starve a blocking run:
-        # missing idle workers are spawned on demand.
-        idle: List[WorkerHandle] = []
+        self.ensure(count)
+        idle: List[WorkerHandle] = self._workers[:count]
         busy: Dict[Any, WorkerHandle] = {}  # conn -> handle
         try:
-            while len(idle) < count:
-                idle.append(self.checkout())
             while True:
                 while idle and next_index < len(points) and failure is None:
                     handle = idle.pop()
@@ -464,14 +403,9 @@ class WorkerPool:
             # A worker or pipe died: the pool is unusable.  Tear it down
             # so the next sweep starts fresh, and let run_sweep fall back
             # to serial execution of the points still missing.
-            telemetry.log("warning", "runner",
-                          "worker pool failed; tearing it down",
-                          error=f"{type(exc).__name__}: {exc}")
             self.shutdown()
             raise PoolUnavailableError(f"worker pool failed: {exc}") from exc
         finally:
-            for handle in idle + list(busy.values()):
-                handle.leased = False
             # Resident footprint tracks the *current* request, not the
             # historical high-water mark: idle workers beyond the
             # parallelism just asked for are reaped.
@@ -487,21 +421,6 @@ class WorkerPool:
 
 
 _POOL: Optional[WorkerPool] = None
-
-
-def _get_pool() -> WorkerPool:
-    global _POOL
-    if _POOL is None:
-        _POOL = WorkerPool()
-    return _POOL
-
-
-def get_pool() -> WorkerPool:
-    """The process-wide persistent :class:`WorkerPool`, created on first
-    use.  ``run_sweep`` and the ``repro serve`` scheduler share it, so a
-    daemon's workers keep serving ad-hoc sweeps' pooled systems and vice
-    versa."""
-    return _get_pool()
 
 
 def shutdown_pool() -> None:
@@ -521,9 +440,12 @@ def _run_parallel(points: Sequence[SweepPoint], jobs: int,
                                                None]] = None,
                   span_ids: Optional[Sequence[Optional[str]]] = None,
                   ) -> List[Tuple[Any, Dict[str, int]]]:
-    """Execute ``points`` on the persistent pool; results in point order."""
-    return _get_pool().run(points, jobs, on_result=on_result,
-                           span_ids=span_ids)
+    """Execute ``points`` on the persistent pool (created on first use);
+    results in point order."""
+    global _POOL
+    if _POOL is None:
+        _POOL = WorkerPool()
+    return _POOL.run(points, jobs, on_result=on_result, span_ids=span_ids)
 
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
@@ -700,17 +622,14 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
                         if warm_misses:
                             registry.counter("warmstore.misses").inc(
                                 warm_misses)
-            except (OSError, PermissionError, PoolUnavailableError,
-                    ImportError) as exc:
+            except PoolUnavailableError as exc:
                 # Worker processes unavailable (restricted sandbox, missing
                 # semaphores, mid-sweep pool death, ...): identical
                 # results, just serially — and only for the points that
                 # did not already complete in a worker.  A *point* raising
-                # is not an infrastructure failure and propagates instead.
+                # is not an infrastructure failure and propagates instead,
+                # whatever its exception type.
                 fallback_reason = f"{type(exc).__name__}: {exc}"
-                telemetry.log("warning", "runner",
-                              "worker pool unavailable; falling back to "
-                              "serial execution", reason=fallback_reason)
                 remaining = [pos for pos, done in enumerate(completed)
                              if not done]
                 for pos in remaining:

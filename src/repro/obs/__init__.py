@@ -36,9 +36,7 @@ from repro.obs.metrics import install as install_metrics
 from repro.obs.metrics import phase as metrics_phase
 from repro.obs.metrics import uninstall as uninstall_metrics
 from repro.obs.sanitizer import Sanitizer, SanitizerError
-from repro.obs.telemetry import FleetHealth
 from repro.obs.telemetry import emit as telemetry_emit
-from repro.obs.telemetry import log as telemetry_log
 from repro.obs.trace import TraceEvent, Tracer, summarize_chrome_trace
 
 __all__ = [
@@ -60,9 +58,7 @@ __all__ = [
     "current_metrics",
     "metrics_phase",
     "summarize_chrome_trace",
-    "FleetHealth",
     "telemetry_emit",
-    "telemetry_log",
 ]
 
 _active: Optional[Observer] = None

@@ -428,17 +428,6 @@ def current() -> Optional[MetricsRegistry]:
     return _active
 
 
-def snapshot() -> Dict[str, Any]:
-    """JSON-able dump of the installed registry, ``{}`` when none.
-
-    The read-only counterpart of :func:`current` for wire consumers — the
-    ``repro serve`` metrics endpoint streams this to clients so live
-    telemetry (DRAM op counters, pristine-pool hits, phase timings) is
-    observable without touching the registry object itself."""
-    registry = _active
-    return registry.to_dict() if registry is not None else {}
-
-
 def phase(name: str):
     """A phase-timer context manager on the global registry's profiler;
     a shared no-op when metrics are off (safe on hot-ish paths — one

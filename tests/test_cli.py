@@ -5,6 +5,11 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def tagged_point(tag):
+    """Trivial sweep point for the telemetry-driven CLI views."""
+    return {"tag": tag}
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -138,9 +143,7 @@ def test_top_once_offline_dir(tmp_path, capsys, monkeypatch):
     from repro.obs import telemetry
 
     tele_dir = str(tmp_path / "events")
-    points = [SweepPoint("t", telemetry.sleep_point, {"seconds": 0.0,
-                                                      "tag": i})
-              for i in range(3)]
+    points = [SweepPoint("t", tagged_point, {"tag": i}) for i in range(3)]
     run_sweep(points, jobs=1, telemetry_dir=tele_dir)
     telemetry.reset_sink()
     assert main(["top", "--once", "--dir", tele_dir]) == 0
@@ -149,10 +152,10 @@ def test_top_once_offline_dir(tmp_path, capsys, monkeypatch):
     assert "points 3/3 done" in out
 
 
-def test_top_unreachable_daemon(capsys):
-    # Port 1 is never a repro serve daemon.
-    assert main(["top", "--once", "--port", "1", "--timeout", "2"]) == 2
-    assert "cannot read" in capsys.readouterr().err
+def test_top_requires_dir():
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["top", "--once"])
+    assert exc.value.code == 2
 
 
 def test_bench_history_table_and_markdown(tmp_path, capsys):
@@ -173,9 +176,3 @@ def test_bench_history_table_and_markdown(tmp_path, capsys):
         markdown = handle.read()
     assert markdown.startswith("# Benchmark history")
     assert "| simulator.ops_per_sec |" in markdown
-
-
-def test_serve_parser_accepts_telemetry_dir():
-    args = build_parser().parse_args(
-        ["serve", "--telemetry-dir", "/tmp/x", "--port", "0"])
-    assert args.telemetry_dir == "/tmp/x"

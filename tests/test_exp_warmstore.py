@@ -29,8 +29,12 @@ def _drive(system, count, seed_stride=7, start=0):
 
 
 @pytest.fixture(autouse=True)
-def _isolated_pool():
-    """Each test starts from, and leaves behind, an empty pool."""
+def _isolated_pool(monkeypatch):
+    """Each test starts from, and leaves behind, an empty pool, and runs
+    with the pool on whatever the caller's environment (benchmark
+    children set ``REPRO_NO_WARMSTORE=1``); kill-switch tests set it
+    themselves."""
+    monkeypatch.delenv("REPRO_NO_WARMSTORE", raising=False)
     clear_pristine_pool()
     yield
     clear_pristine_pool()

@@ -1,15 +1,12 @@
-"""Tests for the fleet telemetry stack (:mod:`repro.obs.telemetry`).
+"""Tests for the sweep telemetry stack (:mod:`repro.obs.telemetry`).
 
-Unit coverage for the event sink, chain verification, and the
-:class:`FleetHealth` model runs in-process with pinned clocks; the
-integration tests drive real sweeps (pool, serial, and forced
-serial-fallback) and the serve scheduler (dedup, worker death) with the
-event log on, then assert every executed point left one complete causal
-chain — no orphan spans, no duplicate span IDs, retries only behind
-explicit markers.
+Unit coverage for the event sink and chain verification runs
+in-process; the integration tests drive real sweeps (pool, serial, and
+forced serial-fallback) with the event log on, then assert every
+executed point left one complete causal chain — no orphan spans, no
+duplicate span IDs, retries only behind explicit markers.
 """
 
-import asyncio
 import json
 import os
 import random
@@ -27,7 +24,6 @@ from repro.exp.runner import (
 from repro.exp.sweep import SweepPoint
 from repro.obs import telemetry
 from repro.obs import top as obs_top
-from repro.serve import ServeScheduler
 
 
 def tele_point(value=0, delay=0.0):
@@ -93,7 +89,6 @@ class TestEventSink:
     def test_ambient_ids_from_env(self, tele_dir, monkeypatch):
         monkeypatch.setenv(telemetry.ENV_RUN_ID, "run-env")
         monkeypatch.setenv(telemetry.ENV_SPAN_ID, "span-env")
-        assert telemetry.current_ids() == ("run-env", "span-env")
         telemetry.emit("point_start")
         (event,) = telemetry.read_events(tele_dir)
         assert event["run_id"] == "run-env"
@@ -150,6 +145,13 @@ class TestVerifyChains:
                         "point_committed")
         assert any("2 terminal" in p
                    for p in telemetry.verify_chains(events))
+        # A retry licenses one more execution, not one more commit.
+        retried = _chain("s1", "point_queued", "point_dispatched",
+                         "point_start", "point_end", "point_committed",
+                         "point_retried", "point_start", "point_end",
+                         "point_committed")
+        assert any("committed 2 times" in p
+                   for p in telemetry.verify_chains(retried))
 
     def test_retry_marker_excuses_repeats(self):
         events = _chain("s1", "point_queued", "point_start",
@@ -164,6 +166,12 @@ class TestVerifyChains:
                         "point_start", "point_start", "point_committed")
         assert any("3 executions" in p
                    for p in telemetry.verify_chains(thrice))
+        # Terminal events follow the same rule: one per execution.
+        failed = _chain("s1", "point_queued", "point_start", "point_failed",
+                        "point_retried", "point_start", "point_failed",
+                        "point_failed")
+        assert any("3 terminal events" in p
+                   for p in telemetry.verify_chains(failed))
 
     def test_mixed_slugs_flagged(self):
         events = (_chain("s1", "point_queued", slug="a")
@@ -181,81 +189,18 @@ class TestVerifyChains:
 
 
 # ---------------------------------------------------------------------------
-# FleetHealth
-# ---------------------------------------------------------------------------
-
-class TestFleetHealth:
-    def _warmed(self):
-        """A health model with four 1s completions on worker 1."""
-        health = telemetry.FleetHealth()
-        for i in range(4):
-            health.record_dispatch(1, f"s{i}", point_slug=f"p{i}",
-                                   now=float(i))
-            health.record_done(1, f"s{i}", now=float(i) + 1.0)
-        return health
-
-    def test_snapshot_shape(self):
-        health = self._warmed()
-        health.record_dispatch(2, "slow", point_slug="pslow", now=10.0)
-        snap = health.snapshot(now=11.0)
-        assert snap["completed_points"] == 4
-        worker = snap["workers"]["1"]
-        assert worker["points"] == 4
-        assert worker["points_per_sec"] == pytest.approx(1.0)
-        assert worker["in_flight"] is None
-        busy = snap["workers"]["2"]
-        assert busy["in_flight"] == "pslow"
-        assert busy["lease_age_s"] == pytest.approx(1.0)
-        (flight,) = snap["in_flight"]
-        assert flight["span_id"] == "slow"
-        assert flight["age_s"] == pytest.approx(1.0)
-        assert json.dumps(snap)  # JSON-able end to end
-
-    def test_failures_tracked(self):
-        health = telemetry.FleetHealth()
-        health.record_dispatch(1, "s", now=0.0)
-        health.record_done(1, "s", ok=False, now=0.5)
-        assert health.snapshot(now=1.0)["workers"]["1"]["failures"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Structured logging
-# ---------------------------------------------------------------------------
-
-class TestStructuredLog:
-    def test_off_by_default(self, monkeypatch, capsys):
-        monkeypatch.delenv(telemetry.ENV_LOG, raising=False)
-        telemetry.log("error", "test", "should not appear")
-        assert capsys.readouterr().err == ""
-
-    def test_threshold_filters(self, monkeypatch, capsys):
-        monkeypatch.setenv(telemetry.ENV_LOG, "warning")
-        telemetry.log("info", "test", "filtered")
-        telemetry.log("error", "test", "kept", detail=7)
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["msg"] == "kept"
-        assert record["detail"] == 7
-        assert record["level"] == "error"
-
-    def test_one_means_info(self, monkeypatch):
-        monkeypatch.setenv(telemetry.ENV_LOG, "1")
-        assert telemetry.log_threshold() == 20
-        monkeypatch.setenv(telemetry.ENV_LOG, "off")
-        assert telemetry.log_threshold() is None
-
-    def test_log_carries_ambient_ids(self, monkeypatch, capsys):
-        monkeypatch.setenv(telemetry.ENV_LOG, "debug")
-        monkeypatch.setenv(telemetry.ENV_RUN_ID, "run-log")
-        telemetry.log("debug", "test", "hello")
-        record = json.loads(capsys.readouterr().err)
-        assert record["run_id"] == "run-log"
-
-
-# ---------------------------------------------------------------------------
 # Sweep integration: every executed point leaves one complete chain
 # ---------------------------------------------------------------------------
+
+def _pool_or_skip():
+    pool = WorkerPool()
+    try:
+        pool.ensure(1)
+    except (OSError, PermissionError, RuntimeError, ImportError) as exc:
+        pool.shutdown()
+        pytest.skip(f"worker processes unavailable: {exc}")
+    return pool
+
 
 def _assert_complete(events, points, outcome, expect_spans=None):
     assert telemetry.verify_chains(events) == []
@@ -419,159 +364,15 @@ class TestArtifactStamping:
 
 
 # ---------------------------------------------------------------------------
-# Serve scheduler: dedup chains, worker death, health endpoint
-# ---------------------------------------------------------------------------
-
-def _run(coro):
-    return asyncio.run(coro)
-
-
-def _pool_or_skip():
-    pool = WorkerPool()
-    try:
-        pool.ensure(1)
-    except (OSError, PermissionError, RuntimeError, ImportError) as exc:
-        pool.shutdown()
-        pytest.skip(f"worker processes unavailable: {exc}")
-    return pool
-
-
-class TestSchedulerChains:
-    def test_dedup_chains_into_owner_span(self, tele_dir):
-        """Two clients submitting the same point while it is in flight
-        share one execution span; the duplicate's run chains in through a
-        point_deduped record naming the owner."""
-
-        async def main():
-            sched = ServeScheduler(jobs=1, use_pool=False)
-            await sched.start()
-            job_a = await sched.submit(
-                "alice", _points([3], delay=0.05))
-            job_b = await sched.submit("bob", _points([3], delay=0.05))
-            await asyncio.wait_for(job_a.done.wait(), timeout=30)
-            await asyncio.wait_for(job_b.done.wait(), timeout=30)
-            await sched.stop()
-            return job_a, job_b
-
-        job_a, job_b = _run(main())
-        assert job_a.ok and job_b.ok
-        assert job_a.run_id != job_b.run_id
-        events = telemetry.read_events(tele_dir)
-        assert telemetry.verify_chains(events) == []
-        chains = telemetry.causal_chains(events)
-        assert len(chains) == 1  # one execution span for both jobs
-        (deduped,) = [e for e in events if e["event"] == "point_deduped"]
-        (span_id,) = chains
-        assert deduped["span_id"] == span_id
-        assert deduped["run_id"] == job_b.run_id
-        assert deduped["owner_run_id"] == job_a.run_id
-        committed = [e for e in events if e["event"] == "point_committed"]
-        assert len(committed) == 1  # deduped, not re-executed
-
-    def test_worker_death_retry_single_chain(self, tele_dir, tmp_path):
-        pool = _pool_or_skip()
-        sentinel = str(tmp_path / "died-once")
-
-        async def main():
-            sched = ServeScheduler(jobs=1, pool=pool, use_pool=True,
-                                   idle_workers=0)
-            await sched.start()
-            job = await sched.submit(
-                "c", [SweepPoint("tele", crash_once_point,
-                                 {"sentinel": sentinel})])
-            await asyncio.wait_for(job.done.wait(), timeout=60)
-            await sched.stop()
-            return job
-
-        try:
-            job = _run(main())
-        finally:
-            pool.shutdown()
-        assert job.ok and job.results == [{"retried": True}]
-        events = telemetry.read_events(tele_dir)
-        assert telemetry.verify_chains(events) == []
-        retried = [e for e in events if e["event"] == "point_retried"]
-        assert retried and retried[0]["reason"] == "worker_died"
-        dispatched = [e for e in events
-                      if e["event"] == "point_dispatched"]
-        assert len(dispatched) >= 2  # original dispatch + the retry
-        assert len({e["worker_pid"] for e in dispatched}) == 2
-
-    def test_cancelled_points_get_terminal(self, tele_dir):
-        async def main():
-            sched = ServeScheduler(jobs=1, use_pool=False)
-            # No dispatcher yet: the point stays queued, then dies with
-            # its client.
-            doomed = await sched.submit("victim", _points([2]))
-            assert sched.cancel_client("victim") == 1
-            await sched.start()
-            await sched.stop()
-            return doomed
-
-        doomed = _run(main())
-        assert doomed.cancelled
-        events = telemetry.read_events(tele_dir)
-        cancelled = [e for e in events if e["event"] == "point_cancelled"]
-        assert cancelled
-        assert cancelled[0]["reason"] == "client_disconnected"
-        assert telemetry.verify_chains(events) == []
-
-    def test_stats_carry_health_snapshot(self, tele_dir):
-        async def main():
-            sched = ServeScheduler(jobs=2, use_pool=False)
-            await sched.start()
-            job = await sched.submit("c", _points([1, 2]))
-            await asyncio.wait_for(job.done.wait(), timeout=30)
-            stats = sched.stats()
-            await sched.stop()
-            return stats
-
-        stats = _run(main())
-        assert stats["clients_queued"] == {}
-        health = stats["workers"]
-        assert health["completed_points"] == 2
-        assert os.getpid() in {int(pid) for pid in health["workers"]}
-
-
-# ---------------------------------------------------------------------------
 # repro top rendering
 # ---------------------------------------------------------------------------
 
 class TestTopRendering:
-    def test_metrics_frame_renders_payload(self):
-        payload = {"stats": {
-            "max_jobs": 4, "queued_points": 1, "running_points": 2,
-            "jobs_total": 3, "jobs_done": 1, "pool_workers": 2,
-            "clients_running": {"alice": 2}, "clients_queued": {"bob": 1},
-            "counters": {"serve.points.queued": 8,
-                         "serve.points.deduped": 2,
-                         "serve.points.cache_hits": 0},
-            "workers": {
-                "completed_points": 6,
-                "workers": {"41": {
-                    "points": 6, "failures": 0, "busy_seconds": 3.0,
-                    "points_per_sec": 2.0, "heartbeat_age_s": 0.1,
-                    "in_flight": "slowpoint", "lease_age_s": 2.5}},
-                "in_flight": [{"span_id": "s9", "worker_pid": 41,
-                               "point_slug": "slowpoint", "age_s": 2.5}]}}}
-        frame = obs_top.render_metrics_frame(payload, source="test")
-        assert "alice" in frame and "bob" in frame
-        assert "slowest in flight" in frame and "2.50" in frame
-        assert "dedup 20.0%" in frame
-        assert "slowpoint" in frame
-        assert "41" in frame
-
-    def test_dedup_ratio(self):
-        assert obs_top.dedup_ratio({}) is None
-        counters = {"serve.points.queued": 6, "serve.points.deduped": 2,
-                    "serve.points.cache_hits": 2}
-        assert obs_top.dedup_ratio(counters) == pytest.approx(0.2)
-
     def test_fleet_state_reconstruction(self):
         events = [
             {"event": "run_start", "run_id": "r1", "ts": 0.0},
             {"event": "point_queued", "run_id": "r1", "span_id": "s1",
-             "point_slug": "a", "client": "alice", "ts": 0.1},
+             "point_slug": "a", "ts": 0.1},
             {"event": "point_dispatched", "run_id": "r1", "span_id": "s1",
              "point_slug": "a", "worker_pid": 7, "ts": 0.2},
             {"event": "point_end", "span_id": "s1", "elapsed_s": 0.3,
@@ -579,24 +380,22 @@ class TestTopRendering:
             {"event": "point_committed", "run_id": "r1", "span_id": "s1",
              "point_slug": "a", "ts": 0.6},
             {"event": "point_queued", "run_id": "r1", "span_id": "s2",
-             "point_slug": "b", "client": "alice", "ts": 0.7},
+             "point_slug": "b", "ts": 0.7},
             {"event": "point_dispatched", "run_id": "r1", "span_id": "s2",
              "point_slug": "b", "worker_pid": 8, "ts": 0.8},
-            {"event": "point_deduped", "run_id": "r2", "span_id": "s1",
+            {"event": "point_cached", "run_id": "r2", "point_slug": "c",
              "ts": 0.9},
         ]
         state = obs_top.fleet_state(events, now=1.8)
         assert state["runs"] == 2
         assert state["spans"] == 2
         assert state["done_spans"] == 1
-        assert state["clients"]["alice"] == {"queued": 2, "done": 1}
-        assert state["counters"]["serve.points.deduped"] == 1
         (flight,) = state["in_flight"]
         assert flight["span_id"] == "s2"
         assert flight["age_s"] == pytest.approx(1.0)
         assert state["workers"]["7"]["points"] == 1
         frame = obs_top.render_state_frame(state, source="unit")
-        assert "alice" in frame and "in flight 1" in frame
+        assert "points 1/2 done" in frame and "in flight 1" in frame
 
     def test_frame_from_real_sweep(self, tele_dir):
         outcome = run_sweep(_points(range(3)), jobs=1)
@@ -637,7 +436,8 @@ class TestBenchHistory:
         snap = by_name["snapshot.restore_speedup"]
         assert snap["series"] == [None, 5.0]
         assert snap["delta_pct"] is None
-        assert "serve.points_per_sec" not in by_name  # absent everywhere
+        # Tracked, but absent from every record: no row.
+        assert "telemetry.warm_overhead_pct" not in by_name
 
     def test_fresh_column(self, tmp_path):
         history = benchhistory.collect_history(
