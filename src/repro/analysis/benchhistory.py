@@ -8,9 +8,8 @@ turns the whole committed sequence into a per-metric trend table —
 gate's failure diagnostics — so "simulator ops/s dropped 18%" comes with
 the context of where the metric has been since PR 1.
 
-Snapshots have grown sections over time (the miss-batch engine,
-telemetry overhead, the adaptive sweep engine); missing sections render
-as gaps, not errors.
+Snapshots have grown sections over time (telemetry overhead, the
+adaptive sweep engine); missing sections render as gaps, not errors.
 """
 
 from __future__ import annotations
@@ -24,11 +23,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: — direction says which way is better, so deltas can be judged.
 BENCH_METRICS: List[Tuple[str, str, str]] = [
     ("simulator.ops_per_sec", "simulator.ops_per_sec", "higher"),
-    ("batch.probe_replay.speedup", "simulator_batch.speedup", "higher"),
-    ("miss.conflict_replay.speedup",
-     "simulator_miss_batch.conflict_replay.speedup", "higher"),
-    ("miss.streaming_sweep.speedup",
-     "simulator_miss_batch.streaming_sweep.speedup", "higher"),
     ("scheduler.checkpoints_per_sec",
      "scheduler.fast_path.checkpoints_per_sec", "higher"),
     ("snapshot.restore_speedup", "snapshot.speedup", "higher"),

@@ -25,19 +25,6 @@ from repro.cache.prefetcher import IPStridePrefetcher, StreamerPrefetcher
 from repro.dram.controller import MemoryController, MemoryResult
 from repro.obs import current_observer
 
-_vector = None
-
-
-def _vector_module():
-    """Import :mod:`repro.sim.vector` on first batch call (lazy so this
-    module never pulls the sim package in at import time)."""
-    global _vector
-    if _vector is None:
-        from repro.sim import vector as _vector_mod
-
-        _vector = _vector_mod
-    return _vector
-
 
 @dataclass(frozen=True)
 class HierarchyConfig:
@@ -222,12 +209,6 @@ class CacheHierarchy:
         self.stats = HierarchyStats()
         # Observability (repro.obs): None = off, one branch per hook site.
         self._obs = current_observer()
-        # Vector-engine removal sink (repro.sim.vector): while a vector
-        # batch is in flight this is a list collecting the line address of
-        # every line removed from any L1 (fill evictions and inclusive
-        # back-invalidations), so the engine can demote stale
-        # classifications.  None = off, one branch per eviction.
-        self._l1_removal_sink: Optional[List[int]] = None
 
     def set_observer(self, observer) -> None:
         """Attach a :class:`repro.obs.Observer`; ``None`` detaches."""
@@ -281,8 +262,7 @@ class CacheHierarchy:
 
     def access_batch(self, core: int, addrs, issued: int, *,
                      is_write: bool = False, pc: Optional[int] = None,
-                     requestor: str = "cpu",
-                     backend: Optional[str] = None) -> int:
+                     requestor: str = "cpu") -> int:
         """Sequential demand accesses, each issued at the previous finish.
 
         Equivalent to chaining :meth:`access` calls through
@@ -291,63 +271,11 @@ class CacheHierarchy:
         construction hoisted out of the loop.  Returns the finish time of
         the last access.
 
-        ``backend`` selects the execution engine: ``None`` (auto) uses
-        the numpy vector engine (:mod:`repro.sim.vector`) for large
-        observer-free batches and the reference scalar loop otherwise;
-        ``"scalar"``/``"vector"`` force a side.  Both backends are
-        bit-identical in results, statistics, and machine state.
-
         Only safe when no other thread touches the memory system between
         the batched accesses — batching removes the scheduler checkpoints
         a hand-written probe loop would yield at, so any cross-thread
         interleaving inside the batch would be lost (see EXPERIMENTS.md).
         """
-        if backend == "scalar":
-            return self._access_batch_scalar(core, addrs, issued,
-                                             is_write=is_write, pc=pc,
-                                             requestor=requestor)
-        if not hasattr(addrs, "__len__"):
-            addrs = list(addrs)
-        vector = _vector_module()
-        if vector.choose_backend(backend, len(addrs),
-                                 self._obs) == "vector":
-            finish, _ = vector.access_batch_vector(
-                self, core, addrs, issued, is_write=is_write, pc=pc,
-                requestor=requestor)
-            return finish
-        return self._access_batch_scalar(core, addrs, issued,
-                                         is_write=is_write, pc=pc,
-                                         requestor=requestor)
-
-    def probe_batch(self, core: int, addrs, issued: int, *,
-                    is_write: bool = False, pc: Optional[int] = None,
-                    requestor: str = "cpu",
-                    backend: Optional[str] = None) -> "tuple":
-        """Like :meth:`access_batch` but also returns per-access latencies:
-        ``(finish, [latency, ...])`` — the Prime+Probe receiver shape.
-        The same backend selection and bit-identity contract apply."""
-        if backend == "scalar":
-            return self._probe_batch_scalar(core, addrs, issued,
-                                            is_write=is_write, pc=pc,
-                                            requestor=requestor)
-        if not hasattr(addrs, "__len__"):
-            addrs = list(addrs)
-        vector = _vector_module()
-        if vector.choose_backend(backend, len(addrs),
-                                 self._obs) == "vector":
-            return vector.access_batch_vector(
-                self, core, addrs, issued, is_write=is_write, pc=pc,
-                requestor=requestor, collect_latencies=True)
-        return self._probe_batch_scalar(core, addrs, issued,
-                                        is_write=is_write, pc=pc,
-                                        requestor=requestor)
-
-    def _access_batch_scalar(self, core: int, addrs, issued: int, *,
-                             is_write: bool = False,
-                             pc: Optional[int] = None,
-                             requestor: str = "cpu") -> int:
-        """Reference scalar loop behind :meth:`access_batch` — the ground
-        truth the vector engine must match bit for bit."""
         stats = self.stats
         observe = stats.observe
         l1_access = self.l1[core].access
@@ -397,13 +325,12 @@ class CacheHierarchy:
             now = finish
         return now
 
-    def _probe_batch_scalar(self, core: int, addrs, issued: int, *,
-                            is_write: bool = False,
-                            pc: Optional[int] = None,
-                            requestor: str = "cpu") -> "tuple":
-        """Reference loop behind :meth:`probe_batch`: the
-        :meth:`_access_batch_scalar` body collecting per-access latency
-        (state evolution is identical — tests pin this)."""
+    def probe_batch(self, core: int, addrs, issued: int, *,
+                    is_write: bool = False, pc: Optional[int] = None,
+                    requestor: str = "cpu") -> "tuple":
+        """Like :meth:`access_batch` but also returns per-access latencies:
+        ``(finish, [latency, ...])`` — the Prime+Probe receiver shape.
+        State evolves exactly as under :meth:`access_batch`."""
         stats = self.stats
         observe = stats.observe
         l1_access = self.l1[core].access
@@ -458,12 +385,9 @@ class CacheHierarchy:
 
     def _fill_l1(self, core: int, addr: int, is_write: bool) -> int:
         evicted = self.l1[core].fill(addr, dirty=is_write)
-        if evicted is not None:
-            if self._l1_removal_sink is not None:
-                self._l1_removal_sink.append(evicted.addr)
-            if evicted.dirty:
-                self.l2[core].fill(evicted.addr, dirty=True)
-                return 1
+        if evicted is not None and evicted.dirty:
+            self.l2[core].fill(evicted.addr, dirty=True)
+            return 1
         return 0
 
     def _fill_upper(self, core: int, addr: int, is_write: bool) -> int:
@@ -490,12 +414,9 @@ class CacheHierarchy:
             llc_fill(evicted.addr, dirty=True)
             writebacks += 1
         evicted = self.l1[core].fill(addr, dirty=is_write)
-        if evicted is not None:
-            if self._l1_removal_sink is not None:
-                self._l1_removal_sink.append(evicted.addr)
-            if evicted.dirty:
-                l2_fill(evicted.addr, dirty=True)
-                writebacks += 1
+        if evicted is not None and evicted.dirty:
+            l2_fill(evicted.addr, dirty=True)
+            writebacks += 1
         return writebacks
 
     def _handle_llc_eviction(self, evicted: EvictedLine, time: int,
@@ -504,10 +425,6 @@ class CacheHierarchy:
         dirty data to DRAM off the critical path."""
         dirty = evicted.dirty
         addr = evicted.addr
-        if self._l1_removal_sink is not None:
-            # The vector engine over-demotes: it does not care whether an
-            # L1 actually held the line, only that it might have.
-            self._l1_removal_sink.append(addr)
         for invalidate in self._upper_invalidates:
             if invalidate(addr):
                 dirty = True

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro import System, SystemConfig
 from repro.analysis import format_table
@@ -364,21 +364,16 @@ def cmd_recon(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Simulator micro-bench: ops/s per backend, without the full suite.
+    """Simulator micro-bench: batch-access ops/s, without the full suite.
 
-    Three workloads bound the engine's range: the prefetcher-live
-    streaming sweep (the historical BENCH number, where the vector
-    engine bails to the reference loop), the hit-heavy probe-array
-    replay (the receiver decode shape, where bulk hit commit
-    dominates), and the bank-conflict-alternating replay (the covert
-    channel's full-miss shape, where the PR 7 miss engine bulk-commits
-    whole DRAM conflict runs).
+    Three workloads span the access path: the prefetcher-live streaming
+    sweep (the historical BENCH number), the hit-heavy probe-array replay
+    (the receiver decode shape), and the bank-conflict-alternating replay
+    (the covert channel's full-miss shape).
     """
     import gc
     import statistics
     import time
-
-    from repro.sim import vector
 
     if args.mode == "history":
         from repro.analysis import benchhistory
@@ -391,16 +386,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.out:
             print(f"markdown table written to {args.out}")
         return 0
-
-    backends: List[str]
-    if args.backend == "all":
-        backends = ["scalar", "vector", "auto"]
-    else:
-        backends = [args.backend]
-    if any(b != "scalar" for b in backends) and not vector.numpy_available():
-        print(f"repro bench: numpy unavailable ({vector.numpy_error()}); "
-              f"only --backend scalar can run", file=sys.stderr)
-        return 2
 
     n = args.accesses
     probe = [0x100000 + i * 64 for i in range(256)]
@@ -426,31 +411,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     try:
         for wname, addrs, prefetch in workloads:
-            base_ops = None
-            for backend in backends:
-                samples = []
-                for _ in range(args.runs):
-                    config = SystemConfig.paper_default()
-                    if not prefetch:
-                        config = replace(
-                            config, hierarchy=replace(
-                                config.hierarchy, prefetchers_enabled=False))
-                    system = System(config)
-                    system.hierarchy.access_batch(0, probe, 0,
-                                                  backend="scalar")
-                    started = time.perf_counter()
-                    system.hierarchy.access_batch(0, addrs, 10_000,
-                                                  backend=backend)
-                    samples.append(n / (time.perf_counter() - started))
-                ops = statistics.median(samples)
-                if backend == "scalar":
-                    base_ops = ops
-                speedup = f"{ops / base_ops:.2f}x" if base_ops else "-"
-                rows.append((wname, backend, f"{ops:,.0f}", speedup))
+            samples = []
+            for _ in range(args.runs):
+                config = SystemConfig.paper_default()
+                if not prefetch:
+                    config = replace(
+                        config, hierarchy=replace(
+                            config.hierarchy, prefetchers_enabled=False))
+                system = System(config)
+                system.hierarchy.access_batch(0, probe, 0)
+                started = time.perf_counter()
+                system.hierarchy.access_batch(0, addrs, 10_000)
+                samples.append(n / (time.perf_counter() - started))
+            rows.append((wname, f"{statistics.median(samples):,.0f}"))
     finally:
         gc.unfreeze()
     print(format_table(
-        ["workload", "backend", "ops/s", "vs scalar"], rows,
+        ["workload", "ops/s"], rows,
         title=f"simulator micro-bench ({n:,} accesses, "
               f"median of {args.runs})"))
     return 0
@@ -610,17 +587,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="simulator micro-bench: ops/s per backend (scalar|vector|auto);"
-             " `bench history` prints the committed BENCH_PR*.json trend")
+        help="simulator micro-bench: batch-access ops/s; `bench history` "
+             "prints the committed BENCH_PR*.json trend")
     p.add_argument("mode", nargs="?", choices=["micro", "history"],
                    default="micro",
                    help="micro: time the simulator (default); history: "
                         "per-metric trend across committed BENCH_PR*.json "
                         "snapshots")
-    p.add_argument("--backend", choices=["scalar", "vector", "auto", "all"],
-                   default="all",
-                   help="engine to time (default: all three, as a "
-                        "comparison table)")
     p.add_argument("--accesses", type=int, default=200_000, metavar="N",
                    help="accesses per workload per run (default 200000)")
     p.add_argument("--runs", type=int, default=3, metavar="N",

@@ -118,27 +118,6 @@ class AddressMapping:
         loc = self.decode(addr)
         return loc.bank, loc.row
 
-    def decode_banks_rows(self, addrs) -> "tuple":
-        """Vectorized :meth:`decode_bank_row`: ``addrs`` is a numpy int64
-        array, the result a ``(banks, rows)`` pair of int64 arrays.
-
-        Validates the whole batch up front, raising the same
-        ``ValueError`` (same message, anchored on the first offending
-        address) the scalar decoders raise.  The base implementation
-        loops; the bundled mappings override with pure array arithmetic.
-        """
-        self._check_addrs(addrs)
-        banks = []
-        rows = []
-        for addr in addrs.tolist():
-            bank, row = self.decode_bank_row(addr)
-            banks.append(bank)
-            rows.append(row)
-        import numpy as np
-
-        return (np.asarray(banks, dtype=np.int64),
-                np.asarray(rows, dtype=np.int64))
-
     def encode(self, bank: int, row: int, col: int = 0) -> int:
         """Inverse of :meth:`decode`: craft an address for a location."""
         raise NotImplementedError
@@ -157,15 +136,6 @@ class AddressMapping:
             raise ValueError(
                 f"address {addr:#x} out of range [0, {self._capacity:#x})"
             )
-
-    def _check_addrs(self, addrs) -> None:
-        """Range-check a numpy int64 batch; raises via :meth:`_check_addr`
-        on the first out-of-range element so the error text is identical
-        to the scalar path's."""
-        bad = (addrs < 0) | (addrs >= self._capacity)
-        if bad.any():
-            self._check_addr(int(addrs[bad.argmax()]))
-
 
 class RowInterleavedMapping(AddressMapping):
     """Consecutive addresses fill a whole row before switching banks.
@@ -197,14 +167,6 @@ class RowInterleavedMapping(AddressMapping):
         row, bank = divmod(rest, self._num_banks)
         return bank, row
 
-    def decode_banks_rows(self, addrs) -> "tuple":
-        self._check_addrs(addrs)
-        if self._row_shift is not None and self._bank_shift is not None:
-            rest = addrs >> self._row_shift
-            return rest & self._bank_mask, rest >> self._bank_shift
-        rest = addrs // self._row_bytes
-        return rest % self._num_banks, rest // self._num_banks
-
     def encode(self, bank: int, row: int, col: int = 0) -> int:
         self._check_location(bank, row, col)
         return (row * self._num_banks + bank) * self._row_bytes + col
@@ -231,12 +193,6 @@ class LineInterleavedMapping(AddressMapping):
         row, line_in_row = divmod(index_in_bank, self._lines_per_row)
         return DRAMLocation(bank=bank, row=row,
                             col=line_in_row * self._line_bytes + offset)
-
-    def decode_banks_rows(self, addrs) -> "tuple":
-        self._check_addrs(addrs)
-        line = addrs // self._line_bytes
-        return line % self._num_banks, \
-            (line // self._num_banks) // self._lines_per_row
 
     def encode(self, bank: int, row: int, col: int = 0) -> int:
         self._check_location(bank, row, col)
@@ -283,16 +239,6 @@ class XorBankMapping(AddressMapping):
         raw_bank = rest & self._bank_mask
         row = rest >> self._bank_shift
         return raw_bank ^ (row & self._mask), row
-
-    def decode_banks_rows(self, addrs) -> "tuple":
-        self._check_addrs(addrs)
-        if self._row_shift is not None:
-            rest = addrs >> self._row_shift
-        else:
-            rest = addrs // self._row_bytes
-        raw_bank = rest & self._bank_mask
-        rows = rest >> self._bank_shift
-        return raw_bank ^ (rows & self._mask), rows
 
     def encode(self, bank: int, row: int, col: int = 0) -> int:
         self._check_location(bank, row, col)

@@ -10,17 +10,6 @@ Every access is classified as:
 Banks also track ``busy_until`` so concurrent requestors (sender/receiver,
 attacker/victim, PiM engines) serialize realistically; queuing delay is how
 the PuM channel's receiver observes contention (§4.2).
-
-Run-commit contract: the vector backend (:mod:`repro.sim.vector`) classifies
-a chained run of accesses against each bank's state arrays and then commits
-the final ``open_row`` / ``busy_until`` / ``row_opened_at`` /
-``last_activation`` values directly, bypassing :meth:`Bank.access_raw` for
-the interior of the run.  It reads the hoisted integer timings
-(``_hit_cycles``, ``_empty_cycles``, ``_conflict_cycles``, ``_rp_cycles``,
-``_timeout_cycles``) for its latency table, so any change to how this class
-derives or mutates per-access state must be mirrored there (the randomized
-equivalence tests in ``tests/test_vector_engine.py`` pin the two paths
-bit-identical).
 """
 
 from __future__ import annotations
@@ -96,20 +85,7 @@ class BankStats:
 
 @dataclass
 class Bank:
-    """One DRAM bank: row-buffer state machine plus busy-time bookkeeping.
-
-    Run-commit contract: :meth:`access_raw` is the reference transition,
-    but the vector engine's bulk committers (``MemoryController.
-    access_run`` and the miss engine's span commit in
-    :mod:`repro.sim.vector`) write the same state directly — ``open_row``
-    and ``busy_until``/``last_activation`` land at the bank's last access
-    in the run, ``row_opened_at`` at the service start of the activation
-    that opened the surviving row, and ``stats`` counters are added in
-    bulk.  A bulk commit must leave every field exactly where a chain of
-    ``access_raw`` calls at the same issue times would (the bit-identity
-    tests pin this), so any new per-access state added here has to be
-    threaded through those committers too.
-    """
+    """One DRAM bank: row-buffer state machine plus busy-time bookkeeping."""
 
     index: int
     timings: DRAMTimings

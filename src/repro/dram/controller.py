@@ -26,19 +26,6 @@ from repro.dram.device import DRAMDevice
 from repro.dram.timings import DRAMTimings
 from repro.obs import current_observer
 
-_vector = None
-
-
-def _vector_module():
-    """Import :mod:`repro.sim.vector` on first run call (lazy so this
-    module never pulls the sim package in at import time)."""
-    global _vector
-    if _vector is None:
-        from repro.sim import vector as _vector_mod
-
-        _vector = _vector_mod
-    return _vector
-
 
 class RowPolicy(enum.Enum):
     """Row-buffer management policy."""
@@ -263,8 +250,8 @@ class MemoryController:
         return finish
 
     def access_run(self, addrs, issued: int, *, requestor: str = "cpu",
-                   is_write: bool = False, collect_latencies: bool = False,
-                   backend: Optional[str] = None) -> "tuple":
+                   is_write: bool = False,
+                   collect_latencies: bool = False) -> "tuple":
         """Back-to-back chained accesses: each element is issued at the
         previous element's finish.  Returns ``(finish, latencies)``;
         ``latencies`` is None unless ``collect_latencies``.
@@ -275,31 +262,7 @@ class MemoryController:
             for addr in addrs:
                 result = self.access(addr, now, requestor=..., is_write=...)
                 now = result.finish
-
-        ``backend`` mirrors :meth:`CacheHierarchy.access_batch`: auto
-        (None) engages the numpy run engine (:mod:`repro.sim.vector`) for
-        large runs when no observer is attached *and* no defense needs
-        per-request arbitration — closed-row and constant-time always
-        take the reference path (so every sanitizer invariant holds
-        unchanged), while refresh windows and partition boundaries
-        *split* runs inside the engine: the clean prefix commits in bulk
-        and the boundary element runs through the reference path, which
-        applies the refresh or raises the partition error exactly.
         """
-        vector = _vector_module()
-        eligible = not self._close_after and not self._constant_time
-        if eligible and not hasattr(addrs, "__len__"):
-            addrs = list(addrs)
-        choice = (vector.choose_backend(backend, len(addrs), self._obs)
-                  if eligible else "scalar")
-        if not eligible and backend == "vector":
-            # Still surface a missing numpy loudly; an ineligible config
-            # then falls back like an attached observer does.
-            vector.require_numpy()
-        if choice == "vector":
-            return vector.controller_run_vector(
-                self, addrs, issued, requestor=requestor,
-                is_write=is_write, collect_latencies=collect_latencies)
         latencies: Optional[List[int]] = [] if collect_latencies else None
         now = issued
         for addr in addrs:

@@ -255,58 +255,49 @@ class System:
 
     def load_many(self, ctx: Context, core: int, addrs: List[int], *,
                   is_write: bool = False, pc: Optional[int] = None,
-                  requestor: Optional[str] = None,
-                  backend: Optional[str] = None) -> int:
+                  requestor: Optional[str] = None) -> int:
         """Back-to-back demand loads/stores (eviction walks, replays).
 
         Equivalent to calling :meth:`load` once per address (without
         address translation), but with the per-access call overhead and
         result construction hoisted out of the loop.  Returns the batch's
-        finish time.  ``backend`` selects the scalar reference loop or
-        the numpy vector engine (default auto — see
-        :meth:`repro.cache.hierarchy.CacheHierarchy.access_batch`).
-        Only safe when no other runnable thread touches the memory system
-        during the batch — the scheduler checkpoints a hand-written loop
-        would yield at are elided (see EXPERIMENTS.md).
+        finish time.  Only safe when no other runnable thread touches the
+        memory system during the batch — the scheduler checkpoints a
+        hand-written loop would yield at are elided (see EXPERIMENTS.md).
         """
         who = requestor if requestor is not None else ctx.name
         finish = self.hierarchy.access_batch(core, addrs, ctx.now,
                                              is_write=is_write, pc=pc,
-                                             requestor=who, backend=backend)
+                                             requestor=who)
         ctx.advance_to(finish)
         return finish
 
     def probe_many(self, ctx: Context, core: int, addrs: List[int], *,
-                   requestor: Optional[str] = None,
-                   backend: Optional[str] = None) -> List[int]:
+                   requestor: Optional[str] = None) -> List[int]:
         """Back-to-back *timed* loads: returns each access's latency.
 
         For receiver probe loops that decode per-access latencies; the
-        same batching-safety rule and backend selection as
-        :meth:`load_many` apply.
+        same batching-safety rule as :meth:`load_many` applies.
         """
         who = requestor if requestor is not None else ctx.name
         finish, latencies = self.hierarchy.probe_batch(core, addrs, ctx.now,
-                                                       requestor=who,
-                                                       backend=backend)
+                                                       requestor=who)
         ctx.advance_to(finish)
         return latencies
 
     def dram_run(self, ctx: Context, addrs: List[int], *,
-                 is_write: bool = False, requestor: Optional[str] = None,
-                 backend: Optional[str] = None) -> List[int]:
+                 is_write: bool = False,
+                 requestor: Optional[str] = None) -> List[int]:
         """Back-to-back *uncached* DRAM accesses, returning latencies.
 
         The DRAMA-style receiver shape: every access goes straight to the
         memory controller (no cache lookup), chained issue-at-previous-
-        finish.  Same batching-safety rule as :meth:`load_many`; backend
-        selection per :meth:`repro.dram.controller.MemoryController.
-        access_run`.
+        finish.  Same batching-safety rule as :meth:`load_many`.
         """
         who = requestor if requestor is not None else ctx.name
         finish, latencies = self.controller.access_run(
             addrs, ctx.now, requestor=who, is_write=is_write,
-            collect_latencies=True, backend=backend)
+            collect_latencies=True)
         ctx.advance_to(finish)
         return latencies
 

@@ -45,6 +45,17 @@ def test_access_batch_matches_chained_accesses():
         loop_sys.snapshot().payload["hierarchy"]
 
 
+def test_access_batch_accepts_a_generator():
+    addrs = _addrs(800)
+    list_sys = System(SystemConfig.paper_default())
+    gen_sys = System(SystemConfig.paper_default())
+    finish = list_sys.hierarchy.access_batch(0, addrs, 100)
+    generated = (addr for addr in addrs)
+    assert gen_sys.hierarchy.access_batch(0, generated, 100) == finish
+    assert (gen_sys.hierarchy.llc.stats.misses
+            == list_sys.hierarchy.llc.stats.misses)
+
+
 def test_load_many_matches_load_loop():
     addrs = _addrs(1500, mul=11)
     loop_sys = System(SystemConfig.paper_default())

@@ -87,10 +87,12 @@ def test_out_of_range_rejected():
 @given(addr=st.integers(min_value=0, max_value=GEOM.capacity_bytes - 1))
 @settings(max_examples=200)
 def test_decode_encode_roundtrip(name, addr):
-    """encode(decode(addr)) == addr for every mapping (invertibility)."""
+    """encode(decode(addr)) == addr for every mapping (invertibility), and
+    the controller's ``decode_bank_row`` shortcut agrees with decode."""
     mapping = MAPPINGS[name]
     loc = mapping.decode(addr)
     assert mapping.encode(loc.bank, loc.row, loc.col) == addr
+    assert mapping.decode_bank_row(addr) == (loc.bank, loc.row)
     assert 0 <= loc.bank < GEOM.num_banks
     assert 0 <= loc.row < GEOM.rows_per_bank
     assert 0 <= loc.col < GEOM.row_bytes

@@ -1,5 +1,8 @@
 """Unit tests for the memory controller: policies, defenses, RowClone."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.dram import (
@@ -11,6 +14,7 @@ from repro.dram import (
     PartitionViolationError,
     RowPolicy,
 )
+from repro.system import SystemConfig
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=1024)
 
@@ -184,3 +188,71 @@ def test_refresh_noise_delays_accesses():
 def test_negative_queue_cycles_rejected():
     with pytest.raises(ValueError):
         MemoryControllerConfig(queue_cycles=-1)
+
+
+def _controller_state(mc):
+    banks = [(b.open_row, b.busy_until, b.row_opened_at, b.last_activation,
+              dataclasses.astuple(b.stats)) for b in mc.device.banks]
+    stats = {name: dataclasses.astuple(s)
+             for name, s in mc.requestor_stats.items()}
+    return banks, stats
+
+
+@pytest.mark.parametrize("mapping", ["row", "line", "xor"])
+@pytest.mark.parametrize("row_timeout_ns,refresh",
+                         [(0.0, False), (120.0, False), (0.0, True)])
+def test_access_run_matches_chained_access_calls(mapping, row_timeout_ns,
+                                                 refresh):
+    def build():
+        return make_controller(mapping=mapping, refresh_enabled=refresh,
+                               timings=DRAMTimings(
+                                   row_timeout_ns=row_timeout_ns))
+
+    rng = random.Random(8)
+    addrs = [rng.randrange(GEOM.capacity_bytes) & ~0x3F for _ in range(600)]
+    addrs += [0x40000 + (i % 32) * 64 for i in range(200)]  # same-row run
+    run_mc, loop_mc = build(), build()
+    finish, latencies = run_mc.access_run(addrs, 1000, requestor="recv",
+                                          collect_latencies=True)
+    end, no_latencies = run_mc.access_run(addrs[:100], finish,
+                                          requestor="send", is_write=True)
+    now = 1000
+    expected = []
+    for addr in addrs:
+        result = loop_mc.access(addr, now, requestor="recv")
+        expected.append(result.latency)
+        now = result.finish
+    assert (finish, latencies) == (now, expected)
+    for addr in addrs[:100]:
+        now = loop_mc.access(addr, now, requestor="send",
+                             is_write=True).finish
+    assert (end, no_latencies) == (now, None)
+    assert _controller_state(run_mc) == _controller_state(loop_mc)
+
+
+def test_access_run_matches_chained_access_calls_on_paper_geometry():
+    # The paper-default controller: full-size geometry and default timings.
+    config = SystemConfig.paper_default().controller_config()
+    run_mc, loop_mc = MemoryController(config), MemoryController(config)
+    rng = random.Random(12)
+    cap = run_mc.config.geometry.capacity_bytes
+    addrs = [rng.randrange(cap // 16) & ~0x3F for _ in range(800)]
+    finish, latencies = run_mc.access_run(addrs, 500, requestor="cpu",
+                                          collect_latencies=True)
+    now = 500
+    expected = []
+    for addr in addrs:
+        result = loop_mc.access(addr, now, requestor="cpu")
+        expected.append(result.latency)
+        now = result.finish
+    assert (finish, latencies) == (now, expected)
+    assert _controller_state(run_mc) == _controller_state(loop_mc)
+
+
+def test_access_run_rejects_out_of_range_like_access():
+    bad = GEOM.capacity_bytes + 64
+    with pytest.raises(ValueError) as single:
+        make_controller().access(bad, issued=0)
+    with pytest.raises(ValueError) as run:
+        make_controller().access_run([64, 128, bad], 0)
+    assert str(run.value) == str(single.value)
