@@ -2,10 +2,10 @@
 """Quick benchmark snapshot: figure sweeps + simulator ops/sec.
 
 Runs a reduced slice of every figure sweep through :mod:`repro.exp`
-(parallel + cached exactly like the benches), times raw simulator,
-scheduler, and warm-up/snapshot microbenchmarks, prices the telemetry
-event log on two identical figure passes, and writes the whole record
-to ``BENCH_PR10.json`` at the repo root.  Intended for
+(parallel + cached exactly like the benches), times raw simulator and
+scheduler microbenchmarks, prices the telemetry event log on two
+identical figure passes, and writes the whole record to
+``BENCH_PR10.json`` at the repo root.  Intended for
 ``make bench-quick``::
 
     PYTHONPATH=src python scripts/bench_snapshot.py [--jobs N] [--no-cache]
@@ -82,16 +82,9 @@ def run_figure_pass(jobs: int) -> dict:
         figures[name] = {
             "points": len(points),
             "seconds": round(outcome.elapsed_seconds, 3),
-            "warm_hits": outcome.warm_hits,
-            "warm_misses": outcome.warm_misses,
         }
         total += outcome.elapsed_seconds
-    return {
-        "figures": figures,
-        "seconds": round(total, 3),
-        "warm_hits": sum(f["warm_hits"] for f in figures.values()),
-        "warm_misses": sum(f["warm_misses"] for f in figures.values()),
-    }
+    return {"figures": figures, "seconds": round(total, 3)}
 
 
 def figure_passes(jobs: int) -> dict:
@@ -144,16 +137,14 @@ def _quiesce_heap() -> None:
     """Drop sweep leftovers and stop the GC from scanning what remains.
 
     The figure sweeps that run before the micro-benches leave large
-    resident heaps (the pristine-system pool, sweep results).
+    resident heaps (sweep results, module-level memos).
     Generational GC then scans those heaps from inside the
     timed loops — measured at a ~13% ops/s penalty on the simulator
     hot path (the PR2->PR5 "regression" was exactly this, not access-path
-    code).  Clearing the pools and freezing survivors takes the heap out
-    of collection entirely."""
+    code).  Shutting the worker pool and freezing survivors takes the
+    heap out of collection entirely."""
     from repro.exp import shutdown_pool
-    from repro.exp.warmstore import clear_pristine_pool
 
-    clear_pristine_pool()
     shutdown_pool()
     gc.collect()
     gc.freeze()
@@ -221,33 +212,6 @@ def scheduler_checkpoints_per_sec() -> dict:
     return record
 
 
-def snapshot_restore_speedup() -> dict:
-    """Warm-up replay vs snapshot restore for one Fig. 11 workload."""
-    from repro.system import System
-    from repro.workloads.kernels import workload_spec
-    from repro.workloads.runner import _warm, fig11_config
-
-    spec = workload_spec("PR")
-    stream = spec.refs(graph=spec.build_graph(), max_refs=20_000)
-    config = fig11_config()
-
-    system = System(config)
-    started = time.perf_counter()
-    _warm(system, [stream, stream])
-    warm_seconds = time.perf_counter() - started
-    snap = system.snapshot()
-
-    fresh = System(config)
-    started = time.perf_counter()
-    fresh.restore(snap)
-    restore_seconds = time.perf_counter() - started
-    return {
-        "warmup_seconds": round(warm_seconds, 4),
-        "restore_seconds": round(restore_seconds, 4),
-        "speedup": round(warm_seconds / max(restore_seconds, 1e-9), 1),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=None,
@@ -299,11 +263,6 @@ def main(argv=None) -> int:
     fast = record["scheduler"]["fast_path"]["checkpoints_per_sec"]
     slow = record["scheduler"]["slow_path"]["checkpoints_per_sec"]
     print(f"scheduler: {fast:,}/sec fast path vs {slow:,}/sec slow path")
-
-    print("timing warm-up vs snapshot restore...")
-    record["snapshot"] = snapshot_restore_speedup()
-    print(f"snapshot restore: {record['snapshot']['speedup']}x faster "
-          f"than re-warming")
 
     print("measuring figure passes (plain + telemetry)...")
     record["figure_passes"] = figure_passes(jobs)

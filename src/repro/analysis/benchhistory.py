@@ -25,7 +25,6 @@ BENCH_METRICS: List[Tuple[str, str, str]] = [
     ("simulator.ops_per_sec", "simulator.ops_per_sec", "higher"),
     ("scheduler.checkpoints_per_sec",
      "scheduler.fast_path.checkpoints_per_sec", "higher"),
-    ("snapshot.restore_speedup", "snapshot.speedup", "higher"),
     ("suite_seconds", "suite_seconds", "lower"),
     ("telemetry.warm_overhead_pct",
      "telemetry_overhead.overhead_pct", "lower"),

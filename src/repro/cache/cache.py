@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.cache.replacement import (
     ReplacementPolicy,
@@ -85,12 +85,13 @@ class CacheStats:
 class Cache:
     """One cache level; addresses are physical byte addresses.
 
-    Each set keeps two views of its contents: a way-indexed tag array
-    (``-1`` for invalid ways; physical line numbers are non-negative) for
-    victim bookkeeping, and a ``{line: way}`` dict for lookups.  The dict
-    makes hits *and* misses a single O(1) probe — the miss path previously
-    paid a full ``list.index`` scan plus a raised ``ValueError``, squarely
-    on the simulator's hottest path.
+    State is flat.  Way ``w`` of set ``s`` is slot ``s * ways + w`` in the
+    tag and dirty-bit lists (tag ``-1`` marks an invalid way; physical
+    line numbers are non-negative), and one ``{line: slot}`` dict answers
+    lookups, so a hit and a miss each cost a single O(1) probe.  Flat
+    lists also keep construction cheap: a 64 MB LLC has 1M slots, and
+    per-set rows would make allocating them most of the cost of building
+    a :class:`repro.system.System`.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -100,28 +101,25 @@ class Cache:
         self._num_sets = sets
         self._ways = ways
         self._line_bytes = config.line_bytes
-        self._tags: List[List[int]] = [[-1] * ways for _ in range(sets)]
-        self._valid: List[List[bool]] = [[False] * ways for _ in range(sets)]
-        self._dirty: List[List[bool]] = [[False] * ways for _ in range(sets)]
-        self._where: List[dict] = [{} for _ in range(sets)]
+        self._tags: List[int] = [-1] * (sets * ways)
+        self._dirty: List[bool] = [False] * (sets * ways)
+        self._where: Dict[int, int] = {}
+        # Valid ways per set: a set below ``ways`` fills its first invalid
+        # way, so the policy only ever picks victims in full sets.
+        self._filled: List[int] = [0] * sets
         self._policy: ReplacementPolicy = make_replacement_policy(
             config.replacement, sets, ways)
         self._policy_on_hit = self._policy.on_hit
         self._policy_on_fill = self._policy.on_fill
         self._policy_victim = self._policy.victim
         # SRRIP (L2/LLC in the Table 2 config) carries the bulk of fill
-        # traffic; alias its RRPV array so access/fill can update it inline
-        # instead of paying two policy calls per fill.  The alias shares
-        # the *row lists* with the policy object — anything restoring
-        # policy state must mutate those lists in place.
+        # traffic; alias its RRPV list so access/fill update it inline
+        # instead of paying a policy call per hit or fill.
         if isinstance(self._policy, SRRIPPolicy):
-            self._rrpv: Optional[List[List[int]]] = self._policy._rrpv
-            self._max_rrpv = self._policy.MAX_RRPV
+            self._rrpv: Optional[List[int]] = self._policy._rrpv
             self._insert_rrpv = self._policy.MAX_RRPV - 1
         else:
             self._rrpv = None
-            self._max_rrpv = 0
-            self._insert_rrpv = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -141,31 +139,24 @@ class Cache:
     # Operations
     # ------------------------------------------------------------------
 
-    def _find(self, addr: int) -> Optional[int]:
-        line = addr // self._line_bytes
-        return self._where[line % self._num_sets].get(line)
-
     def probe(self, addr: int) -> bool:
         """Presence check with no replacement-state side effects."""
-        line = addr // self._line_bytes
-        return line in self._where[line % self._num_sets]
+        return addr // self._line_bytes in self._where
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Look up ``addr``; returns True on hit (updates replacement and
         dirty state). A miss does NOT allocate — call :meth:`fill`."""
-        line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        way = self._where[set_index].get(line)
-        if way is None:
+        slot = self._where.get(addr // self._line_bytes)
+        if slot is None:
             self.stats.misses += 1
             return False
         rrpv = self._rrpv
         if rrpv is not None:
-            rrpv[set_index][way] = 0
+            rrpv[slot] = 0
         else:
-            self._policy_on_hit(set_index, way)
+            self._policy_on_hit(slot)
         if is_write:
-            self._dirty[set_index][way] = True
+            self._dirty[slot] = True
         self.stats.hits += 1
         return True
 
@@ -176,55 +167,44 @@ class Cache:
         Filling a line that is already present just refreshes its state.
         """
         line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        where = self._where[set_index]
-        existing = where.get(line)
-        rrpv_all = self._rrpv
-        if existing is not None:
-            if rrpv_all is not None:
-                rrpv_all[set_index][existing] = 0
+        where = self._where
+        slot = where.get(line)
+        rrpv = self._rrpv
+        if slot is not None:
+            if rrpv is not None:
+                rrpv[slot] = 0
             else:
-                self._policy_on_hit(set_index, existing)
+                self._policy_on_hit(slot)
             if dirty:
-                self._dirty[set_index][existing] = True
+                self._dirty[slot] = True
             return None
-        valid = self._valid[set_index]
-        if rrpv_all is not None:
-            # Inlined SRRIPPolicy.victim/on_fill (provably identical):
-            # invalid way first, else first way at MAX_RRPV after one-shot
-            # aging; insert the new line at MAX_RRPV - 1.
-            if False in valid:
-                way = valid.index(False)
-            else:
-                rrpvs = rrpv_all[set_index]
-                max_rrpv = self._max_rrpv
-                if max_rrpv not in rrpvs:
-                    step = max_rrpv - max(rrpvs)
-                    rrpvs[:] = [r + step for r in rrpvs]
-                way = rrpvs.index(max_rrpv)
-        else:
-            way = self._policy_victim(set_index, valid)
-        tags = self._tags[set_index]
-        dirty_bits = self._dirty[set_index]
-        stats = self.stats
+        set_index = line % self._num_sets
+        base = set_index * self._ways
+        tags = self._tags
+        filled = self._filled
         evicted: Optional[EvictedLine] = None
-        if valid[way]:
-            old_line = tags[way]
+        if filled[set_index] < self._ways:
+            # The set has an invalid way: take the first one.
+            slot = tags.index(-1, base)
+            filled[set_index] += 1
+        else:
+            slot = self._policy_victim(base)
+            old_line = tags[slot]
             del where[old_line]
-            old_dirty = dirty_bits[way]
+            old_dirty = self._dirty[slot]
             evicted = EvictedLine(old_line * self._line_bytes, old_dirty)
+            stats = self.stats
             stats.evictions += 1
             if old_dirty:
                 stats.writebacks += 1
-        tags[way] = line
-        where[line] = way
-        valid[way] = True
-        dirty_bits[way] = dirty
-        if rrpv_all is not None:
-            rrpv_all[set_index][way] = self._insert_rrpv
+        tags[slot] = line
+        where[line] = slot
+        self._dirty[slot] = dirty
+        if rrpv is not None:
+            rrpv[slot] = self._insert_rrpv
         else:
-            self._policy_on_fill(set_index, way)
-        stats.fills += 1
+            self._policy_on_fill(slot)
+        self.stats.fills += 1
         return evicted
 
     def invalidate(self, addr: int) -> Optional[bool]:
@@ -232,55 +212,25 @@ class Cache:
         (None if the line was not present). Used by clflush and by
         back-invalidation from an inclusive LLC."""
         line = addr // self._line_bytes
-        set_index = line % self._num_sets
-        way = self._where[set_index].pop(line, None)
-        if way is None:
+        slot = self._where.pop(line, None)
+        if slot is None:
             return None
-        dirty = self._dirty[set_index][way]
-        self._valid[set_index][way] = False
-        self._dirty[set_index][way] = False
-        self._tags[set_index][way] = -1
+        dirty = self._dirty[slot]
+        self._dirty[slot] = False
+        self._tags[slot] = -1
+        self._filled[line % self._num_sets] -= 1
         self.stats.invalidations += 1
         return dirty
 
     def resident_lines(self, set_index: int) -> List[int]:
         """Line addresses currently resident in ``set_index`` (testing aid)."""
-        result = []
-        for way in range(self._ways):
-            if self._valid[set_index][way]:
-                result.append(self._tags[set_index][way] * self._line_bytes)
-        return result
+        base = set_index * self._ways
+        return [tag * self._line_bytes
+                for tag in self._tags[base:base + self._ways] if tag >= 0]
 
     def reset_stats(self) -> None:
         """Zero the counters; cache contents are kept."""
         self.stats = CacheStats()
-
-    def snapshot_state(self) -> dict:
-        """Full copied state: contents, replacement metadata, counters."""
-        s = self.stats
-        return {
-            "tags": [list(row) for row in self._tags],
-            "valid": [list(row) for row in self._valid],
-            "dirty": [list(row) for row in self._dirty],
-            "where": [dict(d) for d in self._where],
-            "policy": self._policy.snapshot_state(),
-            "stats": (s.hits, s.misses, s.fills, s.evictions,
-                      s.writebacks, s.invalidations),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`snapshot_state` output (copies on the way in)."""
-        for dst, src in zip(self._tags, state["tags"]):
-            dst[:] = src
-        for dst, src in zip(self._valid, state["valid"]):
-            dst[:] = src
-        for dst, src in zip(self._dirty, state["dirty"]):
-            dst[:] = src
-        for dst_map, src_map in zip(self._where, state["where"]):
-            dst_map.clear()
-            dst_map.update(src_map)
-        self._policy.restore_state(state["policy"])
-        self.stats = CacheStats(*state["stats"])
 
     @property
     def latency_cycles(self) -> int:

@@ -590,48 +590,6 @@ class CacheHierarchy:
                 result.append(candidate)
         return result
 
-    def snapshot_state(self) -> dict:
-        """Copied state of every cache level, prefetcher table, in-flight
-        fill, RNG, and counter (for warm-state snapshots)."""
-        stats = self.stats
-        return {
-            "l1": [cache.snapshot_state() for cache in self.l1],
-            "l2": [cache.snapshot_state() for cache in self.l2],
-            "llc": self.llc.snapshot_state(),
-            "l1_pf": [pf.snapshot_state() for pf in self._l1_prefetchers],
-            "l2_pf": [pf.snapshot_state() for pf in self._l2_prefetchers],
-            "nt_rng": self._nt_rng.getstate(),
-            "inflight_fills": dict(self._inflight_fills),
-            "stats": (stats.demand_accesses, stats.prefetches_issued,
-                      stats.clflushes, stats.nt_accesses, stats.nt_bypasses,
-                      stats.memory_writebacks, stats.late_prefetch_stalls),
-            "by_requestor": {
-                name: (s.accesses, s.llc_misses, s.clflushes, s.nt_accesses,
-                       s.first_seen_cycle, s.last_seen_cycle)
-                for name, s in stats.by_requestor.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        for cache, cache_state in zip(self.l1, state["l1"]):
-            cache.restore_state(cache_state)
-        for cache, cache_state in zip(self.l2, state["l2"]):
-            cache.restore_state(cache_state)
-        self.llc.restore_state(state["llc"])
-        for pf, pf_state in zip(self._l1_prefetchers, state["l1_pf"]):
-            pf.restore_state(pf_state)
-        for pf, pf_state in zip(self._l2_prefetchers, state["l2_pf"]):
-            pf.restore_state(pf_state)
-        self._nt_rng.setstate(state["nt_rng"])
-        self._inflight_fills.clear()
-        self._inflight_fills.update(state["inflight_fills"])
-        stats = HierarchyStats(*state["stats"])
-        stats.by_requestor = {
-            name: RequestorCacheStats(*vals)
-            for name, vals in state["by_requestor"].items()
-        }
-        self.stats = stats
-
     def reset_stats(self) -> None:
         """Zero every counter — hierarchy-level, per-requestor, and each
         cache level's — while keeping cache contents.  Used between a
@@ -645,11 +603,3 @@ class CacheHierarchy:
         so a measured replay can restart the clock at zero after a warm-up
         pass; cache contents are kept."""
         self._inflight_fills.clear()
-
-    def flush_all(self) -> None:
-        """Drop all cached state (testing aid; not an ISA operation)."""
-        config = self.config
-        controller = self.controller
-        obs = self._obs
-        self.__init__(config, controller)
-        self._obs = obs

@@ -33,13 +33,6 @@ class IPStridePrefetcher:
         self._table: Dict[int, Tuple[int, int, int]] = {}
         self._capacity = table_entries
 
-    def snapshot_state(self) -> Dict[int, Tuple[int, int, int]]:
-        return dict(self._table)
-
-    def restore_state(self, state: Dict[int, Tuple[int, int, int]]) -> None:
-        self._table.clear()
-        self._table.update(state)
-
     def observe(self, pc: Optional[int], addr: int) -> List[int]:
         """Record a demand access; return addresses to prefetch."""
         if pc is None:
@@ -88,13 +81,6 @@ class StreamerPrefetcher:
         self.line_bytes = line_bytes
         self._regions: Dict[int, Tuple[int, int]] = {}
         self._capacity = tracked_regions
-
-    def snapshot_state(self) -> Dict[int, Tuple[int, int]]:
-        return dict(self._regions)
-
-    def restore_state(self, state: Dict[int, Tuple[int, int]]) -> None:
-        self._regions.clear()
-        self._regions.update(state)
 
     def observe(self, pc: Optional[int], addr: int) -> List[int]:
         """Record a demand access; return addresses to prefetch."""

@@ -10,13 +10,14 @@ eviction sets), and SRRIP in particular can retain a target line after
 from __future__ import annotations
 
 import random
-from typing import List, Optional
 
 
 class ReplacementPolicy:
     """Per-cache replacement state; one instance manages every set.
 
-    ``ways`` slots per set; ways are addressed ``0 .. ways-1`` within a set.
+    State is flat, like :class:`repro.cache.cache.Cache`'s: way ``w`` of
+    set ``s`` is slot ``s * ways + w``.  The cache fills invalid ways
+    itself, so :meth:`victim` is only asked about full sets.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
@@ -25,33 +26,18 @@ class ReplacementPolicy:
         self.num_sets = num_sets
         self.ways = ways
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        """Update state after a hit on ``way``."""
+    def on_hit(self, slot: int) -> None:
+        """Update state after a hit on ``slot``."""
         raise NotImplementedError
 
-    def on_fill(self, set_index: int, way: int) -> None:
-        """Update state after filling a new line into ``way``."""
+    def on_fill(self, slot: int) -> None:
+        """Update state after filling a new line into ``slot``."""
         raise NotImplementedError
 
-    def victim(self, set_index: int, valid: List[bool]) -> int:
-        """Choose the way to evict (an invalid way is preferred)."""
+    def victim(self, base: int) -> int:
+        """Choose the slot to evict from the full set whose first slot is
+        ``base``."""
         raise NotImplementedError
-
-    def snapshot_state(self):
-        """Copied replacement metadata for warm-state snapshots."""
-        return None
-
-    def restore_state(self, state) -> None:
-        """Restore :meth:`snapshot_state` output.  Implementations must
-        mutate existing per-set lists in place — callers may alias them
-        (see :mod:`repro.sim.snapshot`)."""
-
-    def _first_invalid(self, valid: List[bool]) -> Optional[int]:
-        # Membership test first: a full set (the steady state) costs one
-        # C-speed scan instead of a raised-and-caught ValueError.
-        if False in valid:
-            return valid.index(False)
-        return None
 
 
 class LRUPolicy(ReplacementPolicy):
@@ -60,30 +46,18 @@ class LRUPolicy(ReplacementPolicy):
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
         self._stamp = 0
-        self._last_use = [[0] * ways for _ in range(num_sets)]
+        self._last_use = [0] * (num_sets * ways)
 
-    def on_hit(self, set_index: int, way: int) -> None:
+    def on_hit(self, slot: int) -> None:
         stamp = self._stamp + 1
         self._stamp = stamp
-        self._last_use[set_index][way] = stamp
+        self._last_use[slot] = stamp
 
     on_fill = on_hit
 
-    def victim(self, set_index: int, valid: List[bool]) -> int:
-        invalid = self._first_invalid(valid)
-        if invalid is not None:
-            return invalid
-        uses = self._last_use[set_index]
-        return uses.index(min(uses))
-
-    def snapshot_state(self):
-        return self._stamp, [list(row) for row in self._last_use]
-
-    def restore_state(self, state) -> None:
-        stamp, last_use = state
-        self._stamp = stamp
-        for dst, src in zip(self._last_use, last_use):
-            dst[:] = src
+    def victim(self, base: int) -> int:
+        uses = self._last_use[base:base + self.ways]
+        return base + uses.index(min(uses))
 
 
 class SRRIPPolicy(ReplacementPolicy):
@@ -98,37 +72,29 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
-        self._rrpv = [[self.MAX_RRPV] * ways for _ in range(num_sets)]
+        self._rrpv = [self.MAX_RRPV] * (num_sets * ways)
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = 0
+    def on_hit(self, slot: int) -> None:
+        self._rrpv[slot] = 0
 
-    def on_fill(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = self.MAX_RRPV - 1
+    def on_fill(self, slot: int) -> None:
+        self._rrpv[slot] = self.MAX_RRPV - 1
 
-    def victim(self, set_index: int, valid: List[bool]) -> int:
-        if False in valid:
-            return valid.index(False)
-        rrpvs = self._rrpv[set_index]
-        max_rrpv = self.MAX_RRPV
-        while True:
-            # RRPVs never exceed MAX_RRPV (aging only runs when no way is
-            # at the maximum), so the ==-scan is an exact-match search.
-            if max_rrpv in rrpvs:
-                return rrpvs.index(max_rrpv)
-            # Age every line by the distance to the nearest re-reference
-            # in one shot — equivalent to repeated +1 rounds.
-            step = max_rrpv - max(rrpvs)
-            rrpvs[:] = [r + step for r in rrpvs]
-
-    def snapshot_state(self):
-        return [list(row) for row in self._rrpv]
-
-    def restore_state(self, state) -> None:
-        # In place: Cache aliases these row lists for its inlined SRRIP
-        # fast path — rebinding them would silently break the alias.
-        for dst, src in zip(self._rrpv, state):
-            dst[:] = src
+    def victim(self, base: int) -> int:
+        rrpv = self._rrpv
+        end = base + self.ways
+        try:
+            return rrpv.index(self.MAX_RRPV, base, end)
+        except ValueError:
+            pass
+        # No way is at the maximum (RRPVs never exceed it): age every line
+        # by the distance to the nearest re-reference in one shot,
+        # equivalent to repeated +1 rounds.
+        row = rrpv[base:end]
+        oldest = max(row)
+        step = self.MAX_RRPV - oldest
+        rrpv[base:end] = [r + step for r in row]
+        return base + row.index(oldest)
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -138,23 +104,14 @@ class RandomPolicy(ReplacementPolicy):
         super().__init__(num_sets, ways)
         self._rng = random.Random(seed)
 
-    def on_hit(self, set_index: int, way: int) -> None:
+    def on_hit(self, slot: int) -> None:
         pass
 
-    def on_fill(self, set_index: int, way: int) -> None:
+    def on_fill(self, slot: int) -> None:
         pass
 
-    def victim(self, set_index: int, valid: List[bool]) -> int:
-        invalid = self._first_invalid(valid)
-        if invalid is not None:
-            return invalid
-        return self._rng.randrange(self.ways)
-
-    def snapshot_state(self):
-        return self._rng.getstate()
-
-    def restore_state(self, state) -> None:
-        self._rng.setstate(state)
+    def victim(self, base: int) -> int:
+        return base + self._rng.randrange(self.ways)
 
 
 _POLICIES = {"lru": LRUPolicy, "srrip": SRRIPPolicy, "random": RandomPolicy}

@@ -298,18 +298,6 @@ class Bank:
         self.busy_until = max(self.busy_until, until)
         self.open_row = None
 
-    def snapshot_state(self) -> tuple:
-        """Copied row-buffer state + counters (for warm-state snapshots)."""
-        s = self.stats
-        return (self.open_row, self.busy_until, self.last_activation,
-                self.row_opened_at,
-                (s.hits, s.empties, s.conflicts, s.activations, s.rowclones))
-
-    def restore_state(self, state: tuple) -> None:
-        (self.open_row, self.busy_until, self.last_activation,
-         self.row_opened_at, counters) = state
-        self.stats = BankStats(*counters)
-
     def snapshot(self) -> Dict[str, object]:
         """Debug/telemetry snapshot of bank state."""
         return {

@@ -440,37 +440,6 @@ class MemoryController:
         memory-massaging primitive (§4.1)."""
         return self.mapper.encode(bank, row, col)
 
-    def snapshot_state(self) -> dict:
-        """Copied controller + bank state for warm-state snapshots."""
-        return {
-            "banks": [bank.snapshot_state() for bank in self.device.banks],
-            "locked_until": self._locked_until,
-            "refresh_epoch": self.device.refresh_epoch,
-            "partition": dict(self._partition),
-            "requestor_stats": {
-                name: (s.reads, s.writes, s.activates, s.rowclones,
-                       s.hits, s.conflicts)
-                for name, s in self.requestor_stats.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        banks = self.device.banks
-        saved = state["banks"]
-        if len(saved) != len(banks):
-            raise ValueError("snapshot bank count mismatch")
-        for bank, bank_state in zip(banks, saved):
-            bank.restore_state(bank_state)
-        self._locked_until = state["locked_until"]
-        self.device.refresh_epoch = state["refresh_epoch"]
-        self._partition = dict(state["partition"])
-        self.requestor_stats = {
-            name: RequestorStats(*vals)
-            for name, vals in state["requestor_stats"].items()
-        }
-        if self._obs is not None:
-            self._obs.on_clock_reset("restore")
-
     def reset_stats(self) -> None:
         """Zero per-requestor and per-bank counters; device state is kept."""
         self.requestor_stats.clear()

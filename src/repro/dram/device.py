@@ -25,9 +25,9 @@ class DRAMDevice:
         self.refresh_enabled = refresh_enabled
         #: Offset added to the local clock when computing refresh phases.
         #: The refresh schedule is a function of *absolute* time; rebasing
-        #: the clocks to zero after a warm-up pass (or restoring a snapshot
-        #: taken at large t) must not silently shift every rank's stagger,
-        #: so the discarded time accumulates here (mod tREFI).
+        #: the clocks to zero after a warm-up pass must not silently shift
+        #: every rank's stagger, so the discarded time accumulates here
+        #: (mod tREFI).
         self.refresh_epoch = 0
         self.banks: List[Bank] = [
             Bank(index=i, timings=timings) for i in range(geometry.num_banks)

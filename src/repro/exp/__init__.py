@@ -41,7 +41,6 @@ from repro.exp.runner import (
     shutdown_pool,
 )
 from repro.exp.sweep import SweepPoint, sweep_points
-from repro.exp.warmstore import pristine_system
 
 __all__ = [
     "MISSING",
@@ -60,7 +59,6 @@ __all__ = [
     "default_jobs",
     "metrics_path",
     "point_slug",
-    "pristine_system",
     "run_adaptive_sweep",
     "run_sweep",
     "shutdown_pool",

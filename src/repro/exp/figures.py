@@ -9,13 +9,9 @@ consumer at once.
 
 Results are bit-identical to the historical in-bench implementations:
 each point builds its own :class:`repro.system.System` from a config and
-all randomness is seeded per-config or per-call.
-
-Construction reuse: the fig8 and fig10 points lease their systems from
-the in-process pristine-system pool
-(:func:`repro.exp.warmstore.pristine_system`).  Reuse is pure: a pooled
-system is indistinguishable from a fresh one (``REPRO_NO_WARMSTORE=1``
-forces fresh construction; the equivalence tests diff both).
+all randomness is seeded per-config or per-call.  Construction is cheap
+(a 64 MB-LLC machine builds in a few tens of milliseconds), so every
+channel gets a fresh machine.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional
 
 from repro.config import SystemConfig
-from repro.exp.warmstore import pristine_system
 from repro.system import System
 
 # ---------------------------------------------------------------------------
@@ -70,26 +65,21 @@ def fig8_point(llc_mb: float) -> Dict[str, float]:
 
     base = SystemConfig.paper_default().with_llc(float(llc_mb))
     xor_base = replace(base, mapping="xor")
-    # pristine_system() reuses one pooled machine per config (restored to
-    # construction-time state between channels); channels run strictly one
-    # after another, so the aliasing is safe, and the pool self-bypasses
-    # under observers/sanitizer/metrics.
     point: Dict[str, float] = {}
-    point["DRAMA-eviction"] = DramaEvictionChannel(pristine_system(xor_base)) \
+    point["DRAMA-eviction"] = DramaEvictionChannel(System(xor_base)) \
         .transmit_random(64, seed=1).throughput_mbps
-    point["DRAMA-clflush"] = DramaClflushChannel(pristine_system(base)) \
+    point["DRAMA-clflush"] = DramaClflushChannel(System(base)) \
         .transmit_random(192, seed=1).throughput_mbps
-    point["Streamline"] = StreamlineChannel(pristine_system(base)) \
+    point["Streamline"] = StreamlineChannel(System(base)) \
         .transmit_random(192, seed=1).throughput_mbps
-    point["Streamline-bound"] = streamline_upper_bound_mbps(
-        pristine_system(base))
-    point["DMA-engine"] = DmaEngineChannel(pristine_system(base)) \
+    point["Streamline-bound"] = streamline_upper_bound_mbps(System(base))
+    point["DMA-engine"] = DmaEngineChannel(System(base)) \
         .transmit_random(384, seed=1).throughput_mbps
-    point["PnM-OffChip"] = PnmOffchipChannel(pristine_system(base)) \
+    point["PnM-OffChip"] = PnmOffchipChannel(System(base)) \
         .transmit_random(512, seed=1).throughput_mbps
-    point["IMPACT-PnM"] = ImpactPnmChannel(pristine_system(base)) \
+    point["IMPACT-PnM"] = ImpactPnmChannel(System(base)) \
         .transmit_random(512, seed=1).throughput_mbps
-    point["IMPACT-PuM"] = ImpactPumChannel(pristine_system(base)) \
+    point["IMPACT-PuM"] = ImpactPumChannel(System(base)) \
         .transmit_random(512, seed=1).throughput_mbps
     return point
 
@@ -147,7 +137,7 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
         config = (replace(base, mapping="xor")
                   if cli_name == "drama-eviction" else base)
         message_bits = max(16, _FIG8_BITS[cli_name] * int(bits) // 512)
-        channel = ATTACKS[cli_name](pristine_system(config))
+        channel = ATTACKS[cli_name](System(config))
         result = channel.transmit_random(message_bits, seed=int(seed))
         quality = result.quality(channel.threshold_cycles)
         out["attacks"][_FIG8_NAMES[cli_name]] = {
@@ -158,8 +148,7 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
         }
     if attacks is None or "streamline" in names:
         out["attacks"]["Streamline-bound"] = {
-            "throughput_mbps": streamline_upper_bound_mbps(
-                pristine_system(base))}
+            "throughput_mbps": streamline_upper_bound_mbps(System(base))}
     return out
 
 
@@ -229,7 +218,7 @@ def fig10_point(num_banks: int, rounds: int = 100) -> Dict[str, Any]:
               .with_banks(num_banks)
               .with_noise(FIG10_NOISE_RATE))
     schedule, entries_per_bank = _fig10_schedule(num_banks, rounds)
-    system = pristine_system(config)
+    system = System(config)
     channel = ReadMappingSideChannel(system)
     result = channel.run(schedule, entries_per_bank=entries_per_bank)
     return side_channel_payload(result)

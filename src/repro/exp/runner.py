@@ -8,13 +8,12 @@ bit-identical to serial execution — the runner only changes wall-clock
 time, never numbers.
 
 Unlike the per-sweep ``ProcessPoolExecutor`` this replaced, the pool's
-workers survive across sweeps: each worker keeps its
-:mod:`repro.exp.warmstore` pristine-system pool, so a worker that has
-already built the 64 MB-LLC system serves every subsequent point sharing
-that config without rebuilding it.  Because workers fork *before* later
-environment changes, every task carries a ``REPRO_*`` environment overlay
-captured in the parent at dispatch time — trace/metrics directories and
-sanitizer flags behave exactly as if the worker had been forked fresh.
+workers survive across sweeps, so only the first parallel sweep pays
+for process start-up.
+Because workers fork *before* later environment changes, every task
+carries a ``REPRO_*`` environment overlay captured in the parent at
+dispatch time — trace/metrics directories and sanitizer flags behave
+exactly as if the worker had been forked fresh.
 
 Degradation is graceful by design: ``jobs=1``, a single pending point, or
 an environment where worker processes cannot be spawned (sandboxes without
@@ -42,11 +41,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import (Any, Callable, Dict, List, Iterator, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro import obs
-from repro.exp import warmstore
 from repro.exp.cache import ResultCache
 from repro.exp.sweep import SweepPoint
 from repro.obs import metrics as obs_metrics
@@ -92,11 +89,11 @@ class SweepOutcome:
     cache_misses: int = 0
     elapsed_seconds: float = 0.0
     fallback_reason: Optional[str] = None
-    #: Warm-state reuse during the executed (non-result-cached) points:
-    #: pristine-system leases served from the :mod:`repro.exp.warmstore`
-    #: pool vs. built from scratch.
+    #: Always 0: every point builds fresh systems, and nothing is reused
+    #: between points except result-cache entries (``cache_hits``).  The
+    #: field stays because benchmark harnesses read it to prove a run
+    #: was cold.
     warm_hits: int = 0
-    warm_misses: int = 0
     points: Sequence[SweepPoint] = field(default_factory=tuple)
     #: Causal run ID minted for this sweep — every telemetry record,
     #: stamped trace, and stamped metrics JSON the sweep produced carries
@@ -166,7 +163,6 @@ def _run_point(point: SweepPoint, run_id: Optional[str] = None,
         os.makedirs(metrics_dir, exist_ok=True)
         registry = obs_metrics.install(obs_metrics.MetricsRegistry())
     started = time.perf_counter()
-    warm_before = warmstore.counters()
     ok = True
     try:
         if registry is not None:
@@ -177,12 +173,9 @@ def _run_point(point: SweepPoint, run_id: Optional[str] = None,
         ok = False
         raise
     finally:
-        warm_after = warmstore.counters()
         telemetry.emit(
             "point_end", run_id=run_id, span_id=span_id, point_slug=slug,
-            ok=ok, elapsed_s=round(time.perf_counter() - started, 6),
-            warm_hits=warm_after["hits"] - warm_before["hits"],
-            warm_misses=warm_after["misses"] - warm_before["misses"])
+            ok=ok, elapsed_s=round(time.perf_counter() - started, 6))
         if tracer is not None:
             if previous_observer is not None:
                 obs.install(previous_observer)
@@ -209,9 +202,8 @@ def _pool_worker_main(conn) -> None:
     ``REPRO_*`` environment at dispatch time; the worker mirrors it
     exactly (removing stale keys) before running the point, so a worker
     forked long ago behaves like one forked for this sweep.  Replies are
-    ``(seq, ok, payload, warm_delta)`` — ``payload`` is the point result
-    or the raised exception, ``warm_delta`` the pristine-pool hit/miss
-    counts this point generated.  ``None`` shuts the worker down.
+    ``(seq, ok, payload)`` — ``payload`` is the point result or the
+    raised exception.  ``None`` shuts the worker down.
     """
     while True:
         try:
@@ -225,21 +217,17 @@ def _pool_worker_main(conn) -> None:
                     if k.startswith("REPRO_") and k not in env]:
             del os.environ[key]
         os.environ.update(env)
-        before = warmstore.counters()
         ok = True
         try:
             payload: Any = _run_point(point)
         except BaseException as exc:  # transported to the parent
             ok = False
             payload = exc
-        after = warmstore.counters()
-        warm_delta = {key: after[key] - before[key] for key in after}
         try:
-            conn.send((seq, ok, payload, warm_delta))
+            conn.send((seq, ok, payload))
         except Exception as exc:  # unpicklable payload/exception
             conn.send((seq, False,
-                       RuntimeError(f"unpicklable point result: {exc}"),
-                       warm_delta))
+                       RuntimeError(f"unpicklable point result: {exc}")))
     conn.close()
 
 
@@ -267,14 +255,13 @@ class WorkerHandle:
 class WorkerPool:
     """Reusable fork-server pool of :func:`_pool_worker_main` processes.
 
-    Workers persist across :func:`run_sweep` calls (that is the point:
-    their pristine-system pools keep paying off), grow on demand up
+    Workers persist across :func:`run_sweep` calls, grow on demand up
     to the ``jobs`` currently requested, and are torn down via
     :func:`shutdown_pool` (registered ``atexit``).  The pool no longer
     only grows: :meth:`run` trims back to the requested parallelism when
     it finishes and :meth:`shrink` retires idle workers on demand, so one
-    wide sweep does not pin worker processes (and their pooled systems) at
-    the high-water mark forever.  :meth:`run` is the only dispatcher.
+    wide sweep does not pin worker processes at the high-water mark
+    forever.  :meth:`run` is the only dispatcher.
     """
 
     def __init__(self) -> None:
@@ -331,8 +318,7 @@ class WorkerPool:
 
     def shrink(self, target: int) -> int:
         """Retire idle workers until at most ``target`` remain; returns
-        how many were retired.  Newest workers go first, so the
-        longest-lived — warmest — pools survive."""
+        how many were retired.  Newest workers go first."""
         target = max(0, int(target))
         removed = 0
         while len(self._workers) > target:
@@ -341,17 +327,16 @@ class WorkerPool:
         return removed
 
     def run(self, points: Sequence[SweepPoint], jobs: int,
-            on_result: Optional[Callable[[int, Any, Dict[str, int]],
-                                         None]] = None,
+            on_result: Optional[Callable[[int, Any], None]] = None,
             span_ids: Optional[Sequence[Optional[str]]] = None,
-            ) -> List[Tuple[Any, Dict[str, int]]]:
-        """Execute ``points``; returns ``(payload, warm_delta)`` pairs in
-        point order.  Re-raises the first failing point's exception after
-        draining in-flight tasks (the pool stays reusable) — but first
-        every successfully completed payload is handed to ``on_result``
-        (called as ``on_result(index, payload, warm_delta)`` as results
-        arrive), so callers can commit finished work before the raise and
-        a retried sweep never redoes completed points.
+            ) -> List[Any]:
+        """Execute ``points``; returns their payloads in point order.
+        Re-raises the first failing point's exception after draining
+        in-flight tasks (the pool stays reusable) — but first every
+        successfully completed payload is handed to ``on_result`` (called
+        as ``on_result(index, payload)`` as results arrive), so callers
+        can commit finished work before the raise and a retried sweep
+        never redoes completed points.
 
         ``span_ids`` aligns with ``points``: each task's env overlay
         carries its span so the worker's telemetry records chain with the
@@ -363,7 +348,7 @@ class WorkerPool:
         env.pop(telemetry.ENV_SPAN_ID, None)
         spans: List[Optional[str]] = (list(span_ids) if span_ids is not None
                                       else [None] * len(points))
-        out: List[Optional[Tuple[Any, Dict[str, int]]]] = [None] * len(points)
+        out: List[Any] = [None] * len(points)
         failure: Optional[BaseException] = None
         next_index = 0
         self.ensure(count)
@@ -386,12 +371,12 @@ class WorkerPool:
                 if not busy:
                     break
                 for conn in mp_connection.wait(list(busy)):
-                    seq, ok, payload, warm_delta = conn.recv()
+                    seq, ok, payload = conn.recv()
                     idle.append(busy.pop(conn))
                     if ok:
-                        out[seq] = (payload, warm_delta)
+                        out[seq] = payload
                         if on_result is not None:
-                            on_result(seq, payload, warm_delta)
+                            on_result(seq, payload)
                     else:
                         telemetry.emit(
                             "point_failed", span_id=spans[seq],
@@ -412,7 +397,7 @@ class WorkerPool:
             self.shrink(jobs)
         if failure is not None:
             raise failure
-        return [pair for pair in out]  # type: ignore[misc]
+        return out
 
     def shutdown(self) -> None:
         for handle in list(self._workers):
@@ -436,10 +421,9 @@ atexit.register(shutdown_pool)
 
 
 def _run_parallel(points: Sequence[SweepPoint], jobs: int,
-                  on_result: Optional[Callable[[int, Any, Dict[str, int]],
-                                               None]] = None,
+                  on_result: Optional[Callable[[int, Any], None]] = None,
                   span_ids: Optional[Sequence[Optional[str]]] = None,
-                  ) -> List[Tuple[Any, Dict[str, int]]]:
+                  ) -> List[Any]:
     """Execute ``points`` on the persistent pool (created on first use);
     results in point order."""
     global _POOL
@@ -544,8 +528,6 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
 
     parallel = False
     fallback_reason: Optional[str] = None
-    warm_hits = 0
-    warm_misses = 0
     telemetry.emit("run_start", run_id=run_id, points=len(points),
                    pending=len(pending), cache_hits=cache_hits, jobs=jobs)
 
@@ -574,21 +556,12 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
                            span_id=spans[pos],
                            point_slug=point_slug(points[index]))
 
-        def _parallel_result(pos: int, payload: Any,
-                             delta: Dict[str, int]) -> None:
-            nonlocal warm_hits, warm_misses
-            warm_hits += delta["hits"]
-            warm_misses += delta["misses"]
-            _commit(pos, payload)
-
         def _run_serial_committing(positions: Sequence[int]) -> None:
-            nonlocal warm_hits, warm_misses
             for pos in positions:
                 telemetry.emit("point_dispatched", run_id=run_id,
                                span_id=spans[pos],
                                point_slug=point_slug(todo[pos]),
                                worker_pid=os.getpid())
-                before = warmstore.counters()
                 try:
                     payload = _run_point(todo[pos], run_id=run_id,
                                          span_id=spans[pos])
@@ -598,30 +571,12 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
                         point_slug=point_slug(todo[pos]),
                         error=f"{type(exc).__name__}: {exc}")
                     raise
-                finally:
-                    after = warmstore.counters()
-                    warm_hits += after["hits"] - before["hits"]
-                    warm_misses += after["misses"] - before["misses"]
                 _commit(pos, payload)
 
         if jobs > 1 and len(todo) > 1:
             try:
-                try:
-                    _run_parallel(todo, jobs, on_result=_parallel_result,
-                                  span_ids=spans)
-                    parallel = True
-                finally:
-                    # Workers counted their warm events in their own
-                    # metrics registries; mirror whatever completed into
-                    # the parent's, like warmstore.record_event does on
-                    # the serial path.
-                    registry = obs_metrics.current()
-                    if registry is not None:
-                        if warm_hits:
-                            registry.counter("warmstore.hits").inc(warm_hits)
-                        if warm_misses:
-                            registry.counter("warmstore.misses").inc(
-                                warm_misses)
+                _run_parallel(todo, jobs, on_result=_commit, span_ids=spans)
+                parallel = True
             except PoolUnavailableError as exc:
                 # Worker processes unavailable (restricted sandbox, missing
                 # semaphores, mid-sweep pool death, ...): identical
@@ -644,8 +599,7 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
     elapsed = time.perf_counter() - started
     telemetry.emit("run_end", run_id=run_id, ok=True,
                    elapsed_s=round(elapsed, 6), parallel=parallel,
-                   fallback_reason=fallback_reason,
-                   warm_hits=warm_hits, warm_misses=warm_misses)
+                   fallback_reason=fallback_reason)
     return SweepOutcome(
         results=results,
         jobs=jobs,
@@ -654,8 +608,6 @@ def _run_sweep_body(points: Sequence[SweepPoint], jobs: int,
         cache_misses=len(pending),
         elapsed_seconds=elapsed,
         fallback_reason=fallback_reason,
-        warm_hits=warm_hits,
-        warm_misses=warm_misses,
         points=tuple(points),
         run_id=run_id,
     )

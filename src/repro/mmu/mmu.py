@@ -86,14 +86,3 @@ class MMU:
         for vaddr in vaddrs:
             self.l2.fill(vaddr)
             self._l1().fill(vaddr)
-
-    def snapshot_state(self) -> tuple:
-        """Copied state of all three TLBs (warm-state snapshots)."""
-        return (self.l1_4k.snapshot_state(), self.l1_2m.snapshot_state(),
-                self.l2.snapshot_state())
-
-    def restore_state(self, state: tuple) -> None:
-        l1_4k, l1_2m, l2 = state
-        self.l1_4k.restore_state(l1_4k)
-        self.l1_2m.restore_state(l1_2m)
-        self.l2.restore_state(l2)

@@ -84,19 +84,6 @@ class TLB:
             for way in range(len(pages)):
                 pages[way] = -1
 
-    def snapshot_state(self) -> tuple:
-        """Copied entries + LRU stamps + counters (warm-state snapshots)."""
-        return ([list(row) for row in self._pages],
-                [list(row) for row in self._stamps],
-                self._clock, self.hits, self.misses)
-
-    def restore_state(self, state: tuple) -> None:
-        pages, stamps, self._clock, self.hits, self.misses = state
-        for dst, src in zip(self._pages, pages):
-            dst[:] = src
-        for dst, src in zip(self._stamps, stamps):
-            dst[:] = src
-
     @property
     def miss_rate(self) -> float:
         total = self.hits + self.misses

@@ -96,8 +96,7 @@ class Observer:
     # -- Lifecycle -----------------------------------------------------
     def on_clock_reset(self, reason: str) -> None:
         """Virtual clocks were legitimately rewound (``"rebase"`` after a
-        warm-up pass, ``"restore"`` of a snapshot); monotonicity baselines
-        must restart."""
+        warm-up pass); monotonicity baselines must restart."""
 
 
 class MultiObserver(Observer):

@@ -12,8 +12,8 @@ Checked invariants
 - **Event ordering** — ``issued <= start <= service_start <= finish`` for
   every DRAM access (queueing and refresh can only delay a request).
 - **busy_until monotonicity** — a bank's ``busy_until`` never decreases
-  across events, except across an explicit clock reset (warm-up rebase or
-  snapshot restore, signaled via :meth:`on_clock_reset`).
+  across events, except across an explicit clock reset (a warm-up
+  rebase, signaled via :meth:`on_clock_reset`).
 - **classify/outcome agreement** — the outcome ``Bank.classify`` predicts
   immediately before an access equals what ``access_raw`` then records
   (this is the invariant that surfaced the open-row-timeout divergence).
@@ -28,7 +28,7 @@ Checked invariants
 - **Per-thread clock monotonicity** — a scheduler never resumes a thread
   at an earlier virtual time than its previous resume.
 
-State-equivalence invariants (snapshot/restore round-trips, batch-vs-loop
+State-equivalence invariants (sanitized-vs-plain runs, batch-vs-loop
 equality) are whole-run properties rather than per-event checks; they live
 in ``tests/test_obs_sanitizer.py``.
 """

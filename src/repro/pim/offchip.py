@@ -116,23 +116,6 @@ class OffChipPredictor:
             weight = table.get(index, 0) + step
             table[index] = max(-limit, min(limit, weight))
 
-    def snapshot_state(self) -> dict:
-        """Copied weight tables + RNG state + counters."""
-        return {
-            "page_weights": dict(self._page_weights),
-            "block_weights": dict(self._block_weights),
-            "rng": self._rng.getstate(),
-            "predictions": self.predictions,
-            "offchip_predictions": self.offchip_predictions,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._page_weights = dict(state["page_weights"])
-        self._block_weights = dict(state["block_weights"])
-        self._rng.setstate(state["rng"])
-        self.predictions = state["predictions"]
-        self.offchip_predictions = state["offchip_predictions"]
-
     @property
     def offchip_fraction(self) -> float:
         if not self.predictions:

@@ -148,31 +148,6 @@ class LocalityMonitor:
         stamps = self._stamps[set_index]
         return min(range(ways), key=lambda w: stamps[w])
 
-    def snapshot_state(self) -> dict:
-        """Copied monitor entries + counters (warm-state snapshots)."""
-        return {
-            "tags": [list(row) for row in self._tags],
-            "hits": [list(row) for row in self._hits],
-            "ignore": [list(row) for row in self._ignore],
-            "stamps": [list(row) for row in self._stamps],
-            "clock": self._clock,
-            "high_locality_decisions": self.high_locality_decisions,
-            "lookups": self.lookups,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        for dst, src in zip(self._tags, state["tags"]):
-            dst[:] = src
-        for dst, src in zip(self._hits, state["hits"]):
-            dst[:] = src
-        for dst, src in zip(self._ignore, state["ignore"]):
-            dst[:] = src
-        for dst, src in zip(self._stamps, state["stamps"]):
-            dst[:] = src
-        self._clock = state["clock"]
-        self.high_locality_decisions = state["high_locality_decisions"]
-        self.lookups = state["lookups"]
-
 
 class PEIEngine:
     """Dispatches PEIs to bank PCUs or the host PCU via the PMU."""
@@ -243,19 +218,6 @@ class PEIEngine:
                              kind.value if kind is not None else None, bank)
         return PEIResult(site=ExecutionSite.HOST, issued=issued,
                          finish=finish, kind=kind, bank=bank)
-
-    def snapshot_state(self) -> dict:
-        """Copied PMU monitor state + dispatch counters."""
-        return {
-            "monitor": self.monitor.snapshot_state(),
-            "memory_executions": self.memory_executions,
-            "host_executions": self.host_executions,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.monitor.restore_state(state["monitor"])
-        self.memory_executions = state["memory_executions"]
-        self.host_executions = state["host_executions"]
 
     # ------------------------------------------------------------------
     # Parallel fan-out (the side-channel attacker's probe epoch, §4.3)

@@ -15,8 +15,6 @@ Public API:
 - :class:`Context` — per-thread view of time (``now``) plus helpers for
   advancing the clock and tracking asynchronous completions.
 - :class:`CycleTimer` — emulates ``cpuid``/``rdtscp`` user-space timing.
-- :class:`SystemSnapshot` — opaque warm-state capture produced by
-  :meth:`repro.system.System.snapshot` (see :mod:`repro.sim.snapshot`).
 """
 
 from repro.sim.scheduler import (
@@ -27,7 +25,6 @@ from repro.sim.scheduler import (
     Semaphore,
     SimThread,
 )
-from repro.sim.snapshot import SystemSnapshot
 from repro.sim.timer import CycleTimer, TimerConfig
 
 __all__ = [
@@ -38,6 +35,5 @@ __all__ = [
     "Scheduler",
     "Semaphore",
     "SimThread",
-    "SystemSnapshot",
     "TimerConfig",
 ]

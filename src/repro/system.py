@@ -6,6 +6,10 @@ engine, DMA engine, background noise — and exposes the *operation API* that
 simulated threads (attack senders/receivers, victims, workloads) call.
 Every operation takes the calling thread's :class:`repro.sim.Context` and
 advances its clock by the operation's latency.
+
+Construction is cheap, even with the paper's largest (64 MB) LLC, because
+cache state is flat (see :class:`repro.cache.cache.Cache`), so code that
+needs an untouched machine builds a new one.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from repro.pim.offchip import OffChipPredictor, OffChipPredictorConfig
 from repro.pim.pei import ExecutionSite, PEIEngine, PEIResult
 from repro.pim.rowclone import RowCloneEngine, RowCloneResult
 from repro.sim.scheduler import Context
-from repro.sim.snapshot import SystemSnapshot
 from repro.sim.timer import CycleTimer
 
 
@@ -65,14 +68,6 @@ class BackgroundNoise:
             self.injected += 1
             self._next_event = self._schedule_from(self._next_event)
         return fired
-
-    def snapshot_state(self) -> tuple:
-        """Copied injector state (RNG stream position + pending event)."""
-        return self._rng.getstate(), self._next_event, self.injected
-
-    def restore_state(self, state: tuple) -> None:
-        rng_state, self._next_event, self.injected = state
-        self._rng.setstate(rng_state)
 
 
 class System:
@@ -162,62 +157,6 @@ class System:
         measuring a warm replay reset here after the warm-up pass."""
         self.hierarchy.reset_stats()
         self.controller.reset_stats()
-
-    # ------------------------------------------------------------------
-    # Warm-state snapshot / restore
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> SystemSnapshot:
-        """Capture every piece of mutable architectural state — cache
-        contents and replacement metadata, row-buffer/bank state, TLBs,
-        prefetcher tables, predictor weights, RNG stream positions, and all
-        statistics counters — as an independent copy.
-
-        A snapshot taken at construction lets the pristine-system pool
-        hand out a fresh-equivalent machine without rebuilding it (see
-        :mod:`repro.sim.snapshot`).
-        """
-        predictor = self.offchip_predictor
-        payload = {
-            "controller": self.controller.snapshot_state(),
-            "hierarchy": self.hierarchy.snapshot_state(),
-            "mmus": [mmu.snapshot_state() for mmu in self.mmus],
-            "walker_walks": [walker.walks for walker in self.walkers],
-            "pei": self.pei.snapshot_state(),
-            "rowclone_operations": self.rowclone_engine.operations,
-            "noise": self.noise.snapshot_state(),
-            "dma_rng": self._dma_rng.getstate(),
-            "offchip_predictor": (predictor.snapshot_state()
-                                  if predictor is not None else None),
-        }
-        return SystemSnapshot(config=self.config, payload=payload)
-
-    def restore(self, snap: SystemSnapshot) -> None:
-        """Restore a :meth:`snapshot`.  The snapshot's configuration must
-        equal this system's — state captured under one geometry or policy
-        is meaningless under another."""
-        if snap.config != self.config:
-            raise ValueError(
-                "snapshot was taken under a different SystemConfig; "
-                "build a matching System before restoring")
-        predictor_state = snap.component("offchip_predictor")
-        if (predictor_state is None) != (self.offchip_predictor is None):
-            raise ValueError(
-                "snapshot and system disagree on off-chip predictor "
-                "presence; call enable_offchip_predictor() to match")
-        self.controller.restore_state(snap.component("controller"))
-        self.hierarchy.restore_state(snap.component("hierarchy"))
-        for mmu, mmu_state in zip(self.mmus, snap.component("mmus")):
-            mmu.restore_state(mmu_state)
-        for walker, walks in zip(self.walkers,
-                                 snap.component("walker_walks")):
-            walker.walks = walks
-        self.pei.restore_state(snap.component("pei"))
-        self.rowclone_engine.operations = snap.component("rowclone_operations")
-        self.noise.restore_state(snap.component("noise"))
-        self._dma_rng.setstate(snap.component("dma_rng"))
-        if predictor_state is not None:
-            self.offchip_predictor.restore_state(predictor_state)
 
     @property
     def num_banks(self) -> int:

@@ -39,15 +39,6 @@ def pid_point(value):
     return {"value": value, "pid": os.getpid()}
 
 
-def warm_point(value):
-    """Leases a pristine system from the in-process pool."""
-    from repro.exp.warmstore import pristine_system
-    from repro.workloads.runner import fig11_config
-
-    system = pristine_system(fig11_config())
-    return {"value": value, "cores": system.config.num_cores}
-
-
 # ---------------------------------------------------------------------------
 # Sweep points
 # ---------------------------------------------------------------------------
@@ -267,22 +258,6 @@ class TestRunSweep:
         with pytest.raises(RuntimeError, match="boom"):
             run_sweep([SweepPoint("exp", failing_point)], jobs=1)
 
-    def test_warm_counts_reported_in_outcome(self, monkeypatch):
-        from repro import obs
-        from repro.exp import warmstore
-
-        monkeypatch.delenv("REPRO_NO_WARMSTORE", raising=False)
-        if obs.sanitize_requested():
-            pytest.skip("pristine-system pool bypassed")
-        warmstore.clear_pristine_pool()
-        points = sweep_points("exp", warm_point, "value", [11, 12])
-        first = run_sweep(points, jobs=1)
-        assert first.warm_misses == 1 and first.warm_hits == 1
-        second = run_sweep(points, jobs=1)
-        assert second.warm_hits == 2 and second.warm_misses == 0
-        assert second.results == first.results
-        warmstore.clear_pristine_pool()
-
 
 class TestMetricsDir:
     def test_point_slug_is_filesystem_safe(self):
@@ -349,28 +324,27 @@ def _pool_or_skip():
 class TestWorkerPool:
     def test_workers_persist_across_runs(self):
         """The fork-server property: a second sweep reuses the same
-        worker processes (and therefore their in-memory warm state)."""
+        worker processes."""
         pool = _pool_or_skip()
         try:
             first = pool.run(sweep_points("exp", pid_point, "value",
                                           [1, 2, 3]), jobs=2)
             second = pool.run(sweep_points("exp", pid_point, "value",
                                            [4, 5, 6]), jobs=2)
-            first_pids = {payload["pid"] for payload, _delta in first}
-            second_pids = {payload["pid"] for payload, _delta in second}
+            first_pids = {payload["pid"] for payload in first}
+            second_pids = {payload["pid"] for payload in second}
             assert second_pids <= first_pids
             assert len(pool) == 2
         finally:
             pool.shutdown()
 
-    def test_run_returns_payloads_with_warm_deltas(self):
+    def test_run_returns_payloads_in_point_order(self):
         pool = _pool_or_skip()
         try:
-            pairs = pool.run(sweep_points("exp", counting_point, "value",
-                                          [9, 10]), jobs=2)
-            assert [payload["value"] for payload, _delta in pairs] == [9, 10]
-            for _payload, delta in pairs:
-                assert set(delta) == {"hits", "misses"}
+            payloads = pool.run(sweep_points("exp", counting_point, "value",
+                                             [9, 10]), jobs=2)
+            assert payloads == [{"value": 9, "double": 18},
+                                {"value": 10, "double": 20}]
         finally:
             pool.shutdown()
 
@@ -381,9 +355,9 @@ class TestWorkerPool:
                 pool.run([SweepPoint("exp", failing_point),
                           SweepPoint("exp", counting_point,
                                      params={"value": 1})], jobs=2)
-            pairs = pool.run(sweep_points("exp", counting_point, "value",
-                                          [2]), jobs=2)
-            assert pairs[0][0] == {"value": 2, "double": 4}
+            payloads = pool.run(sweep_points("exp", counting_point, "value",
+                                             [2]), jobs=2)
+            assert payloads == [{"value": 2, "double": 4}]
         finally:
             pool.shutdown()
 
@@ -487,7 +461,7 @@ class TestCommitOnFailure:
                 pool.run([SweepPoint("exp", counting_point,
                                      params={"value": 7}),
                           SweepPoint("exp", failing_point)], jobs=2,
-                         on_result=lambda i, payload, delta:
+                         on_result=lambda i, payload:
                              seen.append((i, payload)))
             assert (0, {"value": 7, "double": 14}) in seen
         finally:
@@ -507,9 +481,9 @@ class TestPoolShrink:
             assert pool.shrink(1) == 2
             assert len(pool) == 1
             # The survivor still works.
-            pairs = pool.run([SweepPoint("exp", counting_point,
-                                         params={"value": 5})], jobs=1)
-            assert pairs[0][0] == {"value": 5, "double": 10}
+            payloads = pool.run([SweepPoint("exp", counting_point,
+                                            params={"value": 5})], jobs=1)
+            assert payloads == [{"value": 5, "double": 10}]
         finally:
             pool.shutdown()
 

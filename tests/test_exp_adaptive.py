@@ -171,7 +171,7 @@ class TestBackendResolution:
         def fake_pool(points, jobs, on_result=None, span_ids=None):
             calls.append((len(points), jobs))
             for index, point in enumerate(points):
-                on_result(index, point.run(), {"hits": 0, "misses": 0})
+                on_result(index, point.run())
 
         monkeypatch.setattr(runner_mod, "_run_parallel", fake_pool)
         points = [SweepPoint("exp", value_point, {"value": v})

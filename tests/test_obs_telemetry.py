@@ -419,7 +419,7 @@ class TestBenchHistory:
             {"simulator": {"ops_per_sec": 100}, "suite_seconds": 10.0}))
         (tmp_path / "BENCH_PR2.json").write_text(json.dumps(
             {"simulator": {"ops_per_sec": 120}, "suite_seconds": 8.0,
-             "snapshot": {"speedup": 5.0}}))
+             "scheduler": {"fast_path": {"checkpoints_per_sec": 5000}}}))
         (tmp_path / "not-a-bench.json").write_text("{}")
         (tmp_path / "BENCH_PR3.json").write_text("not json")
         return str(tmp_path)
@@ -433,9 +433,9 @@ class TestBenchHistory:
         assert sim["delta_pct"] == pytest.approx(20.0)
         # suite_seconds dropped 10 -> 8: improvement, so positive delta.
         assert by_name["suite_seconds"]["delta_pct"] == pytest.approx(20.0)
-        snap = by_name["snapshot.restore_speedup"]
-        assert snap["series"] == [None, 5.0]
-        assert snap["delta_pct"] is None
+        sched = by_name["scheduler.checkpoints_per_sec"]
+        assert sched["series"] == [None, 5000.0]
+        assert sched["delta_pct"] is None
         # Tracked, but absent from every record: no row.
         assert "telemetry.warm_overhead_pct" not in by_name
 
