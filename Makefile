@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-quick bench-sweep bench-clean examples results clean
+.PHONY: install test bench bench-clean examples results clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -8,12 +8,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only -s
-
-bench-quick:
-	python scripts/bench_snapshot.py
-
-bench-sweep:
-	python scripts/bench_sweep.py
 
 bench-clean:
 	rm -rf benchmarks/results/.cache

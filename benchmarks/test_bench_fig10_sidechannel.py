@@ -10,7 +10,9 @@ synthetic reference (the paper uses the human reference with synthetic
 samples; the channel leaks positions, not biology).  Each worker process
 rebuilds the identical seeded pipeline inside
 :func:`repro.exp.figures.fig10_point`, so the four bank counts run in
-parallel with bit-identical results.
+parallel with bit-identical results.  The paper's claims for these points
+gate tier-1 (``SIDECHANNEL_CLAIMS`` in
+``tests/test_golden_sidechannel.py``).
 """
 
 from repro.exp.figures import fig10_sweep
@@ -34,18 +36,3 @@ def test_fig10_sidechannel_sweep(benchmark, result_table, run_points):
                   round(r["error_rate"], 3), round(r["accuracy"], 3),
                   round(r["entries_per_bank"], 2))
     table.emit()
-
-    first, last = results[BANK_COUNTS[0]], results[BANK_COUNTS[-1]]
-    # Anchor points: ~7.57 Mb/s @1024 (<5% err), ~2.56 Mb/s @8192 (<15%).
-    assert abs(first["throughput_mbps"] - 7.57) / 7.57 < 0.15
-    assert first["error_rate"] < 0.05
-    assert abs(last["throughput_mbps"] - 2.56) / 2.56 < 0.20
-    assert last["error_rate"] < 0.15
-    # Monotone trends across the sweep.
-    throughputs = [results[b]["throughput_mbps"] for b in BANK_COUNTS]
-    assert throughputs == sorted(throughputs, reverse=True)
-    assert last["error_rate"] > first["error_rate"]
-    # Precision improves: candidate entries per bank halve per doubling.
-    precisions = [results[b]["entries_per_bank"] for b in BANK_COUNTS]
-    for coarse, fine in zip(precisions, precisions[1:]):
-        assert fine == coarse / 2

@@ -6,7 +6,9 @@ the LLC (and its lookup latency) grows; eviction latency rises with size.
 
 The sweep runs through :mod:`repro.exp`: points fan out across worker
 processes and land in the shared result cache, so re-runs replay from
-disk until the simulator's code changes.
+disk until the simulator's code changes.  The paper's claims for these
+points gate tier-1 (``SIDECHANNEL_CLAIMS`` in
+``tests/test_golden_sidechannel.py``).
 """
 
 from repro.exp.figures import fig2_sweep
@@ -28,14 +30,3 @@ def test_fig2_llc_size_sweep(benchmark, result_table, run_points):
                   round(point["baseline_mbps"], 2),
                   round(point["eviction_latency_cycles"]))
     table.emit()
-
-    direct = [p["direct_mbps"] for _s, p in rows]
-    baseline = [p["baseline_mbps"] for _s, p in rows]
-    eviction = [p["eviction_latency_cycles"] for _s, p in rows]
-    # Direct attack: ~11.27 Mb/s, flat across sizes.
-    assert all(abs(d - 11.27) / 11.27 < 0.12 for d in direct)
-    # Baseline: bounded by 2.29 Mb/s and monotonically degrading.
-    assert max(baseline) <= 2.29 * 1.10
-    assert baseline[-1] < baseline[0]
-    # Eviction latency grows with LLC size.
-    assert eviction[-1] > eviction[0]

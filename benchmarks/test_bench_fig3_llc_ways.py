@@ -5,6 +5,8 @@ the eviction set (one access per way) and the lookup latency, collapsing
 the baseline attack's throughput; the direct attack is unaffected.
 
 Runs through :mod:`repro.exp` (parallel workers + shared result cache).
+The paper's claims for these points gate tier-1 (``SIDECHANNEL_CLAIMS``
+in ``tests/test_golden_sidechannel.py``).
 """
 
 from repro.exp.figures import fig3_sweep
@@ -26,13 +28,3 @@ def test_fig3_llc_ways_sweep(benchmark, result_table, run_points):
                   round(point["baseline_mbps"], 2),
                   round(point["eviction_latency_cycles"]))
     table.emit()
-
-    direct = [p["direct_mbps"] for _w, p in rows]
-    baseline = [p["baseline_mbps"] for _w, p in rows]
-    eviction = [p["eviction_latency_cycles"] for _w, p in rows]
-    # Direct attack flat regardless of associativity.
-    assert max(direct) - min(direct) < 0.05 * max(direct)
-    # Baseline throughput decreases significantly with more ways...
-    assert baseline[-1] < baseline[0] / 4
-    # ...because evictions get proportionally more expensive.
-    assert eviction[-1] > eviction[0] * 8

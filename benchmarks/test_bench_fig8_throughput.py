@@ -19,6 +19,10 @@ the DRAMA variants are fully simulated.
 Each LLC size is one :mod:`repro.exp` sweep point
 (:func:`repro.exp.figures.fig8_point`), so the four sizes run on four
 worker processes and cached re-runs replay in milliseconds.
+
+The claims that read only the 8 and 64 MB points gate tier-1
+(``FIG8_CLAIMS`` in ``tests/test_golden_fig8.py``); the assertions below
+loop over every size, so they also cover 16 and 32 MB.
 """
 
 from repro.exp.figures import fig8_sweep
@@ -43,39 +47,18 @@ def test_fig8_throughput_across_llc_sizes(benchmark, result_table, run_points):
         table.add(size, *[round(points[size][a], 2) for a in ATTACKS])
     table.emit()
 
-    smallest, largest = points[LLC_SIZES_MB[0]], points[LLC_SIZES_MB[-1]]
-
-    # Observation 1: IMPACT dominates everywhere; headline throughputs.
+    # Observation 1: IMPACT dominates everywhere.
     for size in LLC_SIZES_MB:
         p = points[size]
         others = [p[a] for a in ATTACKS if not a.startswith("IMPACT")]
         assert p["IMPACT-PnM"] > max(others)
         assert p["IMPACT-PuM"] > max(others)
-    assert abs(smallest["IMPACT-PnM"] - 12.87) / 12.87 < 0.08
-    assert abs(smallest["IMPACT-PuM"] - 14.16) / 14.16 < 0.08
-    ratio_pnm = largest["IMPACT-PnM"] / largest["DRAMA-clflush"]
-    ratio_pum = largest["IMPACT-PuM"] / largest["DRAMA-clflush"]
-    assert abs(ratio_pnm - 4.91) / 4.91 < 0.15
-    assert abs(ratio_pum - 5.41) / 5.41 < 0.15
 
     # Observation 2: PuM ~10% above PnM.
     for size in LLC_SIZES_MB:
         advantage = points[size]["IMPACT-PuM"] / points[size]["IMPACT-PnM"]
         assert 1.02 < advantage < 1.20
 
-    # Observation 3: cache-mediated attacks degrade with LLC size.
-    for attack in ("DRAMA-eviction", "DRAMA-clflush", "Streamline",
-                   "Streamline-bound"):
-        assert largest[attack] < smallest[attack]
     # The simulated Streamline respects its §5.1 analytical upper bound.
     for size in LLC_SIZES_MB:
         assert points[size]["Streamline"] <= points[size]["Streamline-bound"]
-
-    # Observation 4: DMA flat, ~2.4x slower than IMPACT-PnM.
-    assert abs(largest["DMA-engine"] - smallest["DMA-engine"]) \
-        < 0.1 * smallest["DMA-engine"]
-    assert 1.9 < smallest["IMPACT-PnM"] / smallest["DMA-engine"] < 3.0
-
-    # Observation 5: PnM-OffChip near IMPACT-PnM at 8 MB, degraded at 64 MB.
-    assert abs(smallest["PnM-OffChip"] - 12.64) / 12.64 < 0.08
-    assert largest["PnM-OffChip"] < smallest["PnM-OffChip"]

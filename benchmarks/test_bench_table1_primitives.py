@@ -2,7 +2,9 @@
 
 Prints the paper's qualitative property matrix alongside the *measured*
 cost of one direct-memory observation per primitive on the Table 2
-system — the quantitative story behind the check marks.
+system — the quantitative story behind the check marks.  The paper's
+claims on those latencies gate tier-1 (``SIDECHANNEL_CLAIMS`` in
+``tests/test_golden_sidechannel.py``).
 """
 
 from repro import System, SystemConfig
@@ -25,7 +27,3 @@ def test_table1_attack_primitives(benchmark, result_table):
                   row["no_excessive_accesses"], row["timing_detectability"],
                   row["isa_guarantee"], latencies[props.name])
     table.emit()
-    # The paper's bottom line: PiM operations dominate the matrix and are
-    # the cheapest full-DRAM observation among reliable primitives.
-    assert latencies["pim-operations"] < latencies["dma"]
-    assert latencies["pim-operations"] < latencies["eviction-sets"]

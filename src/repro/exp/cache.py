@@ -6,8 +6,7 @@ every ``repro`` source file, so editing the simulator invalidates every
 cached result while leaving re-runs of unchanged experiments instant.
 
 Payloads must be JSON-serializable — sweep point functions return plain
-dicts of floats/ints/strings, which also keeps cached artifacts diffable
-(`BENCH_*.json`-style snapshots fall out of the cache files for free).
+dicts of floats/ints/strings, which also keeps cached artifacts diffable.
 """
 
 from __future__ import annotations
@@ -52,6 +51,17 @@ def code_version() -> str:
                     digest.update(handle.read())
         _CODE_VERSION = digest.hexdigest()[:16]
     return _CODE_VERSION
+
+
+def _read_entry(path: str) -> Optional[Dict[str, Any]]:
+    """The entry stored at ``path``, or None when the file is absent,
+    unreadable or holds anything but a JSON object with a ``payload``."""
+    try:
+        with open(path) as handle:
+            entry = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return entry if isinstance(entry, dict) and "payload" in entry else None
 
 
 #: Default entry cap.  Sweeps produce a handful of entries per figure per
@@ -113,15 +123,13 @@ class ResultCache:
     def get(self, experiment: str, params: Mapping[str, Any]) -> Any:
         """Cached payload, or :data:`MISSING` if absent/corrupt."""
         path = self.path_for(experiment, params)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
+        entry = _read_entry(path)
+        if entry is None:
             self.misses += 1
             return _MISSING
         self._touch(path)  # LRU recency: a hit keeps the entry young
         self.hits += 1
-        return entry.get("payload")
+        return entry["payload"]
 
     def put(self, experiment: str, params: Mapping[str, Any],
             payload: Any) -> str:
@@ -204,12 +212,10 @@ class ResultCache:
         return len(self._entry_paths())
 
     def _entry_version(self, path: str) -> Optional[str]:
-        """The ``code_version`` recorded in an entry (None = unreadable)."""
-        try:
-            with open(path) as handle:
-                return json.load(handle).get("code_version")
-        except (OSError, ValueError):
-            return None
+        """The ``code_version`` recorded in an entry (None = not an
+        entry)."""
+        entry = _read_entry(path)
+        return None if entry is None else entry.get("code_version")
 
     def _evict(self, max_entries: int) -> int:
         """Bring the store under ``max_entries``, least-recently-used

@@ -336,7 +336,10 @@ class WorkerPool:
         successfully completed payload is handed to ``on_result`` (called
         as ``on_result(index, payload)`` as results arrive), so callers
         can commit finished work before the raise and a retried sweep
-        never redoes completed points.
+        never redoes completed points.  An exception from ``on_result``
+        is re-raised the same way, never as
+        :class:`PoolUnavailableError`: only a pipe or worker failure
+        breaks the pool.
 
         ``span_ids`` aligns with ``points``: each task's env overlay
         carries its span so the worker's telemetry records chain with the
@@ -376,7 +379,14 @@ class WorkerPool:
                     if ok:
                         out[seq] = payload
                         if on_result is not None:
-                            on_result(seq, payload)
+                            try:
+                                on_result(seq, payload)
+                            except Exception as exc:
+                                # The caller failed, not the pool (say, a
+                                # full disk under the result cache): stop
+                                # dispatching, drain, then re-raise.
+                                if failure is None:
+                                    failure = exc
                     else:
                         telemetry.emit(
                             "point_failed", span_id=spans[seq],

@@ -1,6 +1,8 @@
 """Tests for the parallel sweep-execution subsystem (:mod:`repro.exp`)."""
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -95,10 +97,14 @@ class TestResultCache:
         assert ResultCache.is_missing(newer.get("exp", {"a": 1}))
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        """Anything but a JSON object with a payload is a miss for lookups
+        and a stale entry for maintenance."""
         cache = ResultCache(tmp_path, version="v1")
-        cache.put("exp", {"a": 1}, {"r": 1})
-        Path(cache.path_for("exp", {"a": 1})).write_text("not json{")
-        assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
+        for text in ("not json{", "[]", "null", "{}"):
+            cache.put("exp", {"a": 1}, {"r": 1})
+            Path(cache.path_for("exp", {"a": 1})).write_text(text)
+            assert ResultCache.is_missing(cache.get("exp", {"a": 1})), text
+            assert cache.stats()["stale_entries"] == 1, text
 
     def test_entries_record_provenance(self, tmp_path):
         cache = ResultCache(tmp_path, version="v7")
@@ -397,6 +403,13 @@ def file_per_run_point(value, runs):
     return {"value": value}
 
 
+class FullDiskCache(ResultCache):
+    """A result cache whose every write fails as on a full disk."""
+
+    def put(self, experiment, params, payload):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def _log_counts(log):
     text = Path(log).read_text() if Path(log).exists() else ""
     counts = {}
@@ -442,16 +455,24 @@ class TestCommitOnFailure:
             assert counts[str(value)] == 1
 
     def test_point_raising_oserror_runs_once_on_the_pool(self, tmp_path):
-        """A point's own OSError is the point failing, not the pool: it
+        """A point's own OSError is the point failing, not the pool, and so
+        is the result cache failing to store a finished point: either
         propagates without a serial re-run (one file per execution)."""
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        points = [SweepPoint("exp", file_per_run_point,
-                             {"value": v, "runs": str(runs)})
-                  for v in (1, 2)]
-        with pytest.raises(OSError, match="point 2 failed"):
-            run_sweep(points, jobs=2)
-        assert len(list(runs.glob("2-*"))) == 1
+        full_disk = FullDiskCache(str(tmp_path / "cache"), version="v1")
+        # Value 2 raises in the point; values 1 and 3 finish and then
+        # fail to commit.
+        for values, cache, match in (((1, 2), None, "point 2 failed"),
+                                     ((1, 3), full_disk, "No space left")):
+            runs = tmp_path / f"runs-{values[-1]}"
+            runs.mkdir()
+            points = [SweepPoint("exp", file_per_run_point,
+                                 {"value": v, "runs": str(runs)})
+                      for v in values]
+            with pytest.raises(OSError, match=match):
+                run_sweep(points, jobs=2, cache=cache)
+            for value in values:
+                assert len(list(runs.glob(f"{value}-*"))) == 1, (values,
+                                                                  value)
 
     def test_pool_run_on_result_fires_before_raise(self):
         pool = _pool_or_skip()

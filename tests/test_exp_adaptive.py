@@ -12,9 +12,11 @@ from repro.exp import (
     bernoulli_probe_point,
     run_adaptive_sweep,
     run_sweep,
+    sweep_points,
 )
 from repro.exp import runner as runner_mod
 from repro.exp.adaptive import extract_streams
+from repro.exp.figures import fig8_quality_point
 
 
 def probe(p, bits):
@@ -156,6 +158,19 @@ class TestAdaptiveEngine:
         assert outcome.fixed_reps == 8
         assert outcome.executed_reps == 2
         assert outcome.rep_savings_ratio == pytest.approx(4.0)
+
+    def test_fig8_quality_sweep_stops_at_the_rep_floor(self):
+        """The fig8 quality sweep at 8 and 64 MB: every BER stream of both
+        points meets the 0.05 CI target at the 2-rep floor, so the sweep
+        runs 4 reps where the fixed grid runs 16."""
+        points = sweep_points("fig8-quality", fig8_quality_point, "llc_mb",
+                              [8.0, 64.0], bits=192)
+        config = AdaptiveConfig(rep_axis="seed", min_reps=2, max_reps=8,
+                                round_reps=2, target=ConvergenceTarget(
+                                    ber_ci_halfwidth=0.05))
+        outcome = run_adaptive_sweep(points, config=config, jobs=1)
+        assert (outcome.executed_reps, outcome.fixed_reps) == (4, 16)
+        assert all(result.converged for result in outcome.results)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.analysis import benchhistory
 from repro.exp import WorkerPool, run_sweep, shutdown_pool
 from repro.exp.runner import (
     PoolUnavailableError,
@@ -239,6 +238,9 @@ class TestSweepChains:
         _assert_complete(events, points, outcome)
         # Serial: every record from this process.
         assert {e["pid"] for e in events} == {os.getpid()}
+        # The log's exact size: run_start and run_end, then queued,
+        # dispatched, start, end and committed per executed point.
+        assert len(events) == 2 + 5 * len(points)
 
     def test_pool_fallback_marks_retries(self, tele_dir, monkeypatch):
         from repro.exp import runner
@@ -407,76 +409,3 @@ class TestTopRendering:
     def test_frame_from_empty_dir(self, tmp_path):
         frame = obs_top.frame_from_dir(str(tmp_path))
         assert "points 0/0 done" in frame
-
-
-# ---------------------------------------------------------------------------
-# Bench history
-# ---------------------------------------------------------------------------
-
-class TestBenchHistory:
-    def _seed(self, tmp_path):
-        (tmp_path / "BENCH_PR1.json").write_text(json.dumps(
-            {"simulator": {"ops_per_sec": 100}, "suite_seconds": 10.0}))
-        (tmp_path / "BENCH_PR2.json").write_text(json.dumps(
-            {"simulator": {"ops_per_sec": 120}, "suite_seconds": 8.0,
-             "scheduler": {"fast_path": {"checkpoints_per_sec": 5000}}}))
-        (tmp_path / "not-a-bench.json").write_text("{}")
-        (tmp_path / "BENCH_PR3.json").write_text("not json")
-        return str(tmp_path)
-
-    def test_collect_history(self, tmp_path):
-        history = benchhistory.collect_history(self._seed(tmp_path))
-        assert history["columns"] == ["PR1", "PR2"]
-        by_name = {m["name"]: m for m in history["metrics"]}
-        sim = by_name["simulator.ops_per_sec"]
-        assert sim["series"] == [100.0, 120.0]
-        assert sim["delta_pct"] == pytest.approx(20.0)
-        # suite_seconds dropped 10 -> 8: improvement, so positive delta.
-        assert by_name["suite_seconds"]["delta_pct"] == pytest.approx(20.0)
-        sched = by_name["scheduler.checkpoints_per_sec"]
-        assert sched["series"] == [None, 5000.0]
-        assert sched["delta_pct"] is None
-        # Tracked, but absent from every record: no row.
-        assert "telemetry.warm_overhead_pct" not in by_name
-
-    def test_fresh_column(self, tmp_path):
-        history = benchhistory.collect_history(
-            self._seed(tmp_path),
-            fresh={"simulator.ops_per_sec": 60.0})
-        assert history["columns"][-1] == "fresh"
-        by_name = {m["name"]: m for m in history["metrics"]}
-        assert by_name["simulator.ops_per_sec"]["delta_pct"] == (
-            pytest.approx(-50.0))
-
-    def test_render_ascii_and_markdown(self, tmp_path):
-        history = benchhistory.collect_history(self._seed(tmp_path))
-        ascii_table = benchhistory.render_history(history)
-        assert "PR1" in ascii_table and "simulator.ops_per_sec" in ascii_table
-        markdown = benchhistory.render_history_markdown(history)
-        assert markdown.startswith("# Benchmark history")
-        assert "| simulator.ops_per_sec |" in markdown
-
-    def test_trajectory_line(self, tmp_path):
-        root = self._seed(tmp_path)
-        line = benchhistory.format_trajectory(root, "simulator.ops_per_sec",
-                                              fresh=90.0)
-        assert line == ("simulator.ops_per_sec: PR1 100.0 -> PR2 120.0 "
-                        "(fresh 90.00)")
-        assert "not a tracked metric" in benchhistory.format_trajectory(
-            root, "nope")
-        assert "no committed history" in benchhistory.format_trajectory(
-            root, "telemetry.warm_overhead_pct")
-
-    def test_empty_root(self, tmp_path):
-        history = benchhistory.collect_history(str(tmp_path / "missing"))
-        assert history == {"columns": [], "metrics": []}
-        assert "no BENCH_PR" in benchhistory.render_history(history)
-
-    def test_repo_snapshots_parse(self):
-        """The committed records at the repo root actually feed the
-        trend table (guards the metric paths against schema drift)."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        history = benchhistory.collect_history(root)
-        by_name = {m["name"]: m for m in history["metrics"]}
-        assert "simulator.ops_per_sec" in by_name
-        assert any(v for v in by_name["simulator.ops_per_sec"]["series"])
