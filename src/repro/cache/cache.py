@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache.replacement import (
+    LRUPolicy,
     ReplacementPolicy,
     SRRIPPolicy,
     make_replacement_policy,
@@ -112,14 +113,18 @@ class Cache:
         self._policy_on_hit = self._policy.on_hit
         self._policy_on_fill = self._policy.on_fill
         self._policy_victim = self._policy.victim
-        # SRRIP (L2/LLC in the Table 2 config) carries the bulk of fill
-        # traffic; alias its RRPV list so access/fill update it inline
-        # instead of paying a policy call per hit or fill.
-        if isinstance(self._policy, SRRIPPolicy):
-            self._rrpv: Optional[List[int]] = self._policy._rrpv
-            self._insert_rrpv = self._policy.MAX_RRPV - 1
-        else:
-            self._rrpv = None
+        # LRU (L1) and SRRIP (L2/LLC) carry all of Table 2's traffic; alias
+        # their per-slot state so access/fill update it inline instead of
+        # paying a policy call per hit or fill.
+        policy = self._policy
+        self._last_use: Optional[List[int]] = None
+        self._rrpv: Optional[bytearray] = None
+        if isinstance(policy, LRUPolicy):
+            self._last_use = policy._last_use
+            self._next_stamp = policy._next_stamp
+        elif isinstance(policy, SRRIPPolicy):
+            self._rrpv = policy._rrpv
+            self._insert_rrpv = policy.MAX_RRPV - 1
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -150,9 +155,10 @@ class Cache:
         if slot is None:
             self.stats.misses += 1
             return False
-        rrpv = self._rrpv
-        if rrpv is not None:
-            rrpv[slot] = 0
+        if self._last_use is not None:
+            self._last_use[slot] = self._next_stamp()
+        elif self._rrpv is not None:
+            self._rrpv[slot] = 0
         else:
             self._policy_on_hit(slot)
         if is_write:
@@ -169,9 +175,12 @@ class Cache:
         line = addr // self._line_bytes
         where = self._where
         slot = where.get(line)
+        last_use = self._last_use
         rrpv = self._rrpv
         if slot is not None:
-            if rrpv is not None:
+            if last_use is not None:
+                last_use[slot] = self._next_stamp()
+            elif rrpv is not None:
                 rrpv[slot] = 0
             else:
                 self._policy_on_hit(slot)
@@ -200,7 +209,9 @@ class Cache:
         tags[slot] = line
         where[line] = slot
         self._dirty[slot] = dirty
-        if rrpv is not None:
+        if last_use is not None:
+            last_use[slot] = self._next_stamp()
+        elif rrpv is not None:
             rrpv[slot] = self._insert_rrpv
         else:
             self._policy_on_fill(slot)

@@ -206,6 +206,9 @@ class CacheHierarchy:
         self._llc_latency = self.llc.config.latency_cycles
         self._line_bytes = config.line_bytes
         self._capacity = controller.config.geometry.capacity_bytes
+        # The LLC's {line: slot} map, so a prefetch candidate's residency
+        # check needs no call.
+        self._llc_lines = self.llc._where
         self.stats = HierarchyStats()
         # Observability (repro.obs): None = off, one branch per hook site.
         self._obs = current_observer()
@@ -222,165 +225,105 @@ class CacheHierarchy:
                is_write: bool = False, pc: Optional[int] = None,
                requestor: str = "cpu") -> HierarchyResult:
         """A demand load/store by ``core`` at physical address ``addr``."""
-        self.stats.demand_accesses += 1
-        l1, l2 = self.l1[core], self.l2[core]
-        stall = (self._late_prefetch_stall(addr, issued)
-                 if self._inflight_fills else 0)
-        latency = stall + self._l1_latency
+        stats = self.stats
+        stats.demand_accesses += 1
+        latency = self._l1_latency
+        inflight = self._inflight_fills
+        if inflight:
+            # A demand access to a line an in-flight prefetch is still
+            # filling waits for the fill to land (a "late prefetch").
+            completion = inflight.pop(addr - addr % self._line_bytes, None)
+            if completion is not None:
+                stats.late_prefetch_stalls += 1
+                if completion > issued:
+                    latency += completion - issued
+        mem = None
         writebacks = 0
-        if l1.access(addr, is_write=is_write):
-            result = HierarchyResult(latency=latency, issued=issued, hit_level=1)
+        if self.l1[core].access(addr, is_write):
+            hit_level = 1
         else:
             latency += self._l2_latency
-            if l2.access(addr):
-                writebacks += self._fill_l1(core, addr, is_write)
-                result = HierarchyResult(latency=latency, issued=issued,
-                                         hit_level=2, writebacks=writebacks)
+            if self.l2[core].access(addr):
+                hit_level = 2
+                writebacks = self._fill_l1(core, addr, is_write)
             else:
                 latency += self._llc_latency
                 if self.llc.access(addr):
-                    writebacks += self._fill_upper(core, addr, is_write)
-                    result = HierarchyResult(latency=latency, issued=issued,
-                                             hit_level=3, writebacks=writebacks)
+                    hit_level = 3
+                    writebacks = self._fill_upper(core, addr, is_write)
                 else:
+                    hit_level = 0
                     mem = self.controller.access(addr, issued + latency,
                                                  requestor=requestor,
                                                  is_write=is_write)
-                    latency += mem.latency
-                    writebacks += self._fill_all(core, addr, is_write,
-                                                 time=issued + latency,
-                                                 requestor=requestor)
-                    result = HierarchyResult(latency=latency, issued=issued,
-                                             hit_level=0, mem=mem,
-                                             writebacks=writebacks)
+                    latency = mem.finish - issued
+                    writebacks = self._fill_all(core, addr, is_write,
+                                                time=mem.finish,
+                                                requestor=requestor)
                     if self._obs is not None:
                         self._obs.on_cache_miss(core, addr, issued,
-                                                issued + latency, requestor)
-        self.stats.observe(requestor, issued, miss=result.hit_level == 0)
-        self._run_prefetchers(core, addr, pc, issued + result.latency, requestor)
-        return result
+                                                mem.finish, requestor)
+        # The requestor's counters, kept as HierarchyStats.observe keeps
+        # them.
+        counters = stats.by_requestor.get(requestor)
+        if counters is None:
+            counters = stats.requestor(requestor)
+        if counters.accesses == 0 and counters.clflushes == 0:
+            counters.first_seen_cycle = issued
+        if issued > counters.last_seen_cycle:
+            counters.last_seen_cycle = issued
+        counters.accesses += 1
+        if not hit_level:
+            counters.llc_misses += 1
+        # Both prefetchers observe every demand access.  Most candidates
+        # are already in the LLC, so the issue path is entered only for
+        # one that is not.
+        if self._pf_observe:
+            l1_observe, l2_observe = self._pf_observe[core]
+            candidates = l1_observe(pc, addr)
+            l2_candidates = l2_observe(pc, addr)
+            if l2_candidates:
+                candidates = candidates + l2_candidates
+            for candidate in candidates:
+                if (0 <= candidate < self._capacity
+                        and candidate // self._line_bytes
+                        not in self._llc_lines):
+                    self._issue_prefetches(core, candidates, issued + latency,
+                                           requestor)
+                    break
+        return HierarchyResult(latency, issued, hit_level, mem, writebacks)
 
     def access_batch(self, core: int, addrs, issued: int, *,
                      is_write: bool = False, pc: Optional[int] = None,
                      requestor: str = "cpu") -> int:
-        """Sequential demand accesses, each issued at the previous finish.
-
-        Equivalent to chaining :meth:`access` calls through
-        ``result.finish`` (the equivalence is covered by tests), with the
-        per-access attribute lookups and :class:`HierarchyResult`
-        construction hoisted out of the loop.  Returns the finish time of
-        the last access.
+        """Sequential demand accesses, each issued at the previous finish;
+        returns the finish time of the last.
 
         Only safe when no other thread touches the memory system between
         the batched accesses — batching removes the scheduler checkpoints
         a hand-written probe loop would yield at, so any cross-thread
         interleaving inside the batch would be lost (see EXPERIMENTS.md).
         """
-        stats = self.stats
-        observe = stats.observe
-        l1_access = self.l1[core].access
-        l2_access = self.l2[core].access
-        llc_access = self.llc.access
-        controller_access = self.controller.access
-        run_prefetchers = self._run_prefetchers
-        late_stall = self._late_prefetch_stall
-        fill_l1 = self._fill_l1
-        fill_upper = self._fill_upper
-        fill_all = self._fill_all
-        inflight = self._inflight_fills
-        l1_latency = self._l1_latency
-        l2_latency = self._l2_latency
-        llc_latency = self._llc_latency
+        access = self.access
         now = issued
         for addr in addrs:
-            stats.demand_accesses += 1
-            latency = ((late_stall(addr, now) if inflight else 0)
-                       + l1_latency)
-            miss = False
-            if l1_access(addr, is_write=is_write):
-                pass
-            else:
-                latency += l2_latency
-                if l2_access(addr):
-                    fill_l1(core, addr, is_write)
-                else:
-                    latency += llc_latency
-                    if llc_access(addr):
-                        fill_upper(core, addr, is_write)
-                    else:
-                        mem = controller_access(addr, now + latency,
-                                                requestor=requestor,
-                                                is_write=is_write)
-                        finish = mem.finish
-                        latency = finish - now
-                        fill_all(core, addr, is_write, time=finish,
-                                 requestor=requestor)
-                        miss = True
-                        if self._obs is not None:
-                            self._obs.on_cache_miss(core, addr, now, finish,
-                                                    requestor)
-            observe(requestor, now, miss=miss)
-            finish = now + latency
-            run_prefetchers(core, addr, pc, finish, requestor)
-            now = finish
+            now = access(core, addr, now, is_write=is_write, pc=pc,
+                         requestor=requestor).finish
         return now
 
     def probe_batch(self, core: int, addrs, issued: int, *,
                     is_write: bool = False, pc: Optional[int] = None,
                     requestor: str = "cpu") -> "tuple":
         """Like :meth:`access_batch` but also returns per-access latencies:
-        ``(finish, [latency, ...])`` — the Prime+Probe receiver shape.
-        State evolves exactly as under :meth:`access_batch`."""
-        stats = self.stats
-        observe = stats.observe
-        l1_access = self.l1[core].access
-        l2_access = self.l2[core].access
-        llc_access = self.llc.access
-        controller_access = self.controller.access
-        run_prefetchers = self._run_prefetchers
-        late_stall = self._late_prefetch_stall
-        fill_l1 = self._fill_l1
-        fill_upper = self._fill_upper
-        fill_all = self._fill_all
-        inflight = self._inflight_fills
-        l1_latency = self._l1_latency
-        l2_latency = self._l2_latency
-        llc_latency = self._llc_latency
+        ``(finish, [latency, ...])`` — the Prime+Probe receiver shape."""
+        access = self.access
         latencies: List[int] = []
-        append_latency = latencies.append
         now = issued
         for addr in addrs:
-            stats.demand_accesses += 1
-            latency = ((late_stall(addr, now) if inflight else 0)
-                       + l1_latency)
-            miss = False
-            if l1_access(addr, is_write=is_write):
-                pass
-            else:
-                latency += l2_latency
-                if l2_access(addr):
-                    fill_l1(core, addr, is_write)
-                else:
-                    latency += llc_latency
-                    if llc_access(addr):
-                        fill_upper(core, addr, is_write)
-                    else:
-                        mem = controller_access(addr, now + latency,
-                                                requestor=requestor,
-                                                is_write=is_write)
-                        finish = mem.finish
-                        latency = finish - now
-                        fill_all(core, addr, is_write, time=finish,
-                                 requestor=requestor)
-                        miss = True
-                        if self._obs is not None:
-                            self._obs.on_cache_miss(core, addr, now, finish,
-                                                    requestor)
-            observe(requestor, now, miss=miss)
-            append_latency(latency)
-            finish = now + latency
-            run_prefetchers(core, addr, pc, finish, requestor)
-            now = finish
+            result = access(core, addr, now, is_write=is_write, pc=pc,
+                            requestor=requestor)
+            latencies.append(result.latency)
+            now = result.finish
         return now, latencies
 
     def _fill_l1(self, core: int, addr: int, is_write: bool) -> int:
@@ -439,30 +382,15 @@ class CacheHierarchy:
             return 1
         return 0
 
-    def _late_prefetch_stall(self, addr: int, issued: int) -> int:
-        """Cycles a demand access waits for an in-flight prefetch fill."""
-        line = addr - addr % self._line_bytes
-        completion = self._inflight_fills.pop(line, None)
-        if completion is None:
-            return 0
-        self.stats.late_prefetch_stalls += 1
-        return max(0, completion - issued)
-
     # ------------------------------------------------------------------
     # Prefetchers (noise sources)
     # ------------------------------------------------------------------
 
-    def _run_prefetchers(self, core: int, addr: int, pc: Optional[int],
-                         time: int, requestor: str) -> None:
-        if not self._pf_observe:
-            return
-        l1_observe, l2_observe = self._pf_observe[core]
-        candidates = l1_observe(pc, addr)
-        l2_candidates = l2_observe(pc, addr)
-        if l2_candidates:
-            candidates = candidates + l2_candidates
-        if not candidates:
-            return
+    def _issue_prefetches(self, core: int, candidates: List[int], time: int,
+                          requestor: str) -> None:
+        """Fetch each in-memory candidate not in the LLC into the LLC and
+        ``core``'s L2.  A fill can evict a later candidate, so each is
+        checked when its turn comes."""
         capacity = self._capacity
         pf_name = self._pf_names.get(requestor)
         if pf_name is None:

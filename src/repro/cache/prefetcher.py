@@ -39,28 +39,30 @@ class IPStridePrefetcher:
             return []
         table = self._table
         entry = table.pop(pc, None)
-        prefetches: List[int] = []
         if entry is None:
             table[pc] = (addr, 0, 0)
             # Only a brand-new entry can grow the table; pop+reinsert of an
             # existing PC leaves the size unchanged, so trim only here.
             while len(table) > self._capacity:
                 del table[next(iter(table))]
-        else:
-            last_addr, last_stride, confidence = entry
-            stride = addr - last_addr
-            if stride != 0 and stride == last_stride:
-                confidence = min(confidence + 1, 3)
-            elif stride != 0:
-                confidence = 0
-            table[pc] = (addr, stride if stride != 0 else last_stride,
-                         confidence)
-            if confidence >= 1 and stride != 0:
-                prefetches = [addr + stride * (i + 1) for i in range(self.degree)]
-                # Constant stride makes the list monotone: a negative tail
-                # is the only way a negative address can appear.
-                if prefetches[-1] < 0:
-                    prefetches = [p for p in prefetches if p >= 0]
+            return []
+        last_addr, last_stride, confidence = entry
+        stride = addr - last_addr
+        if stride == 0:
+            table[pc] = (addr, last_stride, confidence)
+            return []
+        if stride != last_stride:
+            table[pc] = (addr, stride, 0)
+            return []
+        if confidence < 3:
+            confidence += 1
+        table[pc] = (addr, stride, confidence)
+        start = addr + stride
+        prefetches = list(range(start, start + stride * self.degree, stride))
+        # Constant stride makes the list monotone: a negative tail is the
+        # only way a negative address can appear.
+        if prefetches[-1] < 0:
+            prefetches = [p for p in prefetches if p >= 0]
         return prefetches
 
 
@@ -88,27 +90,25 @@ class StreamerPrefetcher:
         region = addr // self.REGION_BYTES
         line = addr // self.line_bytes
         entry = regions.pop(region, None)
-        prefetches: List[int] = []
         if entry is None:
             regions[region] = (line, 0)
             # Size only grows on a brand-new region (see IP-stride note).
             while len(regions) > self._capacity:
                 del regions[next(iter(regions))]
-        else:
-            last_line, direction = entry
-            step = line - last_line
-            if step == 0:
-                regions[region] = (line, direction)
-            else:
-                new_direction = 1 if step > 0 else -1
-                if direction == new_direction:
-                    prefetches = [
-                        (line + new_direction * (i + 1)) * self.line_bytes
-                        for i in range(self.degree)
-                    ]
-                    # Monotone by construction; only a negative tail can
-                    # introduce out-of-range (negative) addresses.
-                    if prefetches[-1] < 0:
-                        prefetches = [p for p in prefetches if p >= 0]
-                regions[region] = (line, new_direction)
+            return []
+        last_line, direction = entry
+        if line == last_line:
+            regions[region] = (line, direction)
+            return []
+        new_direction = 1 if line > last_line else -1
+        regions[region] = (line, new_direction)
+        if direction != new_direction:
+            return []
+        step = new_direction * self.line_bytes
+        start = line * self.line_bytes + step
+        prefetches = list(range(start, start + step * self.degree, step))
+        # Monotone by construction; only a negative tail can introduce
+        # out-of-range (negative) addresses.
+        if prefetches[-1] < 0:
+            prefetches = [p for p in prefetches if p >= 0]
         return prefetches

@@ -9,6 +9,7 @@ eviction sets), and SRRIP in particular can retain a target line after
 
 from __future__ import annotations
 
+import itertools
 import random
 
 
@@ -41,17 +42,20 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """True least-recently-used: evict the oldest-touched way."""
+    """True least-recently-used: evict the oldest-touched way.
+
+    Every hit or fill stamps its slot with the next of 1, 2, 3, ...;
+    :class:`repro.cache.cache.Cache` aliases ``_last_use`` and
+    ``_next_stamp`` to stamp slots inline.
+    """
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
-        self._stamp = 0
+        self._next_stamp = itertools.count(1).__next__
         self._last_use = [0] * (num_sets * ways)
 
     def on_hit(self, slot: int) -> None:
-        stamp = self._stamp + 1
-        self._stamp = stamp
-        self._last_use[slot] = stamp
+        self._last_use[slot] = self._next_stamp()
 
     on_fill = on_hit
 
@@ -72,7 +76,9 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
-        self._rrpv = [self.MAX_RRPV] * (num_sets * ways)
+        # One byte per slot: ``find`` looks for a victim without raising
+        # when no way is at the maximum.
+        self._rrpv = bytearray([self.MAX_RRPV]) * (num_sets * ways)
 
     def on_hit(self, slot: int) -> None:
         self._rrpv[slot] = 0
@@ -83,17 +89,16 @@ class SRRIPPolicy(ReplacementPolicy):
     def victim(self, base: int) -> int:
         rrpv = self._rrpv
         end = base + self.ways
-        try:
-            return rrpv.index(self.MAX_RRPV, base, end)
-        except ValueError:
-            pass
+        slot = rrpv.find(self.MAX_RRPV, base, end)
+        if slot >= 0:
+            return slot
         # No way is at the maximum (RRPVs never exceed it): age every line
         # by the distance to the nearest re-reference in one shot,
         # equivalent to repeated +1 rounds.
         row = rrpv[base:end]
         oldest = max(row)
         step = self.MAX_RRPV - oldest
-        rrpv[base:end] = [r + step for r in row]
+        rrpv[base:end] = bytes([r + step for r in row])
         return base + row.index(oldest)
 
 

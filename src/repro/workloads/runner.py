@@ -10,6 +10,7 @@ full hierarchy latency, with the kernel's compute cycles in between.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -58,8 +59,8 @@ def run_multiprogrammed(system: System,
     that makes the open-row policy's behaviour policy-dependent.
 
     With ``warmup`` (the default, matching §5.1's warm-up methodology)
-    the streams are replayed once beforehand to populate caches and TLBs;
-    only the second, warm replay is measured.
+    the streams are replayed once beforehand to populate the caches and
+    the prefetcher tables; only the second, warm replay is measured.
     """
     if warmup:
         _warm(system, streams)
@@ -73,47 +74,48 @@ def _replay(system: System,
     cursors = [0] * len(streams)
     times = [0] * len(streams)
     instructions = 0
-    refs = 0
     llc_misses = 0
     access = system.hierarchy.access
     requestors = [f"core{core}" for core in range(len(streams))]
     active = [core for core, stream in enumerate(streams) if stream]
-    key = times.__getitem__
-    while len(active) > 1:
-        core = min(active, key=key)
-        ref = streams[core][cursors[core]]
-        start = times[core] + ref.compute_cycles
-        result = access(core, ref.addr, start, is_write=ref.is_write,
-                        pc=ref.pc, requestor=requestors[core])
-        times[core] = result.finish
-        instructions += 1 + ref.compute_cycles  # 1-IPC compute model
-        refs += 1
-        if result.hit_level == 0:
-            llc_misses += 1
-        cursors[core] += 1
-        if cursors[core] >= len(streams[core]):
-            active.remove(core)
-    if active:
-        # One runnable core left: no interleaving decisions remain, so
-        # drain its tail in a tight loop (single-stream runs take this
-        # path for the whole replay).
-        core = active[0]
+    while active:
+        # Pick the core with the lowest time, ties to the lower index, and
+        # the time at which another core would be picked instead: the
+        # least over the others of their time, plus one for a higher index
+        # (cycle counts are integers).  ``active`` is in core order, so
+        # every core seen before a new pick has a lower index.
+        core = -1
+        now = limit = math.inf
+        for candidate in active:
+            at = times[candidate]
+            if at < now:
+                core, now, limit = candidate, at, now
+            elif at + 1 < limit:
+                limit = at + 1
+        # The picked core keeps issuing until then.
         stream = streams[core]
         requestor = requestors[core]
-        now = times[core]
-        for i in range(cursors[core], len(stream)):
-            ref = stream[i]
-            result = access(core, ref.addr, now + ref.compute_cycles,
-                            is_write=ref.is_write, pc=ref.pc,
-                            requestor=requestor)
-            now = result.finish
-            instructions += 1 + ref.compute_cycles
-            refs += 1
-            if result.hit_level == 0:
+        end = len(stream)
+        cursor = cursors[core]
+        while True:
+            ref = stream[cursor]
+            cursor += 1
+            compute = ref.compute_cycles
+            issued = now + compute
+            result = access(core, ref.addr, issued, is_write=ref.is_write,
+                            pc=ref.pc, requestor=requestor)
+            now = issued + result.latency
+            instructions += 1 + compute  # 1-IPC compute model
+            if not result.hit_level:
                 llc_misses += 1
+            if cursor == end or now >= limit:
+                break
+        cursors[core] = cursor
         times[core] = now
+        if cursor == end:
+            active.remove(core)
     return RunResult(cycles=max(times) if times else 0,
-                     instructions=instructions, refs=refs,
+                     instructions=instructions, refs=sum(cursors),
                      llc_misses=llc_misses)
 
 

@@ -1,6 +1,7 @@
 """Equivalence tests: batched operations, the scheduler run-to-block fast
 path, and BackgroundNoise window semantics."""
 
+import itertools
 import random
 
 import pytest
@@ -25,9 +26,17 @@ def _hierarchy_state(hierarchy):
     stats; both prefetchers' tables; the in-flight fills; the NT RNG; and
     the hierarchy stats, by requestor included."""
     def policy_state(policy):
-        return {name: (value.getstate() if isinstance(value, random.Random)
-                       else value)
-                for name, value in vars(policy).items()}
+        state = {}
+        for name, value in vars(policy).items():
+            if isinstance(value, random.Random):
+                value = value.getstate()
+            elif isinstance(getattr(value, "__self__", None),
+                            itertools.count):
+                # LRU's stamp source: its repr, count(n), names the next
+                # stamp it hands out.
+                value = repr(value.__self__)
+            state[name] = value
+        return state
 
     return {
         "caches": [(cache._tags, cache._dirty, cache._where, cache._filled,

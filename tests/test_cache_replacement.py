@@ -4,6 +4,8 @@ Policies address ways by flat slot (``set * ways + way``) and are only
 asked for victims in full sets; the cache itself fills invalid ways.
 """
 
+import random
+
 import pytest
 
 from repro.cache import (
@@ -59,6 +61,111 @@ def test_srrip_can_retain_reused_line_against_fills():
     policy.on_hit(2)  # target line re-referenced
     victims = [policy.victim(0) for _ in range(3)]
     assert 2 not in victims
+
+
+def _reference_srrip_victim(rrpv, base, ways, max_rrpv=SRRIPPolicy.MAX_RRPV):
+    """SRRIP victim selection as first written, on a list of RRPVs."""
+    end = base + ways
+    try:
+        return rrpv.index(max_rrpv, base, end)
+    except ValueError:
+        pass
+    row = rrpv[base:end]
+    oldest = max(row)
+    step = max_rrpv - oldest
+    rrpv[base:end] = [r + step for r in row]
+    return base + row.index(oldest)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_srrip_victim_matches_reference(seed):
+    rng = random.Random(seed)
+    ways = 8
+    policy = SRRIPPolicy(num_sets=64, ways=ways)
+    # Half the rows have no way at the maximum, so victim() must age them.
+    for set_index in range(64):
+        top = SRRIPPolicy.MAX_RRPV - (set_index % 2)
+        for slot in range(set_index * ways, (set_index + 1) * ways):
+            policy._rrpv[slot] = rng.randint(0, top)
+    reference = list(policy._rrpv)
+    aged = 0
+    for _ in range(3):
+        for set_index in rng.sample(range(64), 64):
+            base = set_index * ways
+            aged += SRRIPPolicy.MAX_RRPV not in reference[base:base + ways]
+            victim = policy.victim(base)
+            assert victim == _reference_srrip_victim(reference, base, ways)
+            assert list(policy._rrpv) == reference
+            # Refill the victim's way, as the cache does.
+            policy.on_fill(victim)
+            reference[victim] = SRRIPPolicy.MAX_RRPV - 1
+    assert aged >= 32
+
+
+class _ReferenceLRUCache:
+    """A cache that asks an :class:`LRUPolicy` on every hit, fill and
+    eviction, as :class:`Cache` did before it stamped LRU slots inline."""
+
+    def __init__(self, config):
+        self.sets, self.ways = config.num_sets, config.ways
+        self.line_bytes = config.line_bytes
+        self.policy = LRUPolicy(self.sets, self.ways)
+        self.tags = [-1] * (self.sets * self.ways)
+        self.where = {}
+
+    def access(self, addr):
+        slot = self.where.get(addr // self.line_bytes)
+        if slot is None:
+            return False
+        self.policy.on_hit(slot)
+        return True
+
+    def fill(self, addr):
+        line = addr // self.line_bytes
+        slot = self.where.get(line)
+        if slot is not None:
+            self.policy.on_hit(slot)
+            return None
+        base = (line % self.sets) * self.ways
+        evicted = None
+        if -1 in self.tags[base:base + self.ways]:
+            slot = self.tags.index(-1, base)
+        else:
+            slot = self.policy.victim(base)
+            evicted = self.tags[slot] * self.line_bytes
+            del self.where[self.tags[slot]]
+        self.tags[slot] = line
+        self.where[line] = slot
+        self.policy.on_fill(slot)
+        return evicted
+
+    def invalidate(self, addr):
+        slot = self.where.pop(addr // self.line_bytes, None)
+        if slot is not None:
+            self.tags[slot] = -1
+        return slot is not None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lru_cache_matches_policy_calls(seed):
+    rng = random.Random(seed)
+    config = CacheConfig(name="t", size_bytes=4096, ways=4,
+                         latency_cycles=1, replacement="lru")
+    cache, reference = Cache(config), _ReferenceLRUCache(config)
+    for _ in range(3000):
+        addr = rng.randrange(256) * config.line_bytes
+        op = rng.random()
+        if op < 0.45:
+            assert cache.access(addr) == reference.access(addr)
+        elif op < 0.9:
+            evicted = cache.fill(addr)
+            assert (evicted.addr if evicted else None) == reference.fill(addr)
+        else:
+            assert ((cache.invalidate(addr) is not None)
+                    == reference.invalidate(addr))
+        assert cache._tags == reference.tags
+        assert cache._policy._last_use == reference.policy._last_use
+    assert cache.stats.evictions > 100
 
 
 def test_random_is_deterministic_under_seed():

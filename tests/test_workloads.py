@@ -1,5 +1,7 @@
 """Unit and integration tests for graph workloads and the Fig. 11 runner."""
 
+import random
+
 import pytest
 
 from repro import System, SystemConfig
@@ -8,10 +10,13 @@ from repro.dram import DRAMGeometry
 from repro.workloads import (
     KERNELS,
     CSRGraph,
+    MemoryRef,
+    RunResult,
     bc_kernel,
     bfs_kernel,
     cc_kernel,
     evaluate_defenses,
+    fig11_config,
     generate_graph,
     pagerank_kernel,
     run_multiprogrammed,
@@ -25,11 +30,11 @@ def tiny_graph():
     return generate_graph(num_nodes=60, avg_degree=4, seed=1)
 
 
-def tiny_system():
+def tiny_system(cores=2):
     return System(SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
-        hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0),
-        num_cores=2))
+        hierarchy=HierarchyConfig(num_cores=cores, llc_size_mb=2.0),
+        num_cores=cores))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +131,89 @@ def test_runner_replays_all_refs():
     assert result.refs == 1000
     assert result.cycles > 0
     assert result.instructions > result.refs
+
+
+def _reference_replay(system, streams):
+    """The replay with one lowest-time-first pick per reference, ties to
+    the lower core index: the issue order the runner must keep."""
+    access = system.hierarchy.access
+    cursors = [0] * len(streams)
+    times = [0] * len(streams)
+    instructions = refs = llc_misses = 0
+    active = [core for core, stream in enumerate(streams) if stream]
+    while active:
+        core = min(active, key=times.__getitem__)
+        ref = streams[core][cursors[core]]
+        result = access(core, ref.addr, times[core] + ref.compute_cycles,
+                        is_write=ref.is_write, pc=ref.pc,
+                        requestor=f"core{core}")
+        times[core] = result.finish
+        instructions += 1 + ref.compute_cycles
+        refs += 1
+        if result.hit_level == 0:
+            llc_misses += 1
+        cursors[core] += 1
+        if cursors[core] == len(streams[core]):
+            active.remove(core)
+    return RunResult(cycles=max(times) if times else 0,
+                     instructions=instructions, refs=refs,
+                     llc_misses=llc_misses)
+
+
+def _record_accesses(system):
+    """Log every call the replay makes to the hierarchy's ``access``."""
+    calls = []
+    access = system.hierarchy.access
+
+    def recording(core, addr, issued, **kwargs):
+        calls.append((core, addr, issued, sorted(kwargs.items())))
+        return access(core, addr, issued, **kwargs)
+
+    system.hierarchy.access = recording
+    return calls
+
+
+def _random_stream(rng, length, compute=None):
+    return [MemoryRef(addr=rng.randrange(1 << 14) * 64,
+                      is_write=rng.random() < 0.2, pc=rng.randrange(8),
+                      compute_cycles=(rng.randrange(12) if compute is None
+                                      else compute))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_runner_issue_order_matches_one_pick_per_reference(seed):
+    rng = random.Random(seed)
+    tied = _random_stream(rng, 300, compute=0)
+    cases = [
+        (2, [_random_stream(rng, 400), _random_stream(rng, 250)]),
+        (3, [_random_stream(rng, n) for n in (300, 120, 260)]),
+        (3, [_random_stream(rng, 200), [], _random_stream(rng, 310)]),
+        (2, [tied, tied]),
+        (3, [tied, tied, tied]),
+    ]
+    for cores, streams in cases:
+        system, reference = tiny_system(cores), tiny_system(cores)
+        calls = _record_accesses(system)
+        expected_calls = _record_accesses(reference)
+        result = run_multiprogrammed(system, streams, warmup=False)
+        expected = _reference_replay(reference, streams)
+        assert calls == expected_calls
+        assert result == expected
+        assert result.refs == sum(len(stream) for stream in streams)
+
+
+def test_runner_counts_each_cores_references_in_the_hierarchy():
+    """The warm-up's counters are reset: the hierarchy's per-core counts
+    are the measured replay's."""
+    stream = workload_spec("CC").refs(max_refs=3000)
+    system = System(fig11_config())
+    result = run_multiprogrammed(system, [stream, stream[:1000]])
+    counters = system.hierarchy.stats.by_requestor
+    assert counters["core0"].accesses == 3000
+    assert counters["core1"].accesses == 1000
+    assert (counters["core0"].llc_misses + counters["core1"].llc_misses
+            == result.llc_misses)
 
 
 def test_runner_warmup_reduces_misses():
