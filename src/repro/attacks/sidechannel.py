@@ -105,11 +105,25 @@ class ReadMappingSideChannel:
         self.system = system
         self.config = config or SideChannelConfig()
         self.num_banks = system.num_banks
+        # The scan targets are fixed: the anchor row in every bank, handed
+        # to the PEI engine pre-decoded so the rescan skips per-address
+        # decode and result objects.
+        self._scan_locs = [(bank, self.config.anchor_row)
+                           for bank in range(self.num_banks)]
 
-    def _scan_addrs(self) -> List[int]:
-        row = self.config.anchor_row
-        return [self.system.address_of(bank, row)
-                for bank in range(self.num_banks)]
+    def _scan(self, ctx: Context) -> List[int]:
+        """One full-bank rescan from ``ctx.now``; returns the banks seen
+        in conflict.  ``execute_parallel_raw`` decodes in the same pass,
+        is bit-identical to ``execute_parallel`` and self-downgrades under
+        observers."""
+        cfg = self.config
+        finish, slow_banks = self.system.pei.execute_parallel_raw(
+            self._scan_locs, ctx.now, threshold_cycles=cfg.threshold_cycles,
+            issue_gap_cycles=cfg.scan_issue_gap_cycles,
+            requestor="attacker")
+        ctx.advance_to(finish)
+        ctx.advance(cfg.scan_fixed_cycles)
+        return slow_banks
 
     def run(self, accesses: Sequence[SeedAccess],
             entries_per_bank: float = 0.0) -> SideChannelResult:
@@ -123,34 +137,14 @@ class ReadMappingSideChannel:
                 raise ValueError("anchor row collides with a hash-table row")
         system = self.system
         cfg = self.config
-        # The scan targets are fixed for the whole run: the anchor row in
-        # every bank.  Hand the PEI engine pre-decoded (bank, row) pairs
-        # so the hot rescan loop skips per-address decode and result
-        # objects (execute_parallel_raw is bit-identical to
-        # execute_parallel and self-downgrades under observers).
-        scan_locs = [(bank, cfg.anchor_row) for bank in range(self.num_banks)]
-        threshold = cfg.threshold_cycles
         stats = {"correct": 0, "missed": 0, "fp": 0, "t0": 0, "t1": 0}
-
-        def scan(ctx: Context) -> List[int]:
-            """One full-bank rescan; returns banks seen in conflict."""
-            raw = system.pei.execute_parallel_raw(
-                scan_locs, ctx.now,
-                issue_gap_cycles=cfg.scan_issue_gap_cycles,
-                requestor="attacker")
-            finish = max(item[2] for item in raw)
-            ctx.advance_to(finish)
-            ctx.advance(cfg.scan_fixed_cycles)
-            return [bank for bank, issue_time, fin in raw
-                    if fin - issue_time > threshold]
 
         def harness(ctx: Context, sys_: System):
             # Initial scan opens the anchor row everywhere.
-            scan(ctx)
+            self._scan(ctx)
             yield None
             stats["t0"] = ctx.now
             noise_mark = ctx.now
-            pim = sys_.pei
             for access in accesses:
                 # Victim: one hash-table probe + seeding computation.
                 addr = sys_.address_of(access.bank, access.row,
@@ -161,7 +155,7 @@ class ReadMappingSideChannel:
                 sys_.noise.run(noise_mark, ctx.now)
                 noise_mark = ctx.now
                 # Attacker: rescan and decode.
-                decoded = scan(ctx)
+                decoded = self._scan(ctx)
                 if access.bank in decoded:
                     stats["correct"] += 1
                     stats["fp"] += len(decoded) - 1
@@ -225,7 +219,6 @@ class ConcurrentSideChannel(ReadMappingSideChannel):
                 raise ValueError("anchor row collides with a hash-table row")
         system = self.system
         cfg = self.config
-        scan_addrs = self._scan_addrs()
         victim_events: List[tuple] = []   # (time, bank)
         scan_windows: List[tuple] = []    # (end_time, decoded bank list)
         state = {"victim_done_at": None, "t0": 0}
@@ -242,26 +235,14 @@ class ConcurrentSideChannel(ReadMappingSideChannel):
 
         def attacker(ctx: Context, sys_: System):
             noise_mark = ctx.now
-            results = sys_.pei.execute_parallel(
-                scan_addrs, ctx.now,
-                issue_gap_cycles=cfg.scan_issue_gap_cycles,
-                requestor="attacker")
-            ctx.advance_to(max(r.finish for r in results))
-            ctx.advance(cfg.scan_fixed_cycles)
+            self._scan(ctx)
             state["t0"] = ctx.now
             yield None
             while (state["victim_done_at"] is None
                    or ctx.now < state["victim_done_at"]):
                 sys_.noise.run(noise_mark, ctx.now)
                 noise_mark = ctx.now
-                results = sys_.pei.execute_parallel(
-                    scan_addrs, ctx.now,
-                    issue_gap_cycles=cfg.scan_issue_gap_cycles,
-                    requestor="attacker")
-                ctx.advance_to(max(r.finish for r in results))
-                ctx.advance(cfg.scan_fixed_cycles)
-                decoded = [r.bank for r in results
-                           if r.latency > cfg.threshold_cycles]
+                decoded = self._scan(ctx)
                 scan_windows.append((ctx.now, decoded))
                 yield None
 

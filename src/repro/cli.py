@@ -385,6 +385,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.exp.figures import FIG10_NOISE_RATE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IMPACT reproduction: PiM main-memory timing attacks")
@@ -417,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bank count(s); several values run as one sweep")
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=float, default=FIG10_NOISE_RATE,
+                   help="background activations per kilocycle (default: "
+                        "%(default)s, the Fig. 10 rate; 0 turns noise off)")
     add_jobs(p)
     p.set_defaults(func=cmd_sidechannel)
 

@@ -98,9 +98,9 @@ class Bank:
     stats: BankStats = field(default_factory=BankStats)
 
     def __post_init__(self) -> None:
-        # The DRAMTimings cycle figures are properties deriving CPU cycles
-        # from nanoseconds on every read; hoist them to plain ints once —
-        # they sit on the per-access critical path.
+        # The DRAMTimings cycle figures are computed once per timings
+        # object; copy them onto the bank, where they sit on the
+        # per-access critical path.
         t = self.timings
         self._hit_cycles = t.hit_cycles
         self._empty_cycles = t.empty_cycles

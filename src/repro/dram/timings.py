@@ -10,12 +10,13 @@ command overheads).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class DRAMTimings:
     """DRAM timing parameters (nanoseconds) and the CPU clock that observes
-    them.
+    them.  Each cycle figure is derived once per object and then cached.
 
     Attributes:
         cpu_ghz: host CPU frequency; all cycle figures are CPU cycles.
@@ -53,62 +54,62 @@ class DRAMTimings:
         """Convert nanoseconds to (rounded) CPU cycles."""
         return int(round(ns * self.cpu_ghz))
 
-    @property
+    @cached_property
     def rcd_cycles(self) -> int:
         """Row activation latency in CPU cycles."""
         return self.ns_to_cycles(self.t_rcd_ns)
 
-    @property
+    @cached_property
     def rp_cycles(self) -> int:
         """Precharge latency in CPU cycles."""
         return self.ns_to_cycles(self.t_rp_ns)
 
-    @property
+    @cached_property
     def cas_cycles(self) -> int:
         """Column access latency in CPU cycles."""
         return self.ns_to_cycles(self.t_cas_ns)
 
-    @property
+    @cached_property
     def ras_cycles(self) -> int:
         """Minimum row-open time in CPU cycles."""
         return self.ns_to_cycles(self.t_ras_ns)
 
-    @property
+    @cached_property
     def refi_cycles(self) -> int:
         """Refresh interval in CPU cycles."""
         return self.ns_to_cycles(self.t_refi_ns)
 
-    @property
+    @cached_property
     def rfc_cycles(self) -> int:
         """Refresh cycle time in CPU cycles."""
         return self.ns_to_cycles(self.t_rfc_ns)
 
-    @property
+    @cached_property
     def row_timeout_cycles(self) -> int:
         """Open-row timeout in CPU cycles (0 = no timeout)."""
         return self.ns_to_cycles(self.row_timeout_ns)
 
-    @property
+    @cached_property
     def hit_cycles(self) -> int:
         """Latency of a row-buffer hit (column access only)."""
         return self.cas_cycles
 
-    @property
+    @cached_property
     def empty_cycles(self) -> int:
         """Latency of an access to a precharged (closed) bank."""
         return self.rcd_cycles + self.cas_cycles
 
-    @property
+    @cached_property
     def conflict_cycles(self) -> int:
         """Latency of a row-buffer conflict (precharge + activate + CAS)."""
         return self.rp_cycles + self.rcd_cycles + self.cas_cycles
 
-    @property
+    @cached_property
     def conflict_hit_gap_cycles(self) -> int:
         """Extra cycles a conflict costs over a hit (§3.1 reports ~74)."""
         return self.conflict_cycles - self.hit_cycles
 
-    @property
+    @cached_property
     def rowclone_fpm_cycles(self) -> int:
         """In-bank RowClone Fast-Parallel-Mode copy latency.
 

@@ -320,12 +320,13 @@ def streamline_bound_point(llc_mb: Optional[float] = None, noise: float = 0.0,
 
 
 def sidechannel_point(num_banks: int, rounds: int = 100, seed: int = 0,
-                      noise: float = 0.0) -> Dict[str, Any]:
-    """One ``repro sidechannel`` run over a synthetic victim schedule."""
+                      noise: float = FIG10_NOISE_RATE) -> Dict[str, Any]:
+    """One ``repro sidechannel`` run over a synthetic victim schedule;
+    ``noise`` is the background activation rate (0 turns noise off)."""
     from repro.attacks import ReadMappingSideChannel, fake_schedule
 
     config = (SystemConfig.paper_default().with_banks(num_banks)
-              .with_noise(noise if noise else FIG10_NOISE_RATE))
+              .with_noise(noise))
     system = System(config)
     schedule = fake_schedule(num_banks, rounds, seed=seed)
     result = ReadMappingSideChannel(system).run(schedule)

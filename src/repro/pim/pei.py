@@ -252,23 +252,25 @@ class PEIEngine:
         return results
 
     def execute_parallel_raw(self, locations: List[Tuple[int, int]],
-                             issued: int, *,
+                             issued: int, *, threshold_cycles: int,
                              issue_gap_cycles: Optional[float] = None,
                              requestor: str = "pei",
-                             ) -> List[Tuple[int, int, int]]:
-        """Memory-side PEI fan-out over pre-decoded ``(bank, row)`` pairs.
+                             ) -> Tuple[int, List[int]]:
+        """Memory-side PEI fan-out over pre-decoded ``(bank, row)`` pairs,
+        decoded in the same pass.
 
         Bit-identical timing, state evolution, and statistics to
         :meth:`execute_parallel` on the equivalent addresses, but returns
-        compact ``(bank, issue_time, finish)`` triples instead of
-        :class:`PEIResult` objects — the §4.3 attacker rescans every bank
-        once per victim probe, making this the simulator's hottest loop,
-        and the per-op address decode and result-object allocations
-        dominated it.  Whenever an observer is attached (tracer,
-        sanitizer, metrics) or a controller feature with per-access hooks
-        is active (bank partitioning, refresh, constant-time), the call
-        delegates to :meth:`execute_parallel`, so every observable event
-        is still reported identically.
+        only ``(finish, slow_banks)``: when the last PEI completes
+        (``issued`` for an empty list) and, in input order, the banks whose
+        round trip exceeded ``threshold_cycles``.  The §4.3 attacker
+        rescans every bank once per victim probe, making this the
+        simulator's hottest loop; almost all of its PEIs are row hits on
+        idle banks, which the loop commits itself.  Whenever an observer is
+        attached (tracer, sanitizer, metrics) or a controller feature with
+        per-access hooks is active (bank partitioning, refresh,
+        constant-time), the call delegates to :meth:`execute_parallel`, so
+        every observable event is still reported identically.
         """
         controller = self.controller
         if (self._obs is not None or controller._obs is not None
@@ -278,39 +280,56 @@ class PEIEngine:
             results = self.execute_parallel(
                 [encode(bank, row) for bank, row in locations], issued,
                 issue_gap_cycles=issue_gap_cycles, requestor=requestor)
-            return [(r.bank, r.issued, r.finish) for r in results]
+            return (max((r.finish for r in results), default=issued),
+                    [r.bank for r in results if r.latency > threshold_cycles])
         cfg = self.config
         gap = (issue_gap_cycles if issue_gap_cycles is not None
                else cfg.issue_cycles)
-        lead = cfg.network_cycles
+        lead = cfg.network_cycles + controller._queue_cycles
         tail = cfg.pcu_op_cycles + cfg.network_cycles
-        queue = controller._queue_cycles
         close_after = controller._close_after
+        timings = controller.device.timings
+        # A row hit on an idle bank under the open-row policy without a
+        # timeout only pays tCAS and restarts the bank's clocks: exactly
+        # what Bank.access_raw would record.
+        idle_hits = not close_after and timings.row_timeout_cycles == 0
+        hit_cycles = timings.hit_cycles
         locked = controller._locked_until  # only rowclone moves it
         banks = controller.device.banks
         hit_kind = AccessKind.HIT
         conflict_kind = AccessKind.CONFLICT
         hits = 0
         conflicts = 0
-        out: List[Tuple[int, int, int]] = []
-        append = out.append
+        last = issued
+        slow: List[int] = []
         for i, (bank_index, row) in enumerate(locations):
             issue_time = issued + int(i * gap)
-            start = issue_time + lead + queue
+            start = issue_time + lead
             if start < locked:
                 start = locked
-            kind, _service, finish = banks[bank_index].access_raw(
-                row, start, close_after)
-            if kind is hit_kind:
+            bank = banks[bank_index]
+            if idle_hits and bank.open_row == row and bank.busy_until <= start:
+                finish = start + hit_cycles
+                bank.busy_until = bank.last_activation = finish
+                bank.stats.hits += 1
                 hits += 1
-            elif kind is conflict_kind:
-                conflicts += 1
-            append((bank_index, issue_time, finish + tail))
-        count = len(out)
+            else:
+                kind, _service, finish = bank.access_raw(row, start,
+                                                         close_after)
+                if kind is hit_kind:
+                    hits += 1
+                elif kind is conflict_kind:
+                    conflicts += 1
+            finish += tail
+            if finish > last:
+                last = finish
+            if finish - issue_time > threshold_cycles:
+                slow.append(bank_index)
+        count = len(locations)
         if count:
             self.memory_executions += count
             stats = controller._stats_for(requestor)
             stats.reads += count
             stats.hits += hits
             stats.conflicts += conflicts
-        return out
+        return last, slow

@@ -139,6 +139,15 @@ def test_summary_format():
 # Concurrent (free-running attacker) variant
 # ---------------------------------------------------------------------------
 
+def _same_bank_schedule():
+    from repro.genomics.index import BucketLocation
+    from repro.genomics.pim_mapper import SeedAccess
+    return [SeedAccess(hash_value=i,
+                       location=BucketLocation(entry_index=i, bank=7,
+                                               row=1024 + (i % 4)))
+            for i in range(20)]
+
+
 def test_concurrent_mode_decodes_most_events():
     from repro.attacks import ConcurrentSideChannel
     system = System(bank_config(64))
@@ -152,16 +161,10 @@ def test_concurrent_mode_merges_same_bank_collisions():
     """Two probes of one bank inside a scan window merge into one leak —
     the miss mode the serialized harness cannot exhibit."""
     from repro.attacks import ConcurrentSideChannel
-    from repro.genomics.index import BucketLocation
-    from repro.genomics.pim_mapper import SeedAccess
     # Victim hammers a single bank faster than the attacker can scan.
     system = System(bank_config(2048))
-    schedule = [SeedAccess(hash_value=i,
-                           location=BucketLocation(entry_index=i, bank=7,
-                                                   row=1024 + (i % 4)))
-                for i in range(20)]
     channel = ConcurrentSideChannel(system)
-    result = channel.run(schedule)
+    result = channel.run(_same_bank_schedule())
     assert result.missed > 0
 
 
@@ -175,6 +178,25 @@ def test_concurrent_mode_can_outrun_serialized_mode():
     concurrent = ConcurrentSideChannel(System(bank_config(4096))) \
         .run(schedule)
     assert concurrent.throughput_mbps > serialized.throughput_mbps
+
+
+@pytest.mark.parametrize("banks,noise,schedule,expected", [
+    (64, 0.0, lambda: fake_schedule(64, 30, seed=9), (29, 1, 0, 52442)),
+    (2048, 0.0, _same_bank_schedule, (8, 12, 0, 33100)),
+    (4096, 0.0, lambda: fake_schedule(4096, 40, seed=10),
+     (38, 2, 0, 119301)),
+    (1024, 0.0105, lambda: fake_schedule(1024, 60, seed=3),
+     (59, 1, 3, 107770)),
+])
+def test_concurrent_mode_exact_outcomes(banks, noise, schedule, expected):
+    """Pinned (correct, missed, false positives, cycles): the free-running
+    attacker's one-pass rescan must decode exactly as a rescan through
+    ``execute_parallel`` plus a separate decode did."""
+    from repro.attacks import ConcurrentSideChannel
+    result = ConcurrentSideChannel(System(bank_config(banks, noise))) \
+        .run(schedule())
+    assert (result.correct, result.missed, result.false_positives,
+            result.cycles) == expected
 
 
 def test_side_channel_generalizes_to_pagerank_victim():

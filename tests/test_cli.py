@@ -46,6 +46,28 @@ def test_sidechannel_command(capsys):
     assert "leaked" in out
 
 
+def test_sidechannel_noise_defaults_to_the_fig10_rate():
+    from repro.exp.figures import FIG10_NOISE_RATE
+
+    parser = build_parser()
+    assert parser.parse_args(["sidechannel"]).noise == FIG10_NOISE_RATE
+    assert parser.parse_args(["sidechannel", "--noise", "0"]).noise == 0.0
+
+
+def test_sidechannel_point_passes_the_noise_rate_through():
+    """``--noise 0`` turns noise off: the attacker then decodes every
+    probe and nothing else.  The default keeps the Fig. 10 rate."""
+    from repro.exp.figures import sidechannel_point
+
+    def outcome(**kwargs):
+        payload = sidechannel_point(1024, rounds=100, **kwargs)
+        return tuple(payload[key] for key in
+                     ("correct", "missed", "false_positives", "cycles"))
+
+    assert outcome(noise=0.0) == (100, 0, 0, 359102)
+    assert outcome() == (100, 0, 3, 359102)
+
+
 def test_recon_command(capsys):
     assert main(["recon", "--mapping", "row"]) == 0
     out = capsys.readouterr().out

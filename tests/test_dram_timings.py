@@ -1,8 +1,12 @@
 """Unit tests for DRAM timing parameters and derived latencies."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dram import DRAMTimings
+from repro.dram.bank import Bank
 
 
 def test_paper_defaults_produce_sec31_gap():
@@ -68,3 +72,61 @@ def test_row_timeout_configurable():
 def test_invalid_parameters_rejected(field, value):
     with pytest.raises(ValueError):
         DRAMTimings(**{field: value})
+
+
+CYCLE_FIGURES = ("rcd_cycles", "rp_cycles", "cas_cycles", "ras_cycles",
+                 "refi_cycles", "rfc_cycles", "row_timeout_cycles",
+                 "hit_cycles", "empty_cycles", "conflict_cycles",
+                 "conflict_hit_gap_cycles", "rowclone_fpm_cycles")
+
+
+def figures(t):
+    return {name: getattr(t, name) for name in CYCLE_FIGURES}
+
+
+def test_replaced_timings_report_their_own_figures():
+    """The figures are cached per object: a copy made with
+    ``dataclasses.replace`` derives its own, never the original's."""
+    t = DRAMTimings()
+    before = figures(t)
+    changed = dataclasses.replace(t, t_rp_ns=20)
+    assert changed.rp_cycles == 52
+    assert changed.conflict_cycles == 52 + 35 + 35
+    assert changed.conflict_hit_gap_cycles == 52 + 35
+    assert figures(changed) == figures(DRAMTimings(t_rp_ns=20))
+    assert figures(t) == before
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_pickled_timings_report_equal_figures(warm):
+    """The worker pool pickles configs, with or without cached figures."""
+    t = DRAMTimings(cpu_ghz=3.1, t_cas_ns=14.2, row_timeout_ns=80.0)
+    expected = figures(DRAMTimings(cpu_ghz=3.1, t_cas_ns=14.2,
+                                   row_timeout_ns=80.0))
+    if warm:
+        figures(t)
+    clone = pickle.loads(pickle.dumps(t))
+    assert clone == t
+    assert figures(clone) == expected
+
+
+def test_equality_and_hash_follow_fields_only():
+    warm, cold = DRAMTimings(), DRAMTimings()
+    figures(warm)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert len({warm, cold}) == 1
+    assert warm != DRAMTimings(t_cas_ns=14.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        warm.rcd_cycles = 1
+
+
+def test_bank_hoists_its_timings_figures():
+    t = DRAMTimings(cpu_ghz=3.1, t_rp_ns=15.0, t_ras_ns=35.0,
+                    row_timeout_ns=80.0)
+    bank = Bank(index=0, timings=t)
+    assert (bank._hit_cycles, bank._empty_cycles, bank._conflict_cycles,
+            bank._rcd_cycles, bank._rp_cycles, bank._rowclone_fpm_cycles,
+            bank._timeout_cycles, bank._ras_cycles) == (
+        t.hit_cycles, t.empty_cycles, t.conflict_cycles, t.rcd_cycles,
+        t.rp_cycles, t.rowclone_fpm_cycles, t.row_timeout_cycles,
+        t.ras_cycles)

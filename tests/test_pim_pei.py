@@ -1,9 +1,21 @@
 """Unit tests for the PEI engine and the PMU locality monitor."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
+from repro import System, SystemConfig
 from repro.cache import CacheHierarchy, HierarchyConfig
-from repro.dram import AccessKind, DRAMGeometry, MemoryController, MemoryControllerConfig
+from repro.dram import (
+    AccessKind,
+    DRAMGeometry,
+    DRAMTimings,
+    MemoryController,
+    MemoryControllerConfig,
+    RowPolicy,
+)
+from repro.obs import Tracer
 from repro.pim import ExecutionSite, LocalityMonitor, PEIConfig, PEIEngine
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096)
@@ -168,3 +180,178 @@ def test_pei_config_validation():
         PEIConfig(monitor_entries=5, monitor_ways=2)
     with pytest.raises(ValueError):
         PEIConfig(locality_threshold=0)
+
+
+# ---------------------------------------------------------------------------
+# One-pass rescan against its reference (the §4.3 attacker's scan)
+# ---------------------------------------------------------------------------
+
+ANCHOR = 50
+RESCAN_AT = 2_000
+
+
+def _rescan_config(**overrides):
+    config = SystemConfig(
+        geometry=DRAMGeometry(ranks=1, banks_per_rank=64, rows_per_bank=4096),
+        hierarchy=HierarchyConfig(num_cores=1, llc_size_mb=2.0,
+                                  prefetchers_enabled=False),
+        num_cores=1)
+    return replace(config, **overrides)
+
+
+def _prestate(system, seed):
+    """Seeded pre-state, applied through the controller: each bank has the
+    anchor row open, another row open, is precharged (never touched), or
+    is still busy when the rescan reaches it."""
+    rng = random.Random(seed)
+    controller = system.controller
+    for bank in range(system.num_banks):
+        state = rng.choice(("anchor", "other", "precharged", "busy"))
+        if state == "anchor":
+            controller.activate(bank, ANCHOR, rng.randrange(RESCAN_AT),
+                                requestor="setup")
+        elif state == "other":
+            row = ANCHOR + 1 + rng.randrange(8)
+            controller.access(controller.address_of(bank, row),
+                              rng.randrange(RESCAN_AT), requestor="setup")
+        elif state == "busy":
+            row = rng.choice((ANCHOR, ANCHOR + 3))
+            controller.access(controller.address_of(bank, row),
+                              RESCAN_AT + rng.randrange(150),
+                              requestor="setup")
+
+
+def _twins(seed, lock_banks=(), **overrides):
+    """Two identical systems with the same pre-state.  ``sanitize=False``
+    keeps the sanitizer (``REPRO_SANITIZE=1``) from turning the one-pass
+    rescan into a call of its reference."""
+    systems = []
+    for _ in range(2):
+        system = System(_rescan_config(**overrides), sanitize=False)
+        _prestate(system, seed)
+        if lock_banks:
+            controller = system.controller
+            mask = sum(1 << bank for bank in lock_banks)
+            controller.rowclone(controller.address_of(0, 7),
+                                controller.address_of(0, 9), mask,
+                                RESCAN_AT - 20, requestor="setup")
+        systems.append(system)
+    return systems
+
+
+def _bank_state(system):
+    return [(b.open_row, b.busy_until, b.last_activation, b.row_opened_at,
+             b.stats) for b in system.controller.device.banks]
+
+
+def _rescan_matches_reference(fast, reference, locations, *, threshold=150,
+                              gap=1.45, issued=RESCAN_AT):
+    """``execute_parallel_raw`` on ``fast`` must return the max finish and
+    the slow banks of ``execute_parallel`` on ``reference``, and leave
+    both machines in the same state.  Returns the reference results."""
+    encode = reference.controller.address_of
+    results = reference.pei.execute_parallel(
+        [encode(bank, row) for bank, row in locations], issued,
+        issue_gap_cycles=gap, requestor="attacker")
+    got = fast.pei.execute_parallel_raw(
+        locations, issued, threshold_cycles=threshold,
+        issue_gap_cycles=gap, requestor="attacker")
+    assert got == (max((r.finish for r in results), default=issued),
+                   [r.bank for r in results if r.latency > threshold])
+    assert _bank_state(fast) == _bank_state(reference)
+    assert (fast.controller.requestor_stats
+            == reference.controller.requestor_stats)
+    assert fast.pei.memory_executions == reference.pei.memory_executions
+    assert (fast.controller._locked_until
+            == reference.controller._locked_until)
+    return results
+
+
+def _anchor_scan(banks):
+    return [(bank, ANCHOR) for bank in range(banks)]
+
+
+@pytest.mark.parametrize("gap", [None, 2, 1.45, 0.7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rescan_matches_reference(seed, gap):
+    fast, reference = _twins(seed)
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64),
+                                        gap=gap)
+    kinds = {r.kind for r in results}
+    assert {AccessKind.HIT, AccessKind.EMPTY, AccessKind.CONFLICT} <= kinds
+    # Some banks were still busy when their PEI arrived.
+    assert any(r.finish - r.issued > 150 and r.kind is AccessKind.HIT
+               for r in results)
+    # The next rescan starts from the state the first one left.
+    _rescan_matches_reference(fast, reference, _anchor_scan(64), gap=gap,
+                              issued=max(r.finish for r in results) + 250)
+
+
+def test_rescan_matches_reference_under_row_timeout():
+    fast, reference = _twins(
+        3, timings=DRAMTimings(row_timeout_ns=300.0))
+    before = reference.controller.open_rows()
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64))
+    # Some anchor rows were still open but timed out.
+    assert any(before[r.bank] == ANCHOR and r.kind is AccessKind.EMPTY
+               for r in results)
+    assert any(r.kind is AccessKind.HIT for r in results)
+
+
+def test_rescan_matches_reference_under_closed_row_policy():
+    fast, reference = _twins(4, row_policy=RowPolicy.CLOSED)
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64))
+    # The controller never leaves a row open under the closed-row policy.
+    assert all(r.kind is AccessKind.EMPTY for r in results)
+
+
+def test_rescan_waits_for_a_rowclone_lock():
+    fast, reference = _twins(5, lock_banks=(3, 17))
+    locked = reference.controller._locked_until
+    assert locked > RESCAN_AT
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64))
+    assert results[0].finish > locked
+
+
+def test_rescan_lists_a_repeated_bank_twice():
+    fast, reference = _twins(6)
+    locations = _anchor_scan(8) + [(3, ANCHOR + 5), (3, ANCHOR), (3, ANCHOR)]
+    results = _rescan_matches_reference(fast, reference, locations,
+                                        threshold=0)
+    assert [r.bank for r in results][-3:] == [3, 3, 3]
+
+
+def _idle_hit_latency(system):
+    config = system.config
+    return (2 * config.pei.network_cycles + config.pei.pcu_op_cycles
+            + config.queue_cycles + config.timings.hit_cycles)
+
+
+def test_rescan_latency_at_threshold_is_not_slow():
+    fast, reference = _twins(7)
+    threshold = _idle_hit_latency(reference)
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64),
+                                        threshold=threshold)
+    assert any(r.latency == threshold for r in results)
+
+
+def test_rescan_of_nothing_finishes_at_issue():
+    fast, reference = _twins(8)
+    _rescan_matches_reference(fast, reference, [])
+    assert "attacker" not in fast.controller.requestor_stats
+    tracer = Tracer()
+    fast.pei.set_observer(tracer)
+    assert fast.pei.execute_parallel_raw(
+        [], RESCAN_AT, threshold_cycles=150) == (RESCAN_AT, [])
+    assert len(tracer) == 0
+
+
+def test_rescan_with_an_observer_reports_every_pei():
+    fast, reference = _twins(9)
+    tracer = Tracer()
+    fast.pei.set_observer(tracer)
+    threshold = _idle_hit_latency(reference)
+    results = _rescan_matches_reference(fast, reference, _anchor_scan(64),
+                                        threshold=threshold)
+    assert any(r.latency == threshold for r in results)
+    assert sum(event.name == "PEI" for event in tracer.events) == 64
