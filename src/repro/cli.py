@@ -270,8 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                           [float(mb) for mb in args.llc_mb],
                           bits=args.bits, attacks=args.attacks)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    common = dict(jobs=args.jobs, cache=cache,
-                  telemetry_dir=args.telemetry_dir)
+    common = dict(jobs=args.jobs, cache=cache)
 
     if args.adaptive:
         config = AdaptiveConfig(
@@ -330,26 +329,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         ["store", "directory", "entries", "stale", "MB"], rows,
         title=f"on-disk result cache (code version {store.version})"))
     return 0
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live worker view, reconstructed from a telemetry event-log
-    directory."""
-    import time
-
-    from repro.obs import top as obs_top
-
-    while True:
-        frame = obs_top.frame_from_dir(args.dir)
-        if args.once:
-            print(frame)
-            return 0
-        # Clear + home, like top(1).
-        print("\x1b[2J\x1b[H" + frame, flush=True)
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
 
 
 def cmd_recon(args: argparse.Namespace) -> int:
@@ -500,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="new repetitions per scheduling round")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persist point results to a ResultCache here")
-    p.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                   help="write the causal NDJSON event log here")
     add_jobs(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -523,19 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=128)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser(
-        "top",
-        help="live worker view (throughput, slowest in flight) from a "
-             "sweep's telemetry event-log directory")
-    p.add_argument("--dir", required=True, metavar="DIR",
-                   help="telemetry event-log directory to read "
-                        "(run_sweep(telemetry_dir=...), "
-                        "repro sweep --telemetry-dir)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                   help="refresh period (default 2s)")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame and exit (no screen clearing)")
-    p.set_defaults(func=cmd_top)
     return parser
 
 
@@ -545,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # `repro top | head` and friends: the reader went away, which is
+        # `repro sweep | head` and friends: the reader went away, which is
         # not an error worth a traceback.
         return 0
 

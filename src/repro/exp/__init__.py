@@ -30,10 +30,7 @@ from repro.exp.adaptive import (
 )
 from repro.exp.cache import MISSING, ResultCache, code_version
 from repro.exp.runner import (
-    PoolUnavailableError,
     SweepOutcome,
-    WorkerHandle,
-    WorkerPool,
     default_jobs,
     metrics_path,
     point_slug,
@@ -48,12 +45,9 @@ __all__ = [
     "AdaptiveOutcome",
     "AdaptivePointResult",
     "ConvergenceTarget",
-    "PoolUnavailableError",
     "ResultCache",
     "SweepOutcome",
     "SweepPoint",
-    "WorkerHandle",
-    "WorkerPool",
     "bernoulli_probe_point",
     "code_version",
     "default_jobs",

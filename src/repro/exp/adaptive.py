@@ -17,8 +17,8 @@ Merging is deterministic: a point's repetitions are evaluated in
 repetition order and pooled by summation, so an adaptive run that
 happens to execute the same repetitions as a fixed grid produces
 bit-identical pooled results.  Every round is one ordinary
-:func:`~repro.exp.runner.run_sweep` call, so caching, telemetry and the
-worker pool all apply unchanged.
+:func:`~repro.exp.runner.run_sweep` call, so caching, traces, metrics
+and the worker pool all apply unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.analysis.quality import relative_spread, wilson_halfwidth
 from repro.exp.cache import ResultCache
 from repro.exp.runner import SweepOutcome, point_slug, run_sweep
 from repro.exp.sweep import SweepPoint
-from repro.obs import telemetry
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,6 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
                        cache: Optional[ResultCache] = None,
                        trace_dir: Optional[str] = None,
                        metrics_dir: Optional[str] = None,
-                       telemetry_dir: Optional[str] = None,
                        ) -> AdaptiveOutcome:
     """Run ``points`` adaptively: repetitions in rounds, early-stopping
     points whose pooled statistics meet the convergence target.
@@ -246,8 +244,8 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
     Each round expands every unresolved point into its next chunk of
     repetitions (``config.rep_axis`` varied by ``config.value_for``) and
     executes them as one ordinary :func:`run_sweep` — so the result
-    cache, the telemetry event log and the worker pool behave exactly as
-    in a fixed sweep.  Returns an :class:`AdaptiveOutcome` whose
+    cache, per-point traces and metrics, and the worker pool behave
+    exactly as in a fixed sweep.  Returns an :class:`AdaptiveOutcome` whose
     ``results`` align with ``points``.
     """
     config = config or AdaptiveConfig()
@@ -276,19 +274,13 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
             break
         rounds += 1
         outcome = run_sweep(batch, jobs=jobs, cache=cache,
-                            trace_dir=trace_dir, metrics_dir=metrics_dir,
-                            telemetry_dir=telemetry_dir)
+                            trace_dir=trace_dir, metrics_dir=metrics_dir)
         sweeps.append(outcome)
         for index, payload in zip(owners, outcome.results):
             states[index].payloads.append(payload)
         touched = sorted(set(owners))
         for index in touched:
             _evaluate(states[index], config)
-        telemetry.emit(
-            "adaptive_round", round=rounds, scheduled=len(batch),
-            resolved=sum(1 for s in states if s.converged),
-            unresolved=sum(1 for s in states
-                           if not s.converged and s.reps < config.max_reps))
     executed = sum(state.reps for state in states)
     return AdaptiveOutcome(
         results=states,

@@ -36,7 +36,6 @@ from repro.obs.metrics import install as install_metrics
 from repro.obs.metrics import phase as metrics_phase
 from repro.obs.metrics import uninstall as uninstall_metrics
 from repro.obs.sanitizer import Sanitizer, SanitizerError
-from repro.obs.telemetry import emit as telemetry_emit
 from repro.obs.trace import TraceEvent, Tracer, summarize_chrome_trace
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "current_metrics",
     "metrics_phase",
     "summarize_chrome_trace",
-    "telemetry_emit",
 ]
 
 _active: Optional[Observer] = None

@@ -178,9 +178,8 @@ class Tracer(Observer):
         Trace Event Format's ``ts``/``dur`` unit); instantaneous events
         use phase ``"i"``, spans use complete events (``"X"``).
         ``extra`` merges into ``otherData`` — the sweep runner stamps
-        provenance (worker pid, ``run_id``/``span_id``, ``point_slug``)
-        there so traces from different pool workers sharing a trace dir
-        can never mis-join.
+        provenance (worker pid, ``point_slug``) there so traces from
+        different pool workers sharing a trace dir can never mis-join.
         """
         scale = 1.0 / (self.cpu_ghz * 1000.0)  # cycles -> microseconds
         trace_events: List[Dict[str, Any]] = []
@@ -283,7 +282,7 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
         "per_requestor": per_requestor,
     }
     provenance = {key: other[key]
-                  for key in ("pid", "run_id", "span_id", "point_slug")
+                  for key in ("pid", "point_slug")
                   if key in other}
     if provenance:
         summary["provenance"] = provenance

@@ -5,11 +5,6 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def tagged_point(tag):
-    """Trivial sweep point for the telemetry-driven CLI views."""
-    return {"tag": tag}
-
-
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -157,24 +152,3 @@ def test_cache_command_stats_and_prune(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "removed 1 stale entries" in out
     assert ResultCache(results_dir).entry_count() == 0
-
-
-def test_top_once_offline_dir(tmp_path, capsys, monkeypatch):
-    from repro.exp import run_sweep
-    from repro.exp.sweep import SweepPoint
-    from repro.obs import telemetry
-
-    tele_dir = str(tmp_path / "events")
-    points = [SweepPoint("t", tagged_point, {"tag": i}) for i in range(3)]
-    run_sweep(points, jobs=1, telemetry_dir=tele_dir)
-    telemetry.reset_sink()
-    assert main(["top", "--once", "--dir", tele_dir]) == 0
-    out = capsys.readouterr().out
-    assert "repro top" in out
-    assert "points 3/3 done" in out
-
-
-def test_top_requires_dir():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["top", "--once"])
-    assert exc.value.code == 2

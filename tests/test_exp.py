@@ -10,7 +10,6 @@ import pytest
 from repro.exp import (
     ResultCache,
     SweepPoint,
-    WorkerPool,
     code_version,
     default_jobs,
     metrics_path,
@@ -291,6 +290,46 @@ class TestMetricsDir:
                   jobs=1, metrics_dir=str(tmp_path))
         assert "REPRO_METRICS_DIR" not in os.environ
 
+    def test_metrics_and_trace_carry_provenance(self, tmp_path):
+        from repro.obs import summarize_chrome_trace
+
+        trace_dir = str(tmp_path / "traces")
+        metrics_dir = str(tmp_path / "metrics")
+        (point,) = sweep_points("exp", counting_point, "value", [5])
+        run_sweep([point], jobs=1, trace_dir=trace_dir,
+                  metrics_dir=metrics_dir)
+        provenance = {"pid": os.getpid(), "point_slug": point_slug(point)}
+        with open(metrics_path(metrics_dir, point)) as handle:
+            metrics = json.load(handle)
+        assert {key: metrics[key] for key in provenance} == provenance
+        trace_file = os.path.join(trace_dir,
+                                  f"{point_slug(point)}.trace.json")
+        with open(trace_file) as handle:
+            other = json.load(handle)["otherData"]
+        assert {key: other[key] for key in provenance} == provenance
+        assert summarize_chrome_trace(trace_file)["provenance"] == provenance
+
+    def test_relative_dirs_follow_the_working_directory(self, tmp_path,
+                                                        monkeypatch):
+        """Pool workers keep the working directory they were forked in;
+        relative trace and metrics dirs, given as an argument or in the
+        environment, still resolve against this process's current one."""
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        points = sweep_points("exp", counting_point, "value", [1, 2])
+        shutdown_pool()
+        monkeypatch.chdir(first)
+        run_sweep(points, jobs=2)
+        monkeypatch.chdir(second)
+        monkeypatch.setenv("REPRO_TRACE_DIR", "t")
+        run_sweep(points, jobs=2, metrics_dir="m")
+        assert os.environ["REPRO_TRACE_DIR"] == "t"
+        for point in points:
+            assert (second / metrics_path("m", point)).exists()
+            assert (second / "t" / f"{point_slug(point)}.trace.json").exists()
+        assert list(first.iterdir()) == []
+
 
 class TestParallelEqualsSerial:
     """The acceptance criterion: fanning a sweep out across processes
@@ -314,62 +353,259 @@ class TestParallelEqualsSerial:
 
 
 # ---------------------------------------------------------------------------
-# Fork-server worker pool
+# The reused worker pool, seen through run_sweep
 # ---------------------------------------------------------------------------
 
+def rendezvous_point(value, gate, parties):
+    """Reports its pid once ``parties`` points have entered ``gate``, so
+    ``parties`` points at ``jobs=parties`` run on that many workers."""
+    import os
+    import time
+
+    open(os.path.join(gate, str(value)), "w").close()
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(gate)) < parties and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return {"value": value, "pid": os.getpid()}
+
+
+def sleepy_point(value, delay):
+    import time
+
+    time.sleep(delay)
+    return {"value": value}
+
+
+def env_point(value):
+    import os
+
+    return {"value": value, "pid": os.getpid(),
+            "env": {key: os.environ.get(key)
+                    for key in ("REPRO_TEST_KEEP", "REPRO_TEST_ADDED",
+                                "REPRO_TEST_GONE")}}
+
+
+def unpicklable_point(kind, value, runs):
+    """Returns, or raises with, a local function, which cannot be pickled
+    back from a worker; creates one file under ``runs`` per execution."""
+    import os
+    import tempfile
+
+    handle, _path = tempfile.mkstemp(prefix=f"{value}-", dir=runs)
+    os.close(handle)
+    if kind == "exception":
+        raise ValueError(lambda: value)
+    return {"value": value, "fn": lambda: value}
+
+
 def _pool_or_skip():
-    pool = WorkerPool()
-    try:
-        pool.ensure(1)
-    except (OSError, PermissionError, RuntimeError, ImportError) as exc:
-        pool.shutdown()
-        pytest.skip(f"worker processes unavailable: {exc}")
-    return pool
+    """Run one two-point sweep on the pool; skip when workers cannot
+    start here."""
+    outcome = run_sweep(sweep_points("exp", pid_point, "value", [1, 2]),
+                        jobs=2)
+    if not outcome.parallel:
+        pytest.skip(f"worker processes unavailable: "
+                    f"{outcome.fallback_reason}")
+
+
+def _sweep_pids(tmp_path, name, parties, jobs=None):
+    """The worker pids of one sweep of ``parties`` rendezvous points."""
+    gate = tmp_path / name
+    gate.mkdir()
+    points = [SweepPoint("exp", rendezvous_point,
+                         {"value": v, "gate": str(gate), "parties": parties})
+              for v in range(parties)]
+    outcome = run_sweep(points, jobs=jobs or parties)
+    assert outcome.parallel, outcome.fallback_reason
+    pids = {payload["pid"] for payload in outcome}
+    assert len(pids) == parties and os.getpid() not in pids
+    return pids
 
 
 class TestWorkerPool:
-    def test_workers_persist_across_runs(self):
-        """The fork-server property: a second sweep reuses the same
-        worker processes."""
-        pool = _pool_or_skip()
-        try:
-            first = pool.run(sweep_points("exp", pid_point, "value",
-                                          [1, 2, 3]), jobs=2)
-            second = pool.run(sweep_points("exp", pid_point, "value",
-                                           [4, 5, 6]), jobs=2)
-            first_pids = {payload["pid"] for payload in first}
-            second_pids = {payload["pid"] for payload in second}
-            assert second_pids <= first_pids
-            assert len(pool) == 2
-        finally:
-            pool.shutdown()
+    def test_workers_persist_across_runs(self, tmp_path):
+        """A second sweep reuses the first sweep's worker processes, and
+        so does a wider ``jobs`` while the pool holds at least as many
+        workers as the sweep has points."""
+        _pool_or_skip()
+        first = _sweep_pids(tmp_path, "first", 2)
+        assert _sweep_pids(tmp_path, "second", 2) == first
+        assert _sweep_pids(tmp_path, "wider", 2, jobs=4) == first
 
     def test_run_returns_payloads_in_point_order(self):
-        pool = _pool_or_skip()
-        try:
-            payloads = pool.run(sweep_points("exp", counting_point, "value",
-                                             [9, 10]), jobs=2)
-            assert payloads == [{"value": 9, "double": 18},
-                                {"value": 10, "double": 20}]
-        finally:
-            pool.shutdown()
+        """Payloads arrive in completion order but land in point order."""
+        _pool_or_skip()
+        points = [SweepPoint("exp", sleepy_point,
+                             {"value": v, "delay": 0.2 if v == 0 else 0.0})
+                  for v in range(4)]
+        outcome = run_sweep(points, jobs=2)
+        assert outcome.parallel
+        assert outcome.results == [{"value": v} for v in range(4)]
+
+    def test_tasks_mirror_the_current_repro_environment(self, monkeypatch):
+        """``REPRO_*`` variables set, changed or deleted after the workers
+        forked are what the next sweep's points see."""
+        shutdown_pool()
+        monkeypatch.setenv("REPRO_TEST_KEEP", "old")
+        monkeypatch.setenv("REPRO_TEST_GONE", "old")
+        _pool_or_skip()
+        monkeypatch.setenv("REPRO_TEST_KEEP", "new")
+        monkeypatch.setenv("REPRO_TEST_ADDED", "new")
+        monkeypatch.delenv("REPRO_TEST_GONE")
+        outcome = run_sweep(sweep_points("exp", env_point, "value",
+                                         [1, 2, 3, 4]), jobs=2)
+        assert outcome.parallel
+        for payload in outcome:
+            assert payload["pid"] != os.getpid()
+            assert payload["env"] == {"REPRO_TEST_KEEP": "new",
+                                      "REPRO_TEST_ADDED": "new",
+                                      "REPRO_TEST_GONE": None}
 
     def test_pool_stays_usable_after_point_failure(self):
-        pool = _pool_or_skip()
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.run([SweepPoint("exp", failing_point),
-                          SweepPoint("exp", counting_point,
-                                     params={"value": 1})], jobs=2)
-            payloads = pool.run(sweep_points("exp", counting_point, "value",
-                                             [2]), jobs=2)
-            assert payloads == [{"value": 2, "double": 4}]
-        finally:
-            pool.shutdown()
+        _pool_or_skip()
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep([SweepPoint("exp", failing_point),
+                       SweepPoint("exp", counting_point,
+                                  params={"value": 1})], jobs=2)
+        outcome = run_sweep(sweep_points("exp", counting_point, "value",
+                                         [2, 3]), jobs=2)
+        assert outcome.parallel
+        assert outcome.results == [{"value": 2, "double": 4},
+                                   {"value": 3, "double": 6}]
+
+    def test_unpicklable_payload_or_exception_fails_its_point(self,
+                                                              tmp_path):
+        """What cannot travel back from a worker fails as that point's
+        failure: no serial re-run (one file per execution), and the pool
+        stays usable."""
+        _pool_or_skip()
+        for kind in ("payload", "exception"):
+            runs = tmp_path / kind
+            runs.mkdir()
+            points = [SweepPoint("exp", unpicklable_point,
+                                 {"kind": kind, "value": v,
+                                  "runs": str(runs)}) for v in (1, 2)]
+            with pytest.raises(Exception):
+                run_sweep(points, jobs=2)
+            for value in (1, 2):
+                assert len(list(runs.glob(f"{value}-*"))) == 1, (kind,
+                                                                  value)
+        assert run_sweep(sweep_points("exp", counting_point, "value",
+                                      [4, 5]), jobs=2).parallel
 
     def test_shutdown_pool_is_idempotent(self):
         shutdown_pool()
         shutdown_pool()
+
+
+class TestPoolShrink:
+    def test_run_trims_pool_to_requested_jobs(self, tmp_path):
+        """A narrower ``jobs`` replaces the pool with one of
+        ``min(jobs, pending)`` workers, which later sweeps reuse."""
+        _pool_or_skip()
+        wide = _sweep_pids(tmp_path, "wide", 3)
+        narrow = _sweep_pids(tmp_path, "narrow", 2)
+        assert not narrow & wide
+        assert _sweep_pids(tmp_path, "again", 2) == narrow
+
+    def test_shrink_retires_idle_workers(self, tmp_path):
+        """The wide pool's workers exit once a narrower sweep replaces
+        it: one wide sweep does not pin processes at the high-water
+        mark."""
+        _pool_or_skip()
+        wide = _sweep_pids(tmp_path, "wide", 3)
+        _sweep_pids(tmp_path, "narrow", 2)
+        for pid in wide:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def crash_once_point(value, runs, sentinel, parent):
+    """Creates one file under ``runs`` per execution.  The first execution
+    of value 3 outside the ``parent`` process kills its worker."""
+    import os
+    import tempfile
+
+    handle, _path = tempfile.mkstemp(prefix=f"{value}-", dir=runs)
+    os.close(handle)
+    if value == 3 and os.getpid() != parent:
+        try:
+            os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return {"value": value}
+        os._exit(1)
+    return {"value": value}
+
+
+class RecordingCache(ResultCache):
+    """A result cache that records the ``value`` param of every put."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.puts = []
+
+    def put(self, experiment, params, payload):
+        self.puts.append(params["value"])
+        super().put(experiment, params, payload)
+
+
+class TestPoolFallback:
+    """The one retry: points a broken or unstartable pool did not finish
+    run once more in this process."""
+
+    def test_worker_death_falls_back_to_serial(self, tmp_path):
+        _pool_or_skip()
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        cache = RecordingCache(str(tmp_path / "cache"), version="v1")
+        points = [SweepPoint("exp", crash_once_point,
+                             {"value": v, "runs": str(runs),
+                              "sentinel": str(tmp_path / "died"),
+                              "parent": os.getpid()}) for v in range(6)]
+        outcome = run_sweep(points, jobs=2, cache=cache)
+        assert outcome.fallback_reason and not outcome.parallel
+        assert (tmp_path / "died").exists()
+        assert sorted(cache.puts) == list(range(6))
+        for value in range(6):
+            assert 1 <= len(list(runs.glob(f"{value}-*"))) <= 2, value
+        assert outcome.results == run_sweep(points, jobs=1).results
+        assert run_sweep(sweep_points("exp", counting_point, "value",
+                                      [1, 2]), jobs=2).parallel
+
+    def test_workers_that_cannot_start_fall_back_to_serial(self,
+                                                           monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        shutdown_pool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse)
+        points = sweep_points("exp", counting_point, "value", [1, 2, 3])
+        outcome = run_sweep(points, jobs=2)
+        assert not outcome.parallel
+        assert "no semaphores here" in outcome.fallback_reason
+        assert outcome.results == run_sweep(points, jobs=1).results
+
+
+def test_import_loads_no_process_machinery():
+    """Only a parallel sweep needs worker processes, so importing the
+    sweep engine loads neither multiprocessing nor concurrent.futures."""
+    import subprocess
+    import sys
+
+    import repro
+
+    code = ("import sys, repro.exp, repro.exp.figures; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 # ---------------------------------------------------------------------------
 # Commit-as-you-go: completed results survive a failing sibling point
@@ -474,51 +710,16 @@ class TestCommitOnFailure:
                 assert len(list(runs.glob(f"{value}-*"))) == 1, (values,
                                                                   value)
 
-    def test_pool_run_on_result_fires_before_raise(self):
-        pool = _pool_or_skip()
-        seen = []
-        try:
-            with pytest.raises(RuntimeError, match="boom"):
-                pool.run([SweepPoint("exp", counting_point,
-                                     params={"value": 7}),
-                          SweepPoint("exp", failing_point)], jobs=2,
-                         on_result=lambda i, payload:
-                             seen.append((i, payload)))
-            assert (0, {"value": 7, "double": 14}) in seen
-        finally:
-            pool.shutdown()
-
-
-# ---------------------------------------------------------------------------
-# Pool shrink
-# ---------------------------------------------------------------------------
-
-class TestPoolShrink:
-    def test_shrink_retires_idle_workers(self):
-        pool = _pool_or_skip()
-        try:
-            pool.ensure(3)
-            assert len(pool) == 3
-            assert pool.shrink(1) == 2
-            assert len(pool) == 1
-            # The survivor still works.
-            payloads = pool.run([SweepPoint("exp", counting_point,
-                                            params={"value": 5})], jobs=1)
-            assert payloads == [{"value": 5, "double": 10}]
-        finally:
-            pool.shutdown()
-
-    def test_run_trims_pool_to_requested_jobs(self):
-        """`ensure` used to only grow; a narrow sweep after a wide one now
-        releases the extra workers instead of pinning the high-water mark."""
-        pool = _pool_or_skip()
-        try:
-            pool.ensure(3)
-            pool.run([SweepPoint("exp", counting_point,
-                                 params={"value": 1})], jobs=1)
-            assert len(pool) == 1
-        finally:
-            pool.shutdown()
+    def test_pool_run_on_result_fires_before_raise(self, tmp_path):
+        """A parallel sweep commits a finished point before the failing
+        point's exception reaches the caller."""
+        cache = ResultCache(tmp_path / "cache", version="v1")
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sweep([SweepPoint("exp", counting_point,
+                                  params={"value": 7}),
+                       SweepPoint("exp", failing_point)], jobs=2,
+                      cache=cache)
+        assert cache.get("exp", {"value": 7}) == {"value": 7, "double": 14}
 
 
 # ---------------------------------------------------------------------------

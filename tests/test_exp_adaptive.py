@@ -183,7 +183,7 @@ class TestBackendResolution:
         point is pending (result-cache hits do not count)."""
         calls = []
 
-        def fake_pool(points, jobs, on_result=None, span_ids=None):
+        def fake_pool(points, jobs, on_result):
             calls.append((len(points), jobs))
             for index, point in enumerate(points):
                 on_result(index, point.run())
