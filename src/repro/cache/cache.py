@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,12 +88,12 @@ class Cache:
     """One cache level; addresses are physical byte addresses.
 
     State is flat.  Way ``w`` of set ``s`` is slot ``s * ways + w`` in the
-    tag and dirty-bit lists (tag ``-1`` marks an invalid way; physical
-    line numbers are non-negative), and one ``{line: slot}`` dict answers
-    lookups, so a hit and a miss each cost a single O(1) probe.  Flat
-    lists also keep construction cheap: a 64 MB LLC has 1M slots, and
-    per-set rows would make allocating them most of the cost of building
-    a :class:`repro.system.System`.
+    tag array and the dirty-bit bytes (tag ``-1`` marks an invalid way;
+    physical line numbers are non-negative), and one ``{line: slot}`` dict
+    answers lookups, so a hit and a miss each cost a single O(1) probe.
+    Typed arrays also keep construction cheap: a 64 MB LLC has 1M slots,
+    and they hold no Python object per slot, so each is one block to build
+    and free, and the garbage collector has no slot to walk.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -102,22 +103,22 @@ class Cache:
         self._num_sets = sets
         self._ways = ways
         self._line_bytes = config.line_bytes
-        self._tags: List[int] = [-1] * (sets * ways)
-        self._dirty: List[bool] = [False] * (sets * ways)
+        self._tags = array("q", [-1]) * (sets * ways)
+        self._dirty = bytearray(sets * ways)
         self._where: Dict[int, int] = {}
         # Valid ways per set: a set below ``ways`` fills its first invalid
         # way, so the policy only ever picks victims in full sets.
-        self._filled: List[int] = [0] * sets
+        self._filled = array("l", [0]) * sets
         self._policy: ReplacementPolicy = make_replacement_policy(
             config.replacement, sets, ways)
         self._policy_on_hit = self._policy.on_hit
         self._policy_on_fill = self._policy.on_fill
         self._policy_victim = self._policy.victim
         # LRU (L1) and SRRIP (L2/LLC) carry all of Table 2's traffic; alias
-        # their per-slot state so access/fill update it inline instead of
-        # paying a policy call per hit or fill.
+        # their per-slot state so access/fill update it, and fill picks LRU
+        # victims (boxing each stamp once, via tolist), without a policy call.
         policy = self._policy
-        self._last_use: Optional[List[int]] = None
+        self._last_use: Optional[array] = None
         self._rrpv: Optional[bytearray] = None
         if isinstance(policy, LRUPolicy):
             self._last_use = policy._last_use
@@ -197,10 +198,14 @@ class Cache:
             slot = tags.index(-1, base)
             filled[set_index] += 1
         else:
-            slot = self._policy_victim(base)
+            if last_use is not None:
+                uses = last_use[base:base + self._ways].tolist()
+                slot = base + uses.index(min(uses))
+            else:
+                slot = self._policy_victim(base)
             old_line = tags[slot]
             del where[old_line]
-            old_dirty = self._dirty[slot]
+            old_dirty = self._dirty[slot] != 0
             evicted = EvictedLine(old_line * self._line_bytes, old_dirty)
             stats = self.stats
             stats.evictions += 1
@@ -226,7 +231,7 @@ class Cache:
         slot = self._where.pop(line, None)
         if slot is None:
             return None
-        dirty = self._dirty[slot]
+        dirty = self._dirty[slot] != 0
         self._dirty[slot] = False
         self._tags[slot] = -1
         self._filled[line % self._num_sets] -= 1

@@ -476,6 +476,7 @@ class CacheHierarchy:
                                          is_write=is_write)
             return HierarchyResult(latency=mem.latency, issued=issued,
                                    hit_level=0, mem=mem, bypassed=True)
+        self.stats.requestor(requestor).nt_accesses += 1
         return self.access(core, addr, issued, is_write=is_write,
                            requestor=requestor)
 

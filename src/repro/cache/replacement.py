@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 
 
 class ReplacementPolicy:
@@ -46,13 +47,13 @@ class LRUPolicy(ReplacementPolicy):
 
     Every hit or fill stamps its slot with the next of 1, 2, 3, ...;
     :class:`repro.cache.cache.Cache` aliases ``_last_use`` and
-    ``_next_stamp`` to stamp slots inline.
+    ``_next_stamp`` to stamp slots and pick victims inline.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
         self._next_stamp = itertools.count(1).__next__
-        self._last_use = [0] * (num_sets * ways)
+        self._last_use = array("q", [0]) * (num_sets * ways)
 
     def on_hit(self, slot: int) -> None:
         self._last_use[slot] = self._next_stamp()

@@ -137,6 +137,20 @@ def test_nt_access_unreliable_at_intermediate_probability():
     assert outcomes == {True, False}
 
 
+def test_nt_accesses_counted_per_requestor_bypassed_or_not():
+    """The PMU view counts every NT access, as the hierarchy total does,
+    not only the ones that happened to bypass."""
+    h = make_hierarchy()
+    for i in range(200):
+        h.nt_access(core=0, addr=0x80000 + 64 * i, issued=i * 1000,
+                    requestor="spy")
+    h.access(core=0, addr=0x80000, issued=300_000, requestor="spy")
+    counters = h.stats.by_requestor["spy"]
+    assert 0 < h.stats.nt_bypasses < 200
+    assert counters.nt_accesses == h.stats.nt_accesses == 200
+    assert counters.accesses == 201
+
+
 def test_prefetcher_generates_memory_traffic():
     controller = MemoryController(MemoryControllerConfig(geometry=GEOM))
     h = CacheHierarchy(HierarchyConfig(num_cores=1, llc_size_mb=2.0,

@@ -4,7 +4,9 @@ Policies address ways by flat slot (``set * ways + way``) and are only
 asked for victims in full sets; the cache itself fills invalid ways.
 """
 
+import gc
 import random
+from array import array
 
 import pytest
 
@@ -16,6 +18,9 @@ from repro.cache import (
     SRRIPPolicy,
     make_replacement_policy,
 )
+from repro.config import SystemConfig
+from repro.exp.figures import _sec33_system
+from repro.system import System
 
 
 def test_lru_evicts_oldest():
@@ -163,9 +168,52 @@ def test_lru_cache_matches_policy_calls(seed):
         else:
             assert ((cache.invalidate(addr) is not None)
                     == reference.invalidate(addr))
-        assert cache._tags == reference.tags
+        assert list(cache._tags) == reference.tags
         assert cache._policy._last_use == reference.policy._last_use
     assert cache.stats.evictions > 100
+
+
+@pytest.mark.parametrize("build, llc_policy", [
+    (lambda: System(SystemConfig.paper_default().with_llc(64.0)),
+     SRRIPPolicy),
+    (lambda: _sec33_system(64.0, ways=16), LRUPolicy),
+], ids=["srrip-llc", "lru-llc-fig2"])
+def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(build,
+                                                              llc_policy):
+    """A 64 MB LLC has 1M slots.  Its per-slot state holds no Python
+    object per slot, so the garbage collector walks none: a bytearray
+    refers to nothing, an array only to its type.  Dirty bits stored as
+    bytes still read back as ``bool``."""
+    hierarchy = build().hierarchy
+    llc = hierarchy.llc
+    assert isinstance(llc._policy, llc_policy)
+    assert len(llc._tags) == 1 << 20
+    for cache in (*hierarchy.l1, *hierarchy.l2, llc):
+        sets, ways = cache.config.num_sets, cache.config.ways
+        policy = cache._policy
+        per_slot = [cache._tags, cache._dirty, policy._last_use
+                    if isinstance(policy, LRUPolicy) else policy._rrpv]
+        for state in per_slot:
+            assert len(state) == sets * ways
+            assert gc.get_referents(state) in ([], [array])
+        assert len(cache._filled) == sets
+        assert gc.get_referents(cache._filled) == [array]
+    # Fill one LLC set, its first line dirty; both policies then evict in
+    # fill order.
+    stride = llc.config.num_sets * llc.config.line_bytes
+    ways = llc.config.ways
+    for k in range(ways):
+        assert llc.fill(k * stride, dirty=k == 0) is None
+    dirty_victim = llc.fill(ways * stride)
+    assert dirty_victim.addr == 0
+    assert dirty_victim.dirty is True
+    clean_victim = llc.fill((ways + 1) * stride)
+    assert clean_victim.addr == stride
+    assert clean_victim.dirty is False
+    assert llc.access(ways * stride, is_write=True)
+    assert llc.invalidate(ways * stride) is True
+    assert llc.invalidate(2 * stride) is False
+    assert llc.invalidate(2 * stride) is None
 
 
 def test_random_is_deterministic_under_seed():
