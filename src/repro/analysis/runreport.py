@@ -1,13 +1,13 @@
 """Run reports: one markdown + JSON document per sweep.
 
-``repro report <experiment>`` runs a sweep with per-point metrics (and
-optionally traces) enabled, then calls :func:`collect_run_report` to join
-three artifact streams by point label:
+``repro report <experiment>`` runs a sweep with every point traced, then
+calls :func:`collect_run_report` to join, point by point:
 
 - the sweep **payloads** (the figure numbers themselves),
-- the per-point **metrics** files ``run_sweep(metrics_dir=...)`` wrote
-  (counters, histograms, phase profiles),
-- optional **trace summaries** from the matching Chrome-trace files.
+- the **trace summary** of the point's Chrome-trace file
+  (:func:`repro.obs.summarize_chrome_trace`): event counts, each
+  requestor's row-buffer outcomes and busy/queue cycles, and the point's
+  wall time and worker pid.
 
 The joined report is written to ``reports/<experiment>.json`` (machine
 consumers) and ``reports/<experiment>.md`` (humans), the markdown built
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.report import format_markdown_table
 
@@ -34,6 +34,18 @@ _QUALITY_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("leakage_t", "Leakage t"),
     ("leaks", "Leaks"),
     ("eye_gap", "Eye gap"),
+)
+
+#: Per-requestor columns of a trace summary; each adds up across points
+#: (the per-requestor cycle spans do not, and stay out of the report).
+_REQUESTOR_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("events", "Events"),
+    ("operations", "Ops"),
+    ("busy_cycles", "Busy cyc"),
+    ("queue_cycles", "Queue cyc"),
+    ("hits", "Hits"),
+    ("empties", "Empties"),
+    ("conflicts", "Conflicts"),
 )
 
 
@@ -51,42 +63,29 @@ def _fmt(value: Any) -> str:
 
 
 def collect_run_report(experiment: str, points: Sequence[Any],
-                       outcome: Any,
-                       metrics_dir: Optional[str] = None,
-                       trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Join sweep payloads with per-point metrics/trace artifacts.
+                       outcome: Any, trace_dir: str) -> Dict[str, Any]:
+    """Join sweep payloads with the per-point trace summaries.
 
     ``points`` and ``outcome`` are the exact arguments/return of the
-    :func:`repro.exp.run_sweep` call that produced the artifacts — the
-    join key is each point's :func:`repro.exp.point_slug`, which is also
-    how the runner named the files.
+    :func:`repro.exp.run_sweep` call that traced into ``trace_dir``;
+    :func:`repro.exp.trace_path` names each point's file.  A point with no
+    trace (a result-cache hit) gets no summary.  ``totals`` sums the
+    summaries' event counts, per-requestor rows and wall times.
     """
-    from repro.exp import code_version, metrics_path, point_slug
-    from repro.obs import MetricsRegistry, summarize_chrome_trace
+    from repro.exp import code_version, point_slug, trace_path
+    from repro.obs import summarize_chrome_trace
 
     entries: List[Dict[str, Any]] = []
-    metric_dicts: List[Dict[str, Any]] = []
     for point, payload in zip(points, outcome.results):
-        entry: Dict[str, Any] = {
+        path = trace_path(trace_dir, point)
+        entries.append({
             "label": point.describe(),
             "slug": point_slug(point),
             "params": dict(point.params),
             "payload": payload,
-            "metrics": None,
-            "trace_summary": None,
-        }
-        if metrics_dir:
-            path = metrics_path(metrics_dir, point)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    entry["metrics"] = json.load(fh)
-                metric_dicts.append(entry["metrics"])
-        if trace_dir:
-            path = os.path.join(trace_dir,
-                                f"{point_slug(point)}.trace.json")
-            if os.path.exists(path):
-                entry["trace_summary"] = summarize_chrome_trace(path)
-        entries.append(entry)
+            "trace_summary": (summarize_chrome_trace(path)
+                              if os.path.exists(path) else None),
+        })
 
     return {
         "experiment": experiment,
@@ -96,8 +95,31 @@ def collect_run_report(experiment: str, points: Sequence[Any],
         "parallel": outcome.parallel,
         "elapsed_seconds": round(outcome.elapsed_seconds, 3),
         "points": entries,
-        "totals": (MetricsRegistry.merge_dicts(metric_dicts)
-                   if metric_dicts else None),
+        "totals": _totals([entry["trace_summary"] for entry in entries
+                           if entry["trace_summary"]]),
+    }
+
+
+def _totals(summaries: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """The sweep-wide sums of several trace summaries."""
+    counts: Dict[str, int] = {}
+    per_requestor: Dict[str, Dict[str, int]] = {}
+    wall_s = 0.0
+    for summary in summaries:
+        for name, count in summary["counts"].items():
+            counts[name] = counts.get(name, 0) + count
+        for requestor, stats in summary["per_requestor"].items():
+            row = per_requestor.setdefault(
+                requestor, {key: 0 for key, _ in _REQUESTOR_COLUMNS})
+            for key in row:
+                row[key] += stats[key]
+        wall_s += summary.get("provenance", {}).get("wall_s", 0.0)
+    return {
+        "points": len(summaries),
+        "events": sum(counts.values()),
+        "wall_s": round(wall_s, 6),
+        "counts": counts,
+        "per_requestor": per_requestor,
     }
 
 
@@ -120,37 +142,19 @@ def _scalar_section(payload: Dict[str, Any]) -> List[str]:
     return [format_markdown_table(["Field", "Value"], rows), ""]
 
 
-def _phases_section(phases: Dict[str, Dict[str, Any]]) -> List[str]:
-    rows = [[name, entry.get("calls", 0), _fmt(entry.get("seconds")),
-             entry.get("ops", 0), _fmt(entry.get("ops_per_sec"))]
-            for name, entry in sorted(phases.items())]
-    return ["**Phase profile**", "",
-            format_markdown_table(
-                ["Phase", "Calls", "Seconds", "Ops", "Ops/s"], rows),
-            ""]
-
-
-def _counters_section(counters: Dict[str, int]) -> List[str]:
-    rows = [[name, value] for name, value in sorted(counters.items())]
-    return ["**Event counters**", "",
-            format_markdown_table(["Counter", "Count"], rows), ""]
-
-
-def _trace_section(summary: Dict[str, Any]) -> List[str]:
-    span = summary.get("span_cycles") or [0, 0]
-    lines = ["**Trace summary** — "
-             f"{summary.get('events', 0)} events, cycles "
-             f"{_fmt(span[0])}–{_fmt(span[1])}", ""]
-    per_requestor = summary.get("per_requestor") or {}
-    if per_requestor:
-        rows = [[name, stats.get("events", 0), stats.get("operations", 0),
-                 _fmt(stats.get("busy_cycles")),
-                 _fmt(stats.get("queue_cycles")),
-                 stats.get("hits", 0), stats.get("conflicts", 0)]
-                for name, stats in sorted(per_requestor.items())]
+def _trace_tables(summary: Dict[str, Any]) -> List[str]:
+    """The event-count and per-requestor tables of a trace summary or of
+    the totals."""
+    counts = summary["counts"]
+    lines = [format_markdown_table(
+        ["Event", "Count"], [[name, counts[name]] for name in sorted(counts)]),
+        ""]
+    if summary["per_requestor"]:
+        rows = [[name] + [_fmt(stats[key]) for key, _ in _REQUESTOR_COLUMNS]
+                for name, stats in sorted(summary["per_requestor"].items())]
         lines += [format_markdown_table(
-            ["Requestor", "Events", "Ops", "Busy cyc", "Queue cyc",
-             "Hits", "Conflicts"], rows), ""]
+            ["Requestor"] + [title for _, title in _REQUESTOR_COLUMNS],
+            rows), ""]
     return lines
 
 
@@ -174,21 +178,22 @@ def render_markdown(report: Dict[str, Any]) -> str:
                 lines += _quality_section(payload)
             else:
                 lines += _scalar_section(payload)
-        metrics = entry.get("metrics")
-        if metrics:
-            if metrics.get("phases"):
-                lines += _phases_section(metrics["phases"])
-            if metrics.get("counters"):
-                lines += _counters_section(metrics["counters"])
-        if entry.get("trace_summary"):
-            lines += _trace_section(entry["trace_summary"])
-    totals = report.get("totals")
-    if totals:
-        lines += ["## Sweep totals", ""]
-        if totals.get("phases"):
-            lines += _phases_section(totals["phases"])
-        if totals.get("counters"):
-            lines += _counters_section(totals["counters"])
+        summary = entry.get("trace_summary")
+        if summary:
+            span = summary["span_cycles"]
+            provenance = summary.get("provenance", {})
+            lines += [f"**Trace summary** — {summary['events']} events, "
+                      f"cycles {span[0]}–{span[1]}, wall "
+                      f"{_fmt(provenance.get('wall_s'))} s, pid "
+                      f"{_fmt(provenance.get('pid'))}", ""]
+            lines += _trace_tables(summary)
+    totals = report["totals"]
+    if totals["points"]:
+        lines += ["## Sweep totals", "",
+                  f"{totals['events']} events over {totals['points']} "
+                  f"traced points, wall {_fmt(totals['wall_s'])} s "
+                  f"summed over the points", ""]
+        lines += _trace_tables(totals)
     return "\n".join(lines).rstrip() + "\n"
 
 

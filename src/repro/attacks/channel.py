@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.obs import metrics_phase
 from repro.system import System
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -148,16 +147,8 @@ class CovertChannel:
         raise NotImplementedError
 
     def transmit_random(self, bits: int, seed: int = 0) -> ChannelResult:
-        """Send a reproducible random message of ``bits`` bits.
-
-        When a metrics registry is installed the whole transmission is
-        profiled as phase ``transmit:<attack>`` with bits as its ops.
-        """
-        message = random_bits(bits, seed)
-        with metrics_phase(f"transmit:{self.name}") as span:
-            result = self.transmit(message)
-            span.add_ops(len(message))
-        return result
+        """Send a reproducible random message of ``bits`` bits."""
+        return self.transmit(random_bits(bits, seed))
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -179,18 +170,7 @@ class CovertChannel:
     def make_result(self, sent: Sequence[int], received: Sequence[int],
                     cycles: int,
                     probe_latencies: Optional[List[int]] = None) -> ChannelResult:
-        result = ChannelResult(attack=self.name, sent=list(sent),
-                               received=list(received), cycles=cycles,
-                               cpu_hz=self.system.cpu_hz,
-                               probe_latencies=probe_latencies or [])
-        registry = self.system.metrics
-        if registry is not None:
-            registry.counter("channel.bits").inc(result.bits)
-            registry.counter("channel.bit_errors").inc(result.errors)
-            registry.counter(f"channel.transmissions.{self.name}").inc()
-            registry.histogram("channel.probe_latency").observe_many(
-                result.probe_latencies)
-            registry.gauge(
-                f"channel.{self.name}.throughput_mbps").set(
-                    result.throughput_mbps)
-        return result
+        return ChannelResult(attack=self.name, sent=list(sent),
+                             received=list(received), cycles=cycles,
+                             cpu_hz=self.system.cpu_hz,
+                             probe_latencies=probe_latencies or [])

@@ -28,7 +28,6 @@ from repro.attacks.channel import (
     ChannelResult,
     CovertChannel,
 )
-from repro.obs import metrics_phase
 from repro.sim.scheduler import Barrier, Context, Scheduler, Semaphore
 from repro.system import System
 
@@ -94,8 +93,7 @@ class ImpactPnmChannel(CovertChannel):
     def transmit(self, bits: Sequence[int]) -> ChannelResult:
         message = self.check_bits(bits)
         system = self.system
-        with metrics_phase("warm-up"):
-            system.warm_up(self._init_addrs + self._intf_addrs)
+        system.warm_up(self._init_addrs + self._intf_addrs)
 
         sched = Scheduler()
         start_barrier = Barrier(parties=2, name="start")
@@ -161,13 +159,9 @@ class ImpactPnmChannel(CovertChannel):
 
         sched.spawn(sender, system, name="sender")
         sched.spawn(receiver, system, name="receiver")
-        with metrics_phase("transmit") as span:
-            sched.run()
-            span.add_ops(len(message))
+        sched.run()
         cycles = window["t1"] - window["t0"]
-        with metrics_phase("decode"):
-            return self.make_result(message, received, cycles,
-                                    probe_latencies)
+        return self.make_result(message, received, cycles, probe_latencies)
 
     # ------------------------------------------------------------------
     # Fig. 9 support

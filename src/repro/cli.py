@@ -155,12 +155,12 @@ def _print_trace_summary(path: str) -> int:
     print("events: " + ", ".join(f"{name}={counts[name]}"
                                  for name in sorted(counts)))
     rows = [(name, m["events"], m["operations"], m["busy_cycles"],
-             m["queue_cycles"], m["hits"], m["conflicts"],
+             m["queue_cycles"], m["hits"], m["empties"], m["conflicts"],
              f"{m['first_cycle']}-{m['last_cycle']}")
             for name, m in sorted(summary["per_requestor"].items())]
     print(format_table(
         ["requestor", "events", "ops", "busy cyc", "queue cyc", "hit",
-         "conf", "cycle span"],
+         "empty", "conf", "cycle span"],
         rows, title="per-requestor activity"))
     return 0
 
@@ -217,9 +217,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    """Run an experiment sweep with metrics enabled and write a joined
+    """Run an experiment sweep with every point traced and write a joined
     markdown + JSON run report to ``reports/``."""
-    import os
     import tempfile
 
     from repro.analysis.runreport import collect_run_report, write_run_report
@@ -228,14 +227,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     points = fig8_quality_sweep(args.llc_mb, bits=args.bits,
                                 attacks=args.attacks)
-    with tempfile.TemporaryDirectory(prefix="repro-report-") as tmp:
-        metrics_dir = os.path.join(tmp, "metrics")
-        trace_dir = os.path.join(tmp, "trace") if args.trace else None
-        outcome = run_sweep(points, jobs=args.jobs,
-                            metrics_dir=metrics_dir, trace_dir=trace_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-report-") as trace_dir:
+        outcome = run_sweep(points, jobs=args.jobs, trace_dir=trace_dir)
         report = collect_run_report(args.experiment, points, outcome,
-                                    metrics_dir=metrics_dir,
-                                    trace_dir=trace_dir)
+                                    trace_dir)
     md_path, json_path = write_run_report(report, out_dir=args.out_dir)
     mode = "parallel" if outcome.parallel else "serial"
     print(f"{args.experiment}: {len(points)} points in "
@@ -431,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="run a sweep with metrics on and write a markdown+JSON "
-             "run report to reports/")
+        help="run a sweep with every point traced and write a "
+             "markdown+JSON run report to reports/")
     p.add_argument("experiment", choices=["fig8"],
                    help="experiment to report on")
     p.add_argument("--llc-mb", type=float, nargs="+", default=[8.0, 64.0],
@@ -444,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="subset of channels (default: all seven)")
     p.add_argument("--out-dir", default="reports", metavar="DIR")
-    p.add_argument("--trace", action="store_true",
-                   help="also capture per-point traces and fold their "
-                        "summaries into the report")
     add_jobs(p)
     p.set_defaults(func=cmd_report)
 

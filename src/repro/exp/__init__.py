@@ -32,10 +32,10 @@ from repro.exp.cache import MISSING, ResultCache, code_version
 from repro.exp.runner import (
     SweepOutcome,
     default_jobs,
-    metrics_path,
     point_slug,
     run_sweep,
     shutdown_pool,
+    trace_path,
 )
 from repro.exp.sweep import SweepPoint, sweep_points
 
@@ -51,10 +51,10 @@ __all__ = [
     "bernoulli_probe_point",
     "code_version",
     "default_jobs",
-    "metrics_path",
     "point_slug",
     "run_adaptive_sweep",
     "run_sweep",
     "shutdown_pool",
     "sweep_points",
+    "trace_path",
 ]

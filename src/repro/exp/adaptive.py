@@ -17,8 +17,8 @@ Merging is deterministic: a point's repetitions are evaluated in
 repetition order and pooled by summation, so an adaptive run that
 happens to execute the same repetitions as a fixed grid produces
 bit-identical pooled results.  Every round is one ordinary
-:func:`~repro.exp.runner.run_sweep` call, so caching, traces, metrics
-and the worker pool all apply unchanged.
+:func:`~repro.exp.runner.run_sweep` call, so caching, traces and the
+worker pool all apply unchanged.
 """
 
 from __future__ import annotations
@@ -236,7 +236,6 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
                        jobs: Optional[int] = None,
                        cache: Optional[ResultCache] = None,
                        trace_dir: Optional[str] = None,
-                       metrics_dir: Optional[str] = None,
                        ) -> AdaptiveOutcome:
     """Run ``points`` adaptively: repetitions in rounds, early-stopping
     points whose pooled statistics meet the convergence target.
@@ -244,7 +243,7 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
     Each round expands every unresolved point into its next chunk of
     repetitions (``config.rep_axis`` varied by ``config.value_for``) and
     executes them as one ordinary :func:`run_sweep` — so the result
-    cache, per-point traces and metrics, and the worker pool behave
+    cache, per-point traces and the worker pool behave
     exactly as in a fixed sweep.  Returns an :class:`AdaptiveOutcome` whose
     ``results`` align with ``points``.
     """
@@ -274,7 +273,7 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
             break
         rounds += 1
         outcome = run_sweep(batch, jobs=jobs, cache=cache,
-                            trace_dir=trace_dir, metrics_dir=metrics_dir)
+                            trace_dir=trace_dir)
         sweeps.append(outcome)
         for index, payload in zip(owners, outcome.results):
             states[index].payloads.append(payload)

@@ -19,14 +19,13 @@ semaphores, exotic interpreters) all run the exact same point functions
 in this process; if a worker dies, the pool is shut down and the points
 it did not finish run here.
 
-Observability survives the fan-out: when ``REPRO_TRACE_DIR`` /
-``REPRO_METRICS_DIR`` are set (directly, or via
-``run_sweep(trace_dir=..., metrics_dir=...)``, which exports them around
+Observability survives the fan-out: when ``REPRO_TRACE_DIR`` is set
+(directly, or via ``run_sweep(trace_dir=...)``, which exports it around
 the sweep), every point — serial or in a worker process — runs under a
-fresh :class:`repro.obs.Tracer` and/or :class:`repro.obs.MetricsRegistry`
-and writes its Chrome-trace / metrics JSON into those directories, named
-after the point's label (see :func:`point_slug`).  ``repro report`` joins
-these files with the sweep payloads into one run report.
+fresh :class:`repro.obs.Tracer` and writes its Chrome-trace JSON into
+that directory, named after the point's label (see :func:`trace_path`).
+``repro report`` joins these files with the sweep payloads into one run
+report.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from repro import obs
 from repro.exp.cache import ResultCache
 from repro.exp.sweep import SweepPoint
-from repro.obs import metrics as obs_metrics
 
 
 class PoolUnavailableError(RuntimeError):
@@ -101,69 +99,47 @@ class SweepOutcome:
 
 
 def point_slug(point: SweepPoint) -> str:
-    """Filesystem-safe name for a point's per-point artifacts (trace and
-    metrics files share it, so reports can join them by label)."""
+    """Filesystem-safe name for a point's trace file (see
+    :func:`trace_path`)."""
     slug = re.sub(r"[^A-Za-z0-9._=-]+", "_", point.describe()).strip("_")
     return slug[:120] or "point"
 
 
-def _trace_path(trace_dir: str, point: SweepPoint) -> str:
+def trace_path(trace_dir: str, point: SweepPoint) -> str:
+    """Where a point's Chrome-trace JSON lands under ``trace_dir``; run
+    reports join traces to points through it."""
     return os.path.join(trace_dir, f"{point_slug(point)}.trace.json")
-
-
-def metrics_path(metrics_dir: str, point: SweepPoint) -> str:
-    """Where a point's metrics JSON lands under ``metrics_dir``."""
-    return os.path.join(metrics_dir, f"{point_slug(point)}.metrics.json")
 
 
 def _run_point(point: SweepPoint) -> Any:
     trace_dir = os.environ.get("REPRO_TRACE_DIR")
-    metrics_dir = os.environ.get("REPRO_METRICS_DIR")
-    if not trace_dir and not metrics_dir:
+    if not trace_dir:
         return point.run()
-    # Provenance stamped into the trace/metrics artifacts: files that two
-    # sweeps, or two pool workers, write into one directory stay
-    # distinguishable by process, not just by filename.
-    provenance: Dict[str, Any] = {"pid": os.getpid(),
-                                  "point_slug": point_slug(point)}
-    # Per-point tracer/metrics registry, installed process-globally so the
-    # Systems and schedulers the point builds internally pick them up.
-    # Works identically in the parent (serial path) and in pool workers,
-    # which mirror the parent's REPRO_* environment per task.
-    tracer = None
-    previous_observer = obs.current_observer()
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-        tracer = obs.Tracer()
-        obs.install(tracer)
-    registry = None
-    previous_registry = obs_metrics.current()
-    if metrics_dir:
-        os.makedirs(metrics_dir, exist_ok=True)
-        registry = obs_metrics.install(obs_metrics.MetricsRegistry())
+    os.makedirs(trace_dir, exist_ok=True)
+    # Per-point tracer, installed process-globally so the Systems and
+    # schedulers the point builds internally pick it up.  Works
+    # identically in the parent (serial path) and in pool workers, which
+    # mirror the parent's REPRO_* environment per task.
+    tracer = obs.Tracer()
+    previous = obs.current_observer()
+    obs.install(tracer)
+    started = time.perf_counter()
     try:
-        if registry is not None:
-            with registry.profiler.phase("point"):
-                return point.run()
         return point.run()
     finally:
-        if tracer is not None:
-            if previous_observer is not None:
-                obs.install(previous_observer)
-            else:
-                obs.uninstall()
-            # Written even when the point raises — a partial trace is
-            # exactly what debugging a failed point needs.
-            tracer.write_chrome(_trace_path(trace_dir, point),
-                                extra=provenance)
-        if registry is not None:
-            if previous_registry is not None:
-                obs_metrics.install(previous_registry)
-            else:
-                obs_metrics.uninstall()
-            registry.write_json(metrics_path(metrics_dir, point),
-                                extra={"label": point.describe(),
-                                       **provenance})
+        wall_s = time.perf_counter() - started
+        if previous is not None:
+            obs.install(previous)
+        else:
+            obs.uninstall()
+        # Written even when the point raises — a partial trace is exactly
+        # what debugging a failed point needs.  The provenance keeps files
+        # that two sweeps, or two pool workers, write into one directory
+        # distinguishable by process, not just by filename.
+        tracer.write_chrome(trace_path(trace_dir, point),
+                            extra={"pid": os.getpid(),
+                                   "point_slug": point_slug(point),
+                                   "wall_s": round(wall_s, 6)})
 
 
 def _pool_task(point: SweepPoint, env: Dict[str, str]) -> Any:
@@ -264,8 +240,7 @@ def _run_parallel(points: Sequence[SweepPoint], jobs: int,
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
-              trace_dir: Optional[str] = None,
-              metrics_dir: Optional[str] = None) -> SweepOutcome:
+              trace_dir: Optional[str] = None) -> SweepOutcome:
     """Run every point, in parallel when possible, and return a
     :class:`SweepOutcome` whose ``results`` align with ``points``.
 
@@ -281,29 +256,20 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
         cache: optional result cache — cached points never reach a worker,
             and freshly computed payloads are stored back.
         trace_dir: when given, every executed point writes a Chrome-trace
-            JSON into this directory (exported, made absolute, as
-            ``REPRO_TRACE_DIR`` for the duration of the sweep so worker
-            processes see it too).  Cached points are not re-traced.
-        metrics_dir: when given, every executed point runs under a fresh
-            :class:`repro.obs.MetricsRegistry` and writes its metrics
-            JSON (counters, histograms, phase profile) into this
-            directory, keyed like the trace files (exported, made
-            absolute, as ``REPRO_METRICS_DIR``).  Cached points are not
-            re-measured.
+            JSON, stamped with the point's wall time, into this directory
+            (exported, made absolute, as ``REPRO_TRACE_DIR`` for the
+            duration of the sweep so worker processes see it too).
+            Cached points are not re-traced.
     """
     started = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     # Absolute, whether given here or already in the environment: pool
     # workers keep the working directory they were forked in, which need
     # not be this process's current one.
-    overlay = {}
-    for key, value in (("REPRO_TRACE_DIR", trace_dir),
-                       ("REPRO_METRICS_DIR", metrics_dir)):
-        value = os.environ.get(key) if value is None else value
-        if value:
-            overlay[key] = os.path.abspath(value)
-    saved = {key: os.environ.get(key) for key in overlay}
-    os.environ.update(overlay)
+    saved = os.environ.get("REPRO_TRACE_DIR")
+    trace_dir = saved if trace_dir is None else trace_dir
+    if trace_dir:
+        os.environ["REPRO_TRACE_DIR"] = os.path.abspath(trace_dir)
     try:
         results: List[Any] = [None] * len(points)
         pending: List[int] = []
@@ -346,11 +312,10 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
             if not done:
                 _commit(pos, _run_point(points[pending[pos]]))
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_TRACE_DIR", None)
+        else:
+            os.environ["REPRO_TRACE_DIR"] = saved
     return SweepOutcome(
         results=results,
         jobs=jobs,

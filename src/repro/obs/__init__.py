@@ -26,15 +26,6 @@ import os
 from typing import Optional
 
 from repro.obs.core import MultiObserver, Observer
-from repro.obs.metrics import (
-    MetricsObserver,
-    MetricsRegistry,
-    PhaseProfiler,
-)
-from repro.obs.metrics import current as current_metrics
-from repro.obs.metrics import install as install_metrics
-from repro.obs.metrics import phase as metrics_phase
-from repro.obs.metrics import uninstall as uninstall_metrics
 from repro.obs.sanitizer import Sanitizer, SanitizerError
 from repro.obs.trace import TraceEvent, Tracer, summarize_chrome_trace
 
@@ -45,17 +36,10 @@ __all__ = [
     "TraceEvent",
     "Sanitizer",
     "SanitizerError",
-    "MetricsRegistry",
-    "MetricsObserver",
-    "PhaseProfiler",
     "install",
     "uninstall",
     "current_observer",
     "sanitize_requested",
-    "install_metrics",
-    "uninstall_metrics",
-    "current_metrics",
-    "metrics_phase",
     "summarize_chrome_trace",
 ]
 

@@ -178,8 +178,9 @@ class Tracer(Observer):
         Trace Event Format's ``ts``/``dur`` unit); instantaneous events
         use phase ``"i"``, spans use complete events (``"X"``).
         ``extra`` merges into ``otherData`` — the sweep runner stamps
-        provenance (worker pid, ``point_slug``) there so traces from
-        different pool workers sharing a trace dir can never mis-join.
+        provenance (worker pid, ``point_slug``, the point's ``wall_s``)
+        there so traces from different pool workers sharing a trace dir
+        can never mis-join.
         """
         scale = 1.0 / (self.cpu_ghz * 1000.0)  # cycles -> microseconds
         trace_events: List[Dict[str, Any]] = []
@@ -228,7 +229,9 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
     requestor's cycle span and the overall event counts, from a file
     written by :meth:`Tracer.write_chrome` (``repro trace`` / a sweep's
     ``trace_dir``).  Timestamps stored in microseconds convert back to
-    cycles through the file's recorded ``cpu_ghz``.
+    cycles through the file's recorded ``cpu_ghz``.  The sweep runner's
+    stamps (``pid``, ``point_slug``, ``wall_s``) come back as
+    ``provenance``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -282,7 +285,7 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
         "per_requestor": per_requestor,
     }
     provenance = {key: other[key]
-                  for key in ("pid", "point_slug")
+                  for key in ("pid", "point_slug", "wall_s")
                   if key in other}
     if provenance:
         summary["provenance"] = provenance

@@ -267,7 +267,7 @@ class PEIEngine:
         rescans every bank once per victim probe, making this the
         simulator's hottest loop; almost all of its PEIs are row hits on
         idle banks, which the loop commits itself.  Whenever an observer is
-        attached (tracer, sanitizer, metrics) or a controller feature with
+        attached (tracer, sanitizer) or a controller feature with
         per-access hooks is active (bank partitioning, refresh,
         constant-time), the call delegates to :meth:`execute_parallel`, so
         every observable event is still reported identically.

@@ -37,8 +37,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterator, List, Optional, Tuple
 
-from repro.obs import (MetricsObserver, MultiObserver, current_metrics,
-                       current_observer)
+from repro.obs import current_observer
 
 
 class DeadlockError(RuntimeError):
@@ -217,15 +216,8 @@ class Scheduler:
         # repro.obs hook: explicit observer, else the process-global one
         # (attack primitives build their schedulers internally, so `repro
         # trace` relies on the global pickup); None = off, one branch per
-        # resume/block.  A process-global metrics registry rides the same
-        # chain — thread resume/block counters are its only scheduler
-        # events, so sharing a registry with a System cannot double-count.
-        base = observer if observer is not None else current_observer()
-        registry = current_metrics()
-        if registry is not None:
-            sink = MetricsObserver(registry)
-            base = MultiObserver([base, sink]) if base is not None else sink
-        self._obs = base
+        # resume/block.
+        self._obs = observer if observer is not None else current_observer()
 
     def spawn(self, body: ThreadBody, *args: Any, name: Optional[str] = None,
               start_time: int = 0, **kwargs: Any) -> SimThread:

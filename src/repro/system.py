@@ -22,8 +22,7 @@ from repro.config import SystemConfig
 from repro.dram.controller import MemoryController, MemoryResult
 from repro.mmu.mmu import MMU, MMUConfig
 from repro.mmu.page_table import PageTableWalker
-from repro.obs import (MetricsObserver, MetricsRegistry, MultiObserver,
-                       Observer, Sanitizer, current_metrics, current_observer,
+from repro.obs import (MultiObserver, Observer, Sanitizer, current_observer,
                        sanitize_requested)
 from repro.pim.offchip import OffChipPredictor, OffChipPredictorConfig
 from repro.pim.pei import ExecutionSite, PEIEngine, PEIResult
@@ -77,8 +76,7 @@ class System:
 
     def __init__(self, config: Optional[SystemConfig] = None, *,
                  observer: Optional[Observer] = None,
-                 sanitize: Optional[bool] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 sanitize: Optional[bool] = None) -> None:
         """Build the machine.
 
         Args:
@@ -90,24 +88,14 @@ class System:
                 raises on any timing-invariant violation.  ``None`` (the
                 default) defers to the ``REPRO_SANITIZE`` environment
                 variable.
-            metrics: a :class:`repro.obs.MetricsRegistry` fed by this
-                machine's components (DRAM commands, cache events, PEI
-                operations) and by the attack channels built on it;
-                defaults to the process-global registry installed via
-                ``repro.obs.install_metrics`` (``None`` = metrics off,
-                which costs nothing on the simulation hot paths).
         """
         self.config = config or SystemConfig.paper_default()
         if sanitize is None:
             sanitize = sanitize_requested()
         self.sanitizer: Optional[Sanitizer] = Sanitizer() if sanitize else None
-        self.metrics: Optional[MetricsRegistry] = (
-            metrics if metrics is not None else current_metrics())
         base = observer if observer is not None else current_observer()
         parts: List[Observer] = [p for p in (base, self.sanitizer)
                                  if p is not None]
-        if self.metrics is not None:
-            parts.append(MetricsObserver(self.metrics))
         if len(parts) > 1:
             self.observer: Optional[Observer] = MultiObserver(parts)
         elif parts:

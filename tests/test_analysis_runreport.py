@@ -1,6 +1,6 @@
 """Tests for the run report (:mod:`repro.analysis.runreport`) over a
-parallel sweep: payloads joined with the metrics and traces that pool
-workers wrote."""
+parallel sweep: payloads joined with the traces that pool workers
+wrote."""
 
 import json
 import os
@@ -15,29 +15,33 @@ from repro.exp.figures import fig8_quality_sweep
 
 
 def test_report_joins_a_parallel_sweeps_artifacts(tmp_path):
-    metrics_dir = str(tmp_path / "metrics")
     trace_dir = str(tmp_path / "traces")
     points = fig8_quality_sweep((8, 16), bits=32, attacks=["impact-pnm"])
-    outcome = run_sweep(points, jobs=2, metrics_dir=metrics_dir,
-                        trace_dir=trace_dir)
-    report = collect_run_report("fig8", points, outcome,
-                                metrics_dir=metrics_dir, trace_dir=trace_dir)
+    outcome = run_sweep(points, jobs=2, trace_dir=trace_dir)
+    report = collect_run_report("fig8", points, outcome, trace_dir)
 
     assert report["parallel"] is True, outcome.fallback_reason
     assert [entry["label"] for entry in report["points"]] == \
         [point.describe() for point in points]
-    for entry in report["points"]:
-        assert entry["metrics"] and entry["trace_summary"]
-        # A pool worker, not this process, measured the point.
-        assert entry["metrics"]["pid"] != os.getpid()
-        assert entry["trace_summary"]["provenance"]["pid"] == \
-            entry["metrics"]["pid"]
+    summaries = [entry["trace_summary"] for entry in report["points"]]
+    for summary in summaries:
+        assert summary["counts"]["RD"] > 0
+        # A pool worker, not this process, traced and timed the point.
+        assert summary["provenance"]["pid"] != os.getpid()
+        assert summary["provenance"]["wall_s"] > 0
 
-    counters = report["totals"]["counters"]
-    assert counters
-    for name, total in counters.items():
-        assert total == sum(entry["metrics"]["counters"].get(name, 0)
-                            for entry in report["points"])
+    totals = report["totals"]
+    assert totals["points"] == len(points)
+    for name, total in totals["counts"].items():
+        assert total == sum(summary["counts"].get(name, 0)
+                            for summary in summaries)
+    for requestor, row in totals["per_requestor"].items():
+        for key, total in row.items():
+            assert total == sum(
+                summary["per_requestor"].get(requestor, {}).get(key, 0)
+                for summary in summaries)
+    assert totals["wall_s"] == round(sum(
+        summary["provenance"]["wall_s"] for summary in summaries), 6)
 
     markdown = render_markdown(report)
     sections = [line for line in markdown.splitlines()

@@ -89,7 +89,7 @@ def test_report_command_writes_markdown_and_json(tmp_path, capsys):
 
     assert main(["report", "fig8", "--llc-mb", "8", "--bits", "64",
                  "--attacks", "impact-pnm", "impact-pum", "--jobs", "1",
-                 "--out-dir", str(tmp_path), "--trace"]) == 0
+                 "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "report written" in out
 
@@ -98,8 +98,8 @@ def test_report_command_writes_markdown_and_json(tmp_path, capsys):
     assert "IMPACT-PnM" in md and "IMPACT-PuM" in md
     for column in ("BER 95% CI", "Capacity Mb/s", "Leakage t"):
         assert column in md
-    assert "Phase profile" in md
-    assert "Trace summary" in md
+    assert "Trace summary" in md and "Sweep totals" in md
+    assert "| Empties |" in md
 
     report = json.loads((tmp_path / "fig8.json").read_text())
     assert report["experiment"] == "fig8"
@@ -108,10 +108,15 @@ def test_report_command_writes_markdown_and_json(tmp_path, capsys):
     for key in ("throughput_mbps", "ber", "ber_ci95", "capacity_mbps",
                 "leakage_t", "eye_gap"):
         assert key in quality
-    assert point["metrics"]["counters"]["channel.bits"] > 0
-    assert "transmit:IMPACT-PnM" in point["metrics"]["phases"]
-    assert point["trace_summary"]["events"] > 0
-    assert report["totals"]["counters"]["dram.RD"] > 0
+    summary = point["trace_summary"]
+    assert summary["events"] > 0 and summary["provenance"]["wall_s"] > 0
+    assert report["totals"]["counts"]["RD"] > 0
+    for rows in (summary["per_requestor"],
+                 report["totals"]["per_requestor"]):
+        assert {"sender", "receiver"} <= set(rows)
+        for row in rows.values():
+            assert row["hits"] + row["empties"] + row["conflicts"] == \
+                row["operations"]
 
 
 def test_report_rejects_unknown_experiment():
@@ -129,7 +134,7 @@ def test_trace_summary_of_existing_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "events" in out
     assert "receiver" in out and "sender" in out
-    assert "cycle span" in out
+    assert "empty" in out and "cycle span" in out
 
 
 def test_trace_summary_missing_file(tmp_path, capsys):

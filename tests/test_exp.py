@@ -12,11 +12,11 @@ from repro.exp import (
     SweepPoint,
     code_version,
     default_jobs,
-    metrics_path,
     point_slug,
     run_sweep,
     shutdown_pool,
     sweep_points,
+    trace_path,
 )
 from repro.exp.figures import fig8_sweep
 
@@ -265,55 +265,37 @@ class TestRunSweep:
 
 
 class TestMetricsDir:
+    """Per-point trace files: their names, their stamps, and where
+    relative directories land."""
+
     def test_point_slug_is_filesystem_safe(self):
         point = SweepPoint("exp", counting_point,
                            params={"value": 1}, label="fig8[llc_mb=8.0]")
         slug = point_slug(point)
         assert "/" not in slug and " " not in slug
-        assert metrics_path("m", point).endswith(f"{slug}.metrics.json")
-
-    def test_run_sweep_writes_per_point_metrics(self, tmp_path):
-        points = sweep_points("exp", counting_point, "value", [1, 2])
-        outcome = run_sweep(points, jobs=1, metrics_dir=str(tmp_path))
-        assert len(outcome) == 2
-        for point in points:
-            data = json.loads(Path(metrics_path(str(tmp_path),
-                                                point)).read_text())
-            assert data["label"] == point.describe()
-            # Every executed point is profiled, even a trivial one.
-            assert data["phases"]["point"]["calls"] == 1
-
-    def test_metrics_env_is_restored(self, tmp_path):
-        import os
-        assert "REPRO_METRICS_DIR" not in os.environ
-        run_sweep(sweep_points("exp", counting_point, "value", [1]),
-                  jobs=1, metrics_dir=str(tmp_path))
-        assert "REPRO_METRICS_DIR" not in os.environ
+        assert trace_path("t", point).endswith(f"{slug}.trace.json")
 
     def test_metrics_and_trace_carry_provenance(self, tmp_path):
+        """The trace carries the point's provenance and wall time, which
+        the trace summary hands on."""
         from repro.obs import summarize_chrome_trace
 
-        trace_dir = str(tmp_path / "traces")
-        metrics_dir = str(tmp_path / "metrics")
         (point,) = sweep_points("exp", counting_point, "value", [5])
-        run_sweep([point], jobs=1, trace_dir=trace_dir,
-                  metrics_dir=metrics_dir)
+        run_sweep([point], jobs=1, trace_dir=str(tmp_path))
         provenance = {"pid": os.getpid(), "point_slug": point_slug(point)}
-        with open(metrics_path(metrics_dir, point)) as handle:
-            metrics = json.load(handle)
-        assert {key: metrics[key] for key in provenance} == provenance
-        trace_file = os.path.join(trace_dir,
-                                  f"{point_slug(point)}.trace.json")
+        trace_file = trace_path(str(tmp_path), point)
         with open(trace_file) as handle:
             other = json.load(handle)["otherData"]
         assert {key: other[key] for key in provenance} == provenance
-        assert summarize_chrome_trace(trace_file)["provenance"] == provenance
+        assert 0 <= other["wall_s"] < 60
+        assert summarize_chrome_trace(trace_file)["provenance"] == \
+            {**provenance, "wall_s": other["wall_s"]}
 
     def test_relative_dirs_follow_the_working_directory(self, tmp_path,
                                                         monkeypatch):
         """Pool workers keep the working directory they were forked in;
-        relative trace and metrics dirs, given as an argument or in the
-        environment, still resolve against this process's current one."""
+        a relative trace dir, given as an argument or in the environment,
+        still resolves against this process's current one."""
         first, second = tmp_path / "a", tmp_path / "b"
         first.mkdir()
         second.mkdir()
@@ -322,12 +304,13 @@ class TestMetricsDir:
         monkeypatch.chdir(first)
         run_sweep(points, jobs=2)
         monkeypatch.chdir(second)
+        run_sweep(points, jobs=2, trace_dir="m")
         monkeypatch.setenv("REPRO_TRACE_DIR", "t")
-        run_sweep(points, jobs=2, metrics_dir="m")
+        run_sweep(points, jobs=2)
         assert os.environ["REPRO_TRACE_DIR"] == "t"
         for point in points:
-            assert (second / metrics_path("m", point)).exists()
-            assert (second / "t" / f"{point_slug(point)}.trace.json").exists()
+            assert (second / trace_path("m", point)).exists()
+            assert (second / trace_path("t", point)).exists()
         assert list(first.iterdir()) == []
 
 
@@ -356,16 +339,22 @@ class TestParallelEqualsSerial:
 # The reused worker pool, seen through run_sweep
 # ---------------------------------------------------------------------------
 
+def _await_entries(directory, count):
+    """Waits, for at most 30 s, until ``directory`` holds ``count``
+    entries."""
+    import time
+
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(directory)) < count and \
+            time.monotonic() < deadline:
+        time.sleep(0.002)
+
+
 def rendezvous_point(value, gate, parties):
     """Reports its pid once ``parties`` points have entered ``gate``, so
     ``parties`` points at ``jobs=parties`` run on that many workers."""
-    import os
-    import time
-
     open(os.path.join(gate, str(value)), "w").close()
-    deadline = time.monotonic() + 30.0
-    while len(os.listdir(gate)) < parties and time.monotonic() < deadline:
-        time.sleep(0.002)
+    _await_entries(gate, parties)
     return {"value": value, "pid": os.getpid()}
 
 
@@ -387,12 +376,14 @@ def env_point(value):
 
 def unpicklable_point(kind, value, runs):
     """Returns, or raises with, a local function, which cannot be pickled
-    back from a worker; creates one file under ``runs`` per execution."""
-    import os
+    back from a worker; creates one file under ``runs`` per execution.
+    It fails only once both points' files exist: a failure cancels the
+    points that have not started, and the sweep under test has two."""
     import tempfile
 
     handle, _path = tempfile.mkstemp(prefix=f"{value}-", dir=runs)
     os.close(handle)
+    _await_entries(runs, 2)
     if kind == "exception":
         raise ValueError(lambda: value)
     return {"value": value, "fn": lambda: value}

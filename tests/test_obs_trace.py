@@ -8,7 +8,9 @@ import os
 import pytest
 
 from repro import obs
+from repro.attacks import ImpactPnmChannel
 from repro.cli import main
+from repro.config import SystemConfig
 from repro.dram import (DRAMGeometry, MemoryController,
                         MemoryControllerConfig)
 from repro.exp import run_sweep, sweep_points
@@ -236,6 +238,21 @@ class TestGlobalInstall:
                         if e.cat == "sched"]
         assert ("block", "waiter") in sched_events
         assert ("resume", "waiter") in sched_events
+
+    def test_tracing_leaves_a_channels_output_unchanged(self):
+        baseline = ImpactPnmChannel(
+            System(SystemConfig.paper_default())).transmit_random(32, seed=5)
+        tracer = obs.install(Tracer())
+        try:
+            traced = ImpactPnmChannel(
+                System(SystemConfig.paper_default())).transmit_random(
+                    32, seed=5)
+        finally:
+            obs.uninstall()
+        assert traced.received == baseline.received
+        assert traced.cycles == baseline.cycles
+        assert traced.probe_latencies == baseline.probe_latencies
+        assert len(tracer) > 0
 
 
 # ---------------------------------------------------------------------------
