@@ -36,8 +36,7 @@ _QUALITY_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("eye_gap", "Eye gap"),
 )
 
-#: Per-requestor columns of a trace summary; each adds up across points
-#: (the per-requestor cycle spans do not, and stay out of the report).
+#: Per-requestor columns of a trace summary; each adds up across points.
 _REQUESTOR_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("events", "Events"),
     ("operations", "Ops"),
@@ -180,11 +179,9 @@ def render_markdown(report: Dict[str, Any]) -> str:
                 lines += _scalar_section(payload)
         summary = entry.get("trace_summary")
         if summary:
-            span = summary["span_cycles"]
             provenance = summary.get("provenance", {})
             lines += [f"**Trace summary** — {summary['events']} events, "
-                      f"cycles {span[0]}–{span[1]}, wall "
-                      f"{_fmt(provenance.get('wall_s'))} s, pid "
+                      f"wall {_fmt(provenance.get('wall_s'))} s, pid "
                       f"{_fmt(provenance.get('pid'))}", ""]
             lines += _trace_tables(summary)
     totals = report["totals"]

@@ -20,6 +20,9 @@ upper-bound models (:mod:`repro.attacks.analytical`), and the §4.3
 read-mapping side channel (:mod:`repro.attacks.sidechannel`).
 """
 
+from dataclasses import replace
+from typing import Callable, Dict
+
 from repro.attacks.analytical import (
     ChannelCostParameters,
     direct_access_upper_bound_mbps,
@@ -70,8 +73,31 @@ from repro.attacks.sidechannel import (
     SideChannelResult,
     fake_schedule,
 )
+from repro.config import SystemConfig
+from repro.system import System
+
+#: The seven covert channels by their command-line names.
+ATTACKS: Dict[str, Callable[[System], CovertChannel]] = {
+    "impact-pnm": ImpactPnmChannel,
+    "impact-pum": ImpactPumChannel,
+    "dma": DmaEngineChannel,
+    "drama-clflush": DramaClflushChannel,
+    "drama-eviction": DramaEvictionChannel,
+    "pnm-offchip": PnmOffchipChannel,
+    "streamline": StreamlineChannel,
+}
+
+
+def channel_config(attack: str, config: SystemConfig) -> SystemConfig:
+    """``config`` as the ``attack`` channel needs it: DRAMA-eviction
+    builds bank-safe eviction sets only under the xor mapping."""
+    if attack == "drama-eviction" and config.mapping != "xor":
+        return replace(config, mapping="xor")
+    return config
+
 
 __all__ = [
+    "ATTACKS",
     "AddressReconnaissance",
     "BankFunctionModel",
     "BaselineEvictionAttack",
@@ -100,6 +126,7 @@ __all__ = [
     "SideChannelResult",
     "StreamlineChannel",
     "TABLE1",
+    "channel_config",
     "fake_schedule",
     "longest_common_subsequence",
     "poisson_keystrokes",

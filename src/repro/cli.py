@@ -16,31 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import System, SystemConfig
 from repro.analysis import format_table
-from repro.attacks import (
-    AddressReconnaissance,
-    DmaEngineChannel,
-    DramaClflushChannel,
-    DramaEvictionChannel,
-    ImpactPnmChannel,
-    ImpactPumChannel,
-    PnmOffchipChannel,
-    StreamlineChannel,
-)
+from repro.attacks import ATTACKS, AddressReconnaissance, channel_config
 from repro.detection import run_detection_experiment
-
-ATTACKS: Dict[str, Callable[[System], object]] = {
-    "impact-pnm": ImpactPnmChannel,
-    "impact-pum": ImpactPumChannel,
-    "dma": DmaEngineChannel,
-    "drama-clflush": DramaClflushChannel,
-    "drama-eviction": DramaEvictionChannel,
-    "pnm-offchip": PnmOffchipChannel,
-    "streamline": StreamlineChannel,
-}
 
 
 def _config(args: argparse.Namespace) -> SystemConfig:
@@ -148,19 +129,16 @@ def _print_trace_summary(path: str) -> int:
     from repro.obs import summarize_chrome_trace
 
     summary = summarize_chrome_trace(path)
-    span = summary["span_cycles"]
-    print(f"{path}: {summary['events']} events, "
-          f"cycles {span[0]}-{span[1]}")
+    print(f"{path}: {summary['events']} events")
     counts = summary["counts"]
     print("events: " + ", ".join(f"{name}={counts[name]}"
                                  for name in sorted(counts)))
     rows = [(name, m["events"], m["operations"], m["busy_cycles"],
-             m["queue_cycles"], m["hits"], m["empties"], m["conflicts"],
-             f"{m['first_cycle']}-{m['last_cycle']}")
+             m["queue_cycles"], m["hits"], m["empties"], m["conflicts"])
             for name, m in sorted(summary["per_requestor"].items())]
     print(format_table(
         ["requestor", "events", "ops", "busy cyc", "queue cyc", "hit",
-         "empty", "conf", "cycle span"],
+         "empty", "conf"],
         rows, title="per-requestor activity"))
     return 0
 
@@ -181,8 +159,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 2
         return _print_trace_summary(path)
 
-    config = _config(args)
     attack = "impact-pnm" if args.experiment == "fig7" else args.experiment
+    config = channel_config(attack, _config(args))
     tracer = obs.Tracer(cpu_ghz=config.cpu_ghz)
     previous = obs.current_observer()
     obs.install(tracer)
@@ -269,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.adaptive:
         config = AdaptiveConfig(
-            rep_axis="seed", min_reps=args.min_reps, max_reps=args.max_reps,
+            min_reps=args.min_reps, max_reps=args.max_reps,
             round_reps=args.round_reps,
             target=ConvergenceTarget(ber_ci_halfwidth=args.ber_ci,
                                      capacity_rel_tol=args.capacity_tol))
@@ -340,11 +318,8 @@ def cmd_recon(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     rows = []
     for name in ("drama-clflush", "impact-pnm", "impact-pum"):
-        mapping = "xor" if name == "drama-eviction" else "row"
         reports = run_detection_experiment(
-            lambda s, c=ATTACKS[name]: c(s),
-            lambda m=mapping: replace(SystemConfig.paper_default(), mapping=m),
-            bits=args.bits)
+            ATTACKS[name], SystemConfig.paper_default, bits=args.bits)
         for side, report in reports.items():
             rows.append((name, side, report.accesses, report.clflushes,
                          str(report.flagged), report.reason))
@@ -420,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitize", action="store_true",
                    help="also run the timing-invariant sanitizer")
     p.add_argument("--summary", action="store_true",
-                   help="summarize an existing trace file (per-requestor "
-                        "event counts and cycle spans) without re-running")
+                   help="summarize an existing trace file (event counts "
+                        "and per-requestor activity) without re-running")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
@@ -479,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or prune the on-disk result cache")
     p.add_argument("action", choices=["stats", "prune"],
                    help="stats: show entry counts/sizes; prune: drop "
-                        "entries from other code versions, then show stats")
+                        "other code versions' entries and an old flat "
+                        "layout's files, then show stats")
     p.add_argument("--results-dir", default="benchmarks/results/.cache",
                    metavar="DIR", help="result-cache directory")
     p.set_defaults(func=cmd_cache)

@@ -160,10 +160,6 @@ class MemoryController:
         """Remove all bank-partition assignments."""
         self._partition.clear()
 
-    @property
-    def partitioning_active(self) -> bool:
-        return bool(self._partition)
-
     def _check_partition(self, bank: int, requestor: str) -> None:
         owner = self._partition.get(bank)
         if owner is not None and owner != requestor:
@@ -221,15 +217,6 @@ class MemoryController:
                is_write: bool = False) -> MemoryResult:
         """Read or write one DRAM word at physical address ``addr``."""
         loc = self.mapper.decode(addr)
-        kind, finish = self._access_core(loc.bank, loc.row, issued,
-                                         requestor, is_write)
-        return MemoryResult(kind=kind, issued=issued, finish=finish,
-                            location=loc)
-
-    def access_location(self, loc: DRAMLocation, issued: int, *,
-                        requestor: str = "cpu",
-                        is_write: bool = False) -> MemoryResult:
-        """Access a pre-decoded DRAM location (fast path for PiM engines)."""
         kind, finish = self._access_core(loc.bank, loc.row, issued,
                                          requestor, is_write)
         return MemoryResult(kind=kind, issued=issued, finish=finish,

@@ -5,8 +5,8 @@ the points are not equally hard: a channel at BER ≈ 0 pins its Wilson
 interval after a couple of repetitions, while a marginal point near the
 decode threshold needs many more before its CI is worth reporting.  The
 adaptive engine schedules repetitions *in rounds*: every unresolved
-point gets a chunk of reps along its declared repetition axis (a seed
-parameter, so each rep is an independent, deterministic, cacheable
+point gets a chunk of reps, rep ``r`` with ``seed=r + 1`` (so each rep
+is an independent, deterministic, cacheable
 :class:`~repro.exp.sweep.SweepPoint`), the pooled per-point statistics
 are tested against a :class:`ConvergenceTarget` built from the PR 4
 quality analytics (Wilson BER CI half-width, capacity-estimate
@@ -29,8 +29,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.quality import relative_spread, wilson_halfwidth
 from repro.exp.cache import ResultCache
-from repro.exp.runner import SweepOutcome, point_slug, run_sweep
+from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.sweep import SweepPoint
+
+#: How many of a point's latest capacity estimates the stability
+#: criterion compares.
+_CAPACITY_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -39,37 +43,30 @@ class ConvergenceTarget:
 
     ``ber_ci_halfwidth``: stop once every Bernoulli stream in the payload
     (top-level ``errors``/``bits``, or per-attack entries under
-    ``attacks``) has a pooled Wilson CI half-width at or below this.
-    ``capacity_rel_tol``: additionally require the per-round capacity
-    estimates' relative spread (over ``capacity_window`` rounds) at or
-    below this.  Setting a criterion to ``None`` disables it; disabling
-    both means no point ever early-stops (the engine degenerates to the
-    fixed grid)."""
+    ``attacks``) has a pooled 95% Wilson CI half-width at or below this.
+    ``capacity_rel_tol``: additionally require the relative spread of the
+    last three repetitions' capacity estimates at or below this.  Setting
+    a criterion to ``None`` disables it; disabling both means no point
+    ever early-stops (the engine degenerates to the fixed grid)."""
 
     ber_ci_halfwidth: Optional[float] = 0.05
     capacity_rel_tol: Optional[float] = None
-    capacity_window: int = 3
-    z: float = 1.96
 
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """How a sweep's points repeat and when they stop.
 
-    ``rep_axis`` names the parameter that varies across repetitions
-    (``value_for(rep)`` supplies its value — ``rep_values[rep]`` when
-    given, else the 1-based repetition index, matching seed conventions).
+    Repetition ``r`` (0-based) of a point runs it with ``seed=r + 1``.
     Every point runs at least ``min_reps`` repetitions before the
     convergence predicate may fire — the floor that keeps a lucky first
     rep from terminating a point on no evidence — then ``round_reps``
     more per round until converged or ``max_reps``."""
 
-    rep_axis: str = "seed"
     min_reps: int = 2
     max_reps: int = 8
     round_reps: int = 2
     target: ConvergenceTarget = field(default_factory=ConvergenceTarget)
-    rep_values: Optional[Tuple[Any, ...]] = None
 
     def __post_init__(self) -> None:
         if self.min_reps < 1:
@@ -78,14 +75,6 @@ class AdaptiveConfig:
             raise ValueError("max_reps must be >= min_reps")
         if self.round_reps < 1:
             raise ValueError("round_reps must be >= 1")
-        if (self.rep_values is not None
-                and len(self.rep_values) < self.max_reps):
-            raise ValueError("rep_values must cover max_reps repetitions")
-
-    def value_for(self, rep: int) -> Any:
-        if self.rep_values is not None:
-            return self.rep_values[rep]
-        return rep + 1
 
 
 def extract_streams(payload: Any) -> Dict[str, Tuple[int, int]]:
@@ -138,19 +127,17 @@ class AdaptivePointResult:
     per-stream statistics, and why it stopped."""
 
     point: SweepPoint
-    rep_values: List[Any] = field(default_factory=list)
     payloads: List[Any] = field(default_factory=list)
     converged: bool = False
     halfwidth: Optional[float] = None
-    capacity_history: List[float] = field(default_factory=list)
     capacity_spread: Optional[float] = None
 
     @property
     def reps(self) -> int:
         return len(self.payloads)
 
-    def pooled_streams(self, z: float = 1.96) -> Dict[str, Dict[str, Any]]:
-        """Per-stream ``errors``/``trials``/``ber``/``ci_halfwidth``
+    def pooled_streams(self) -> Dict[str, Dict[str, Any]]:
+        """Per-stream ``errors``/``trials``/``ber``/``ci_halfwidth`` (95%)
         pooled (summed) across this point's executed repetitions."""
         totals: Dict[str, List[int]] = {}
         for payload in self.payloads:
@@ -160,16 +147,8 @@ class AdaptivePointResult:
                 entry[1] += trials
         return {name: {"errors": errors, "trials": trials,
                        "ber": (errors / trials) if trials else None,
-                       "ci_halfwidth": wilson_halfwidth(errors, trials, z)}
+                       "ci_halfwidth": wilson_halfwidth(errors, trials)}
                 for name, (errors, trials) in totals.items()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"point": point_slug(self.point), "reps": self.reps,
-                "rep_values": list(self.rep_values),
-                "converged": self.converged,
-                "ci_halfwidth": self.halfwidth,
-                "capacity_spread": self.capacity_spread,
-                "streams": self.pooled_streams()}
 
 
 @dataclass
@@ -182,7 +161,6 @@ class AdaptiveOutcome:
     rounds: int
     elapsed_seconds: float = 0.0
     sweeps: List[SweepOutcome] = field(default_factory=list)
-    config: Optional[AdaptiveConfig] = None
 
     @property
     def rep_savings_ratio(self) -> float:
@@ -195,28 +173,18 @@ class AdaptiveOutcome:
     def __len__(self) -> int:
         return len(self.results)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"executed_reps": self.executed_reps,
-                "fixed_reps": self.fixed_reps,
-                "rep_savings_ratio": round(self.rep_savings_ratio, 4),
-                "rounds": self.rounds,
-                "elapsed_seconds": round(self.elapsed_seconds, 6),
-                "points": [result.to_dict() for result in self.results]}
-
 
 def _evaluate(state: AdaptivePointResult, config: AdaptiveConfig) -> None:
     """Update a point's convergence verdict from its pooled stats.
     Never converges below the ``min_reps`` floor."""
     target = config.target
-    pooled = state.pooled_streams(target.z)
+    pooled = state.pooled_streams()
     state.halfwidth = (max(s["ci_halfwidth"] for s in pooled.values())
                       if pooled else None)
     capacity = [extract_capacity(p) for p in state.payloads]
     known = [c for c in capacity if c is not None]
     if known:
-        state.capacity_history = known
-        window = known[-max(2, target.capacity_window):]
-        state.capacity_spread = relative_spread(window)
+        state.capacity_spread = relative_spread(known[-_CAPACITY_WINDOW:])
     if state.reps < config.min_reps:
         state.converged = False
         return
@@ -241,11 +209,10 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
     points whose pooled statistics meet the convergence target.
 
     Each round expands every unresolved point into its next chunk of
-    repetitions (``config.rep_axis`` varied by ``config.value_for``) and
-    executes them as one ordinary :func:`run_sweep` — so the result
-    cache, per-point traces and the worker pool behave
-    exactly as in a fixed sweep.  Returns an :class:`AdaptiveOutcome` whose
-    ``results`` align with ``points``.
+    repetitions (seeds) and executes them as one ordinary
+    :func:`run_sweep` — so the result cache, per-point traces and the
+    worker pool behave exactly as in a fixed sweep.  Returns an
+    :class:`AdaptiveOutcome` whose ``results`` align with ``points``.
     """
     config = config or AdaptiveConfig()
     started = time.perf_counter()
@@ -264,10 +231,7 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
                 want = config.round_reps
             want = min(want, config.max_reps - state.reps)
             for rep in range(state.reps, state.reps + want):
-                value = config.value_for(rep)
-                batch.append(state.point.with_params(
-                    **{config.rep_axis: value}))
-                state.rep_values.append(value)
+                batch.append(state.point.with_params(seed=rep + 1))
                 owners.append(index)
         if not batch:
             break
@@ -288,7 +252,6 @@ def run_adaptive_sweep(points: Sequence[SweepPoint], *,
         rounds=rounds,
         elapsed_seconds=time.perf_counter() - started,
         sweeps=sweeps,
-        config=config,
     )
 
 

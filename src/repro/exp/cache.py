@@ -15,13 +15,22 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-_MISSING = object()
+#: What :meth:`ResultCache.get` returns for an absent or corrupt entry.
+MISSING = object()
 
 _CODE_VERSION: Optional[str] = None
+
+#: An entry's file name: ``<experiment>-<24 hex digits of key>.json``.
+_ENTRY_NAME = re.compile(r".+-[0-9a-f]{24}\.json\Z")
+
+#: The recency index of the flat layout, which kept every version's
+#: entries side by side at the top level; ``prune`` migrates both away.
+_FLAT_INDEX = "_lru.idx"
 
 
 def canonical_json(value: Any) -> str:
@@ -64,45 +73,22 @@ def _read_entry(path: str) -> Optional[Dict[str, Any]]:
     return entry if isinstance(entry, dict) and "payload" in entry else None
 
 
-#: Default entry cap.  Sweeps produce a handful of entries per figure per
-#: code version, so thousands of files means many stale versions — bound
-#: the growth instead of keeping every version forever.
-DEFAULT_MAX_ENTRIES = 4096
-
-
 class ResultCache:
     """Content-addressed store of sweep-point results.
 
-    One JSON file per entry under ``directory``; the filename is the cache
-    key, so lookups are a single ``open`` and invalidation is ``rm -rf``.
-
-    The store is LRU-bounded: every hit and put stamps its entry with the
-    next value of a *monotonic* recency counter (persisted in a sidecar
-    index file, shared by every process using the directory), and when a
-    put pushes the entry count past ``max_entries`` the least-recently-
-    used entries are evicted — preferring entries written by *other* code
-    versions, whose keys can never be looked up again.  Recency used to
-    ride on file mtimes (wall clock), so an NTP step or VM resume could
-    reorder eviction.  The counter only ever goes up.
+    Each entry is one JSON file, ``<experiment>-<key>.json``, in the
+    directory of the code version that wrote it, ``<directory>/<version>``.
+    A lookup is one ``open``, a put one private temp file plus
+    ``os.replace``, and :meth:`prune` removes the other versions' entries,
+    which can never match a lookup again.  Files the cache did not write
+    are left alone.
     """
 
-    #: Sidecar recency index (filename -> sequence number).  Deliberately
-    #: not ``*.json`` so entry listing never mistakes it for an entry.
-    INDEX_NAME = "_lru.idx"
-
-    def __init__(self, directory: str,
-                 version: Optional[str] = None,
-                 max_entries: Optional[int] = DEFAULT_MAX_ENTRIES) -> None:
+    def __init__(self, directory: str, version: Optional[str] = None) -> None:
         self.directory = directory
         self.version = version if version is not None else code_version()
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------
-    # Keys and paths
-    # ------------------------------------------------------------------
 
     def key(self, experiment: str, params: Mapping[str, Any]) -> str:
         material = canonical_json({
@@ -113,40 +99,31 @@ class ResultCache:
         return hashlib.sha256(material.encode()).hexdigest()[:24]
 
     def path_for(self, experiment: str, params: Mapping[str, Any]) -> str:
-        return os.path.join(self.directory,
+        return os.path.join(self.directory, self.version,
                             f"{experiment}-{self.key(experiment, params)}.json")
-
-    # ------------------------------------------------------------------
-    # Lookup / store
-    # ------------------------------------------------------------------
 
     def get(self, experiment: str, params: Mapping[str, Any]) -> Any:
         """Cached payload, or :data:`MISSING` if absent/corrupt."""
-        path = self.path_for(experiment, params)
-        entry = _read_entry(path)
+        entry = _read_entry(self.path_for(experiment, params))
         if entry is None:
             self.misses += 1
-            return _MISSING
-        self._touch(path)  # LRU recency: a hit keeps the entry young
+            return MISSING
         self.hits += 1
         return entry["payload"]
 
     def put(self, experiment: str, params: Mapping[str, Any],
             payload: Any) -> str:
         """Persist ``payload``; returns the entry's path."""
-        os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(experiment, params)
-        entry: Dict[str, Any] = {
-            "experiment": experiment,
-            "params": dict(params),
-            "code_version": self.version,
-            "created": time.time(),
-            "payload": payload,
-        }
+        version_dir = os.path.dirname(path)
+        os.makedirs(version_dir, exist_ok=True)
+        entry = {"experiment": experiment, "params": dict(params),
+                 "code_version": self.version, "created": time.time(),
+                 "payload": payload}
         # A private temp file per call: two writers of one key (another
         # process, or another ResultCache on this directory) must not
         # rename each other's half-written files away.
-        fd, tmp = tempfile.mkstemp(dir=self.directory,
+        fd, tmp = tempfile.mkstemp(dir=version_dir,
                                    prefix=os.path.basename(path) + ".",
                                    suffix=".tmp")
         try:
@@ -157,164 +134,65 @@ class ResultCache:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
-        self._touch(path)
-        if self.max_entries is not None:
-            self._evict(self.max_entries)
         return path
 
-    # ------------------------------------------------------------------
-    # Monotonic recency index
-    # ------------------------------------------------------------------
-
-    def _index_path(self) -> str:
-        return os.path.join(self.directory, self.INDEX_NAME)
-
-    def _load_index(self) -> Dict[str, int]:
-        """Filename -> recency sequence; a corrupt or missing index is
-        just an empty one (entries then sort as oldest, tie-broken by
-        mtime, and get re-stamped on their next touch)."""
-        try:
-            with open(self._index_path()) as handle:
-                raw = json.load(handle)
-            return {str(name): int(seq)
-                    for name, seq in raw.get("entries", {}).items()}
-        except (OSError, ValueError, TypeError, AttributeError):
-            return {}
-
-    def _write_index(self, entries: Dict[str, int]) -> None:
-        tmp = f"{self._index_path()}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as handle:
-                json.dump({"entries": entries}, handle)
-            os.replace(tmp, self._index_path())
-        except OSError:
-            pass
-
-    def _touch(self, path: str) -> None:
-        """Stamp ``path`` as most-recently-used: the next value of the
-        store-wide monotonic counter, never the wall clock."""
-        entries = self._load_index()
-        entries[os.path.basename(path)] = max(entries.values(), default=0) + 1
-        self._write_index(entries)
-
-    # ------------------------------------------------------------------
-    # Size bounding / maintenance
-    # ------------------------------------------------------------------
-
-    def _entry_paths(self) -> "list[str]":
+    def _files(self) -> List[Tuple[str, Optional[str]]]:
+        """``(path, version)`` of each version directory's entries, and of
+        the flat layout's top-level entries and index (version None)."""
+        files: List[Tuple[str, Optional[str]]] = []
         if not os.path.isdir(self.directory):
-            return []
-        return [os.path.join(self.directory, name)
-                for name in os.listdir(self.directory)
-                if name.endswith(".json")]
+            return files
+        for name in os.listdir(self.directory):
+            path = os.path.join(self.directory, name)
+            if os.path.isdir(path):
+                files += [(os.path.join(path, entry), name)
+                          for entry in os.listdir(path)
+                          if _ENTRY_NAME.match(entry)]
+            elif name == _FLAT_INDEX or _ENTRY_NAME.match(name):
+                files.append((path, None))
+        return files
 
-    def entry_count(self) -> int:
-        return len(self._entry_paths())
-
-    def _entry_version(self, path: str) -> Optional[str]:
-        """The ``code_version`` recorded in an entry (None = not an
-        entry)."""
-        entry = _read_entry(path)
-        return None if entry is None else entry.get("code_version")
-
-    def _evict(self, max_entries: int) -> int:
-        """Bring the store under ``max_entries``, least-recently-used
-        first (by the monotonic index; mtime only tie-breaks entries the
-        index has never seen), but preferring entries from other code
-        versions (their keys can never match a lookup under this version
-        again)."""
-        paths = self._entry_paths()
-        excess = len(paths) - max_entries
-        if excess <= 0:
-            return 0
-        index = self._load_index()
-
-        def recency(path: str) -> "tuple[int, float]":
-            try:
-                mtime = os.path.getmtime(path)
-            except OSError:
-                mtime = 0.0
-            return index.get(os.path.basename(path), 0), mtime
-
+    def _remove(self, files: List[Tuple[str, Optional[str]]]) -> int:
+        """Remove ``files`` and the version directories they leave empty;
+        returns how many files were removed."""
         removed = 0
-        dropped: "list[str]" = []
-        stale = sorted((p for p in paths
-                        if self._entry_version(p) != self.version),
-                       key=recency)
-        fresh = sorted((p for p in paths if p not in set(stale)), key=recency)
-        for path in stale + fresh:
-            if removed >= excess:
-                break
-            try:
+        for path, _version in files:
+            with contextlib.suppress(OSError):
                 os.remove(path)
                 removed += 1
-                dropped.append(os.path.basename(path))
-            except OSError:
-                pass
-        if dropped:
-            for name in dropped:
-                index.pop(name, None)
-            self._write_index(index)
-        self.evictions += removed
+        for version in {version for _path, version in files if version}:
+            with contextlib.suppress(OSError):
+                os.rmdir(os.path.join(self.directory, version))
         return removed
 
     def prune(self) -> int:
-        """Drop entries written by other code versions (stale keys);
+        """Drop the other versions' entries and the flat layout's files;
         returns how many were removed."""
-        removed = 0
-        index = self._load_index()
-        for path in self._entry_paths():
-            if self._entry_version(path) != self.version:
-                try:
-                    os.remove(path)
-                    removed += 1
-                    index.pop(os.path.basename(path), None)
-                except OSError:
-                    pass
-        if removed:
-            self._write_index(index)
-        return removed
+        return self._remove([f for f in self._files()
+                             if f[1] != self.version])
+
+    def clear(self) -> int:
+        """Drop every version's entries; returns how many were removed."""
+        return self._remove(self._files())
 
     def stats(self) -> Dict[str, Any]:
-        """Summary for ``repro cache stats``."""
-        paths = self._entry_paths()
-        stale = sum(1 for p in paths if self._entry_version(p) != self.version)
+        """Summary for ``repro cache stats``; counts files, opens none."""
+        files = self._files()
         total_bytes = 0
-        for path in paths:
-            try:
+        for path, _version in files:
+            with contextlib.suppress(OSError):
                 total_bytes += os.path.getsize(path)
-            except OSError:
-                pass
         return {
             "directory": self.directory,
             "code_version": self.version,
-            "entries": len(paths),
-            "stale_entries": stale,
+            "entries": len(files),
+            "stale_entries": sum(version != self.version
+                                 for _path, version in files),
             "bytes": total_bytes,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
-            "max_entries": self.max_entries,
         }
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
-        removed = 0
-        if not os.path.isdir(self.directory):
-            return removed
-        for name in os.listdir(self.directory):
-            if name.endswith(".json"):
-                os.remove(os.path.join(self.directory, name))
-                removed += 1
-        try:
-            os.remove(self._index_path())
-        except OSError:
-            pass
-        return removed
 
     @staticmethod
     def is_missing(value: Any) -> bool:
-        return value is _MISSING
-
-
-MISSING = _MISSING
+        return value is MISSING

@@ -123,8 +123,11 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
     adaptive sweeps resample to tighten the BER confidence interval
     (``seed=1`` reproduces the historical fixed point exactly).
     """
-    from repro.attacks import streamline_upper_bound_mbps
-    from repro.cli import ATTACKS
+    from repro.attacks import (
+        ATTACKS,
+        channel_config,
+        streamline_upper_bound_mbps,
+    )
 
     names = list(_FIG8_BITS) if attacks is None else list(attacks)
     unknown = [n for n in names if n not in _FIG8_BITS]
@@ -134,10 +137,8 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
     out: Dict[str, Any] = {"llc_mb": float(llc_mb), "bits": int(bits),
                            "attacks": {}}
     for cli_name in names:
-        config = (replace(base, mapping="xor")
-                  if cli_name == "drama-eviction" else base)
         message_bits = max(16, _FIG8_BITS[cli_name] * int(bits) // 512)
-        channel = ATTACKS[cli_name](System(config))
+        channel = ATTACKS[cli_name](System(channel_config(cli_name, base)))
         result = channel.transmit_random(message_bits, seed=int(seed))
         quality = result.quality(channel.threshold_cycles)
         out["attacks"][_FIG8_NAMES[cli_name]] = {
@@ -294,11 +295,9 @@ def covert_point(attack: str, bits: int = 512, seed: int = 0,
                  llc_mb: Optional[float] = None, noise: float = 0.0,
                  mapping: Optional[str] = None) -> Dict[str, Any]:
     """One covert-channel transmission (a ``repro covert`` table row)."""
-    from repro.cli import ATTACKS
+    from repro.attacks import ATTACKS, channel_config
 
-    config = _cli_config(llc_mb, noise, mapping)
-    if attack == "drama-eviction" and config.mapping != "xor":
-        config = replace(config, mapping="xor")
+    config = channel_config(attack, _cli_config(llc_mb, noise, mapping))
     channel = ATTACKS[attack](System(config))
     result = channel.transmit_random(bits, seed=seed)
     return {
@@ -336,11 +335,10 @@ def sidechannel_point(num_banks: int, rounds: int = 100, seed: int = 0,
 def defense_security_point(defense: str, bits: int = 192,
                            attack: str = "impact-pnm") -> Dict[str, Any]:
     """Security of one §6 defense against one covert channel."""
-    from repro.cli import ATTACKS
+    from repro.attacks import ATTACKS
     from repro.defenses import evaluate_channel_under_defense
 
-    factory = ATTACKS[attack]
-    report = evaluate_channel_under_defense(lambda s: factory(s), defense,
+    report = evaluate_channel_under_defense(ATTACKS[attack], defense,
                                             bits=bits)
     return {
         "defense": defense,

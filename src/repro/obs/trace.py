@@ -225,11 +225,13 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
     """Summarize an on-disk Chrome-trace JSON without re-running anything.
 
     Reconstructs the :meth:`Tracer.per_requestor` aggregates — operation
-    counts, busy cycles, queue delay, row-buffer outcome mix — plus each
-    requestor's cycle span and the overall event counts, from a file
-    written by :meth:`Tracer.write_chrome` (``repro trace`` / a sweep's
-    ``trace_dir``).  Timestamps stored in microseconds convert back to
-    cycles through the file's recorded ``cpu_ghz``.  The sweep runner's
+    counts, busy cycles, queue delay, row-buffer outcome mix — and the
+    overall event counts, from a file written by
+    :meth:`Tracer.write_chrome` (``repro trace`` / a sweep's
+    ``trace_dir``).  Durations stored in microseconds convert back to
+    cycles through the file's recorded ``cpu_ghz``.  No cycle span is
+    reported: each channel's scheduler starts at cycle 0, so the
+    timelines of a point's transmissions overlap.  The sweep runner's
     stamps (``pid``, ``point_slug``, ``wall_s``) come back as
     ``provenance``.
     """
@@ -240,17 +242,9 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
     scale = cpu_ghz * 1000.0  # microseconds -> cycles
     counts: Dict[str, int] = {}
     per_requestor: Dict[str, Dict[str, Any]] = {}
-    span_start: Optional[int] = None
-    span_end: Optional[int] = None
     for event in data.get("traceEvents", []):
         name = event.get("name", "?")
         counts[name] = counts.get(name, 0) + 1
-        ts = int(round(event.get("ts", 0.0) * scale))
-        dur = int(round(event.get("dur", 0.0) * scale))
-        if span_start is None or ts < span_start:
-            span_start = ts
-        if span_end is None or ts + dur > span_end:
-            span_end = ts + dur
         args = event.get("args") or {}
         requestor = args.get("requestor")
         if event.get("cat") in ("pim", "cache", "sched"):
@@ -260,14 +254,11 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
             continue
         row = per_requestor.setdefault(requestor, {
             "events": 0, "operations": 0, "busy_cycles": 0,
-            "queue_cycles": 0, "hits": 0, "empties": 0, "conflicts": 0,
-            "first_cycle": ts, "last_cycle": ts + dur})
+            "queue_cycles": 0, "hits": 0, "empties": 0, "conflicts": 0})
         row["events"] += 1
-        row["first_cycle"] = min(row["first_cycle"], ts)
-        row["last_cycle"] = max(row["last_cycle"], ts + dur)
         if event.get("cat") == "dram":
             row["operations"] += 1
-            row["busy_cycles"] += dur
+            row["busy_cycles"] += int(round(event.get("dur", 0.0) * scale))
             row["queue_cycles"] += args.get("queue_delay", 0)
             kind = args.get("kind")
             if kind == "hit":
@@ -281,7 +272,6 @@ def summarize_chrome_trace(path: str) -> Dict[str, Any]:
         "cpu_ghz": cpu_ghz,
         "events": sum(counts.values()),
         "counts": counts,
-        "span_cycles": [span_start or 0, span_end or 0],
         "per_requestor": per_requestor,
     }
     provenance = {key: other[key]

@@ -302,15 +302,6 @@ class Scheduler:
         self.max_time = max((t.ctx.now for t in self._threads), default=0)
         return self.max_time
 
-    def _step(self, thread: SimThread) -> None:
-        try:
-            command = next(thread.generator)
-        except StopIteration as stop:
-            thread.finished = True
-            thread.result = stop.value
-            return
-        self._dispatch(thread, command)
-
     def _dispatch(self, thread: SimThread, command: Any) -> None:
         if command is None:
             self._schedule(thread)

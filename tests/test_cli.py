@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks import ATTACKS
 from repro.cli import build_parser, main
 
 
@@ -134,7 +135,19 @@ def test_trace_summary_of_existing_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "events" in out
     assert "receiver" in out and "sender" in out
-    assert "empty" in out and "cycle span" in out
+    # No cycle span: a point's transmissions each start at cycle 0.
+    assert "empty" in out and "cycle span" not in out
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+def test_trace_runs_every_attack(attack, tmp_path, capsys):
+    """Each channel runs under the mapping it needs: DRAMA-eviction
+    builds its eviction sets only under the xor mapping."""
+    out_path = tmp_path / "t.trace.json"
+    assert main(["trace", attack, "--bits", "16",
+                 "--out", str(out_path)]) == 0
+    assert f"{attack}: 16 bits" in capsys.readouterr().out
+    assert out_path.stat().st_size > 0
 
 
 def test_trace_summary_missing_file(tmp_path, capsys):
@@ -143,17 +156,35 @@ def test_trace_summary_missing_file(tmp_path, capsys):
     assert "no trace file" in capsys.readouterr().err
 
 
+def test_sweep_command_adaptive_fills_the_cache(tmp_path, capsys):
+    from repro.exp.cache import ResultCache
+
+    cache_dir = tmp_path / "cache"
+    assert main(["sweep", "--adaptive", "--llc-mb", "8", "--bits", "16",
+                 "--attacks", "impact-pnm", "--min-reps", "2",
+                 "--max-reps", "2", "--capacity-tol", "1.0", "--jobs", "1",
+                 "--cache-dir", str(cache_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "adaptive sweep" in out and "executed 2 reps vs 2 fixed" in out
+    stats = ResultCache(cache_dir).stats()
+    assert (stats["entries"], stats["stale_entries"]) == (2, 0)
+
+
 def test_cache_command_stats_and_prune(tmp_path, capsys):
     from repro.exp.cache import ResultCache
 
     results_dir = tmp_path / "results"
-    ResultCache(results_dir, version="old",
-                max_entries=None).put("exp", {"a": 1}, {"r": 1})
+    ResultCache(results_dir, version="old").put("exp", {"a": 1}, {"r": 1})
+    ResultCache(results_dir).put("exp", {"a": 1}, {"r": 2})
+    (results_dir / "_lru.idx").write_text("{}")
     assert main(["cache", "stats", "--results-dir", str(results_dir)]) == 0
     out = capsys.readouterr().out
     assert "results" in out and "warm" not in out
+    for column in ("store", "directory", "entries", "stale", "MB"):
+        assert column in out
 
     assert main(["cache", "prune", "--results-dir", str(results_dir)]) == 0
     out = capsys.readouterr().out
-    assert "removed 1 stale entries" in out
-    assert ResultCache(results_dir).entry_count() == 0
+    assert "removed 2 stale entries" in out
+    stats = ResultCache(results_dir).stats()
+    assert (stats["entries"], stats["stale_entries"]) == (1, 0)

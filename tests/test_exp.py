@@ -95,15 +95,24 @@ class TestResultCache:
         newer = ResultCache(tmp_path, version="v2")
         assert ResultCache.is_missing(newer.get("exp", {"a": 1}))
 
+    def test_put_lands_in_its_version_directory(self, tmp_path):
+        cache = ResultCache(tmp_path, version="v1")
+        path = Path(cache.put("exp", {"a": 1}, {"r": 1}))
+        assert path == Path(cache.path_for("exp", {"a": 1}))
+        assert path.parent == tmp_path / "v1"
+        assert path.name == f"exp-{cache.key('exp', {'a': 1})}.json"
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        """Anything but a JSON object with a payload is a miss for lookups
-        and a stale entry for maintenance."""
+        """Anything but a JSON object with a payload is a miss, and the
+        next put replaces it."""
         cache = ResultCache(tmp_path, version="v1")
         for text in ("not json{", "[]", "null", "{}"):
-            cache.put("exp", {"a": 1}, {"r": 1})
-            Path(cache.path_for("exp", {"a": 1})).write_text(text)
+            path = Path(cache.path_for("exp", {"a": 1}))
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
             assert ResultCache.is_missing(cache.get("exp", {"a": 1})), text
-            assert cache.stats()["stale_entries"] == 1, text
+            cache.put("exp", {"a": 1}, {"r": 1})
+            assert cache.get("exp", {"a": 1}) == {"r": 1}, text
 
     def test_entries_record_provenance(self, tmp_path):
         cache = ResultCache(tmp_path, version="v7")
@@ -116,35 +125,16 @@ class TestResultCache:
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path, version="v1")
         cache.put("exp", {"a": 1}, {"r": 1})
-        cache.clear()
+        ResultCache(tmp_path, version="v2").put("exp", {"a": 1}, {"r": 2})
+        assert cache.clear() == 2
         assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_version_is_code_hash(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.version == code_version()
         assert len(code_version()) == 16
         int(code_version(), 16)  # hex digest prefix
-
-    def test_eviction_caps_entry_count(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1", max_entries=2)
-        for i in range(5):
-            cache.put("exp", {"a": i}, {"r": i})
-        assert cache.entry_count() <= 2
-        assert cache.evictions >= 3
-
-    def test_eviction_prefers_stale_code_versions(self, tmp_path):
-        """Entries from old code versions can never match a lookup again,
-        so the LRU bound removes them before any live entry."""
-        old = ResultCache(tmp_path, version="v1", max_entries=None)
-        for i in range(3):
-            old.put("exp", {"a": i}, {"r": i})
-        new = ResultCache(tmp_path, version="v2", max_entries=4)
-        for i in range(3):
-            new.put("exp", {"b": i}, {"r": i})
-        assert new.entry_count() == 4
-        for i in range(3):  # every live entry survived the eviction
-            assert new.get("exp", {"b": i}) == {"r": i}
-        assert new.stats()["stale_entries"] == 1
 
     def test_concurrent_writers_of_one_entry_both_commit(self, tmp_path,
                                                          monkeypatch):
@@ -168,8 +158,8 @@ class TestResultCache:
         path = first.put("exp", {"a": 1}, {"writer": 1})
         assert nested
         assert first.get("exp", {"a": 1}) == {"writer": 1}
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [Path(path).name, ResultCache.INDEX_NAME])
+        assert list(tmp_path.iterdir()) == [tmp_path / "v1"]
+        assert list((tmp_path / "v1").iterdir()) == [Path(path)]
 
     def test_failed_put_removes_its_temp_file(self, tmp_path, monkeypatch):
         from repro.exp import cache as cache_module
@@ -181,17 +171,42 @@ class TestResultCache:
         monkeypatch.setattr(cache_module.json, "dump", dump)
         with pytest.raises(TypeError):
             cache.put("exp", {"a": 1}, {"r": 1})
-        assert list(tmp_path.iterdir()) == []
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
     def test_prune_drops_only_stale_versions(self, tmp_path):
-        ResultCache(tmp_path, version="v1",
-                    max_entries=None).put("exp", {"a": 1}, {"r": 1})
-        cache = ResultCache(tmp_path, version="v2", max_entries=None)
+        """Prune removes the other versions' entries and what the flat
+        layout left at the top level (entries of every version side by
+        side, and its recency index), so one prune migrates an old
+        directory."""
+        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"r": 1})
+        ResultCache(tmp_path, version="v3").put("exp", {"a": 3}, {"r": 3})
+        flat_entry = tmp_path / f"exp-{'0' * 24}.json"
+        flat_entry.write_text(json.dumps({"code_version": "v2",
+                                          "payload": {"r": 2}}))
+        (tmp_path / "_lru.idx").write_text('{"entries": {}}')
+        cache = ResultCache(tmp_path, version="v2")
         cache.put("exp", {"b": 1}, {"r": 2})
-        assert cache.prune() == 1
+        stats = cache.stats()
+        assert stats["entries"] == 5 and stats["stale_entries"] == 4
+        assert cache.prune() == 4
         assert cache.get("exp", {"b": 1}) == {"r": 2}
         stats = cache.stats()
         assert stats["entries"] == 1 and stats["stale_entries"] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v2"]
+
+    def test_files_the_cache_did_not_write_survive(self, tmp_path):
+        cache = ResultCache(tmp_path, version="v2")
+        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"r": 1})
+        cache.put("exp", {"a": 1}, {"r": 2})
+        foreign = [tmp_path / "notes.txt", tmp_path / "results.json",
+                   tmp_path / "v1" / "README", tmp_path / "v2" / "x.json"]
+        for path in foreign:
+            path.write_text("kept")
+        assert cache.stats()["entries"] == 2
+        assert cache.prune() == 1
+        assert cache.clear() == 1
+        assert cache.stats()["entries"] == 0
+        assert all(path.read_text() == "kept" for path in foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -711,51 +726,3 @@ class TestCommitOnFailure:
                        SweepPoint("exp", failing_point)], jobs=2,
                       cache=cache)
         assert cache.get("exp", {"value": 7}) == {"value": 7, "double": 14}
-
-
-# ---------------------------------------------------------------------------
-# Monotonic LRU (clock-step immunity)
-# ---------------------------------------------------------------------------
-
-class TestResultCacheMonotonicLRU:
-    def test_eviction_ignores_wall_clock(self, tmp_path):
-        """A clock step (NTP, VM resume) must not reorder eviction: the
-        entry touched most recently by *operation order* survives even
-        when a stale entry's mtime claims it is from the far future."""
-        cache = ResultCache(tmp_path, version="v1", max_entries=None)
-        cache.put("exp", {"a": 1}, {"r": 1})
-        cache.put("exp", {"a": 2}, {"r": 2})
-        assert cache.get("exp", {"a": 1}) == {"r": 1}  # a=1 is now MRU
-        # Forge a future mtime on the LRU entry: under mtime recency it
-        # would wrongly look freshest.
-        import time as _time
-        future = _time.time() + 1e6
-        os_path = cache.path_for("exp", {"a": 2})
-        import os as _os
-        _os.utime(os_path, (future, future))
-        bounded = ResultCache(tmp_path, version="v1", max_entries=2)
-        bounded.put("exp", {"a": 3}, {"r": 3})
-        assert bounded.get("exp", {"a": 1}) == {"r": 1}
-        assert ResultCache.is_missing(bounded.get("exp", {"a": 2}))
-
-    def test_index_sidecar_is_not_an_entry(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        cache.put("exp", {"a": 1}, {"r": 1})
-        assert cache.entry_count() == 1
-        assert (Path(tmp_path) / ResultCache.INDEX_NAME).exists()
-
-    def test_corrupt_index_degrades_gracefully(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1", max_entries=2)
-        cache.put("exp", {"a": 1}, {"r": 1})
-        (Path(tmp_path) / ResultCache.INDEX_NAME).write_text("not json")
-        assert cache.get("exp", {"a": 1}) == {"r": 1}
-        for i in range(2, 5):
-            cache.put("exp", {"a": i}, {"r": i})
-        assert cache.entry_count() <= 2
-
-    def test_clear_removes_index(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        cache.put("exp", {"a": 1}, {"r": 1})
-        cache.clear()
-        assert not (Path(tmp_path) / ResultCache.INDEX_NAME).exists()
-        assert cache.entry_count() == 0

@@ -111,7 +111,7 @@ class TestAdaptiveEngine:
         declared = probe(0.2, 128)
         adaptive = run_adaptive_sweep([declared], config=config, jobs=1)
         (result,) = adaptive.results
-        fixed_points = [declared.with_params(seed=config.value_for(rep))
+        fixed_points = [declared.with_params(seed=rep + 1)
                         for rep in range(config.max_reps)]
         fixed = run_sweep(fixed_points, jobs=1)
         assert result.payloads == list(fixed.results)
@@ -127,19 +127,10 @@ class TestAdaptiveEngine:
         outcome = run_adaptive_sweep([declared], config=config, jobs=1)
         (result,) = outcome.results
         assert result.converged and result.reps < config.max_reps
-        fixed_points = [declared.with_params(seed=config.value_for(rep))
+        fixed_points = [declared.with_params(seed=rep + 1)
                         for rep in range(config.max_reps)]
         fixed = run_sweep(fixed_points, jobs=1)
         assert result.payloads == list(fixed.results)[:result.reps]
-
-    def test_rep_values_override_the_axis(self):
-        config = AdaptiveConfig(min_reps=2, max_reps=2, round_reps=1,
-                                rep_values=(11, 13))
-        outcome = run_adaptive_sweep([probe(0.1, 64)], config=config,
-                                     jobs=1)
-        (result,) = outcome.results
-        assert [p["seed"] for p in result.payloads] == [11, 13]
-        assert result.rep_values == [11, 13]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -147,7 +138,7 @@ class TestAdaptiveEngine:
         with pytest.raises(ValueError):
             AdaptiveConfig(min_reps=3, max_reps=2)
         with pytest.raises(ValueError):
-            AdaptiveConfig(max_reps=4, rep_values=(1, 2))
+            AdaptiveConfig(round_reps=0)
 
     def test_savings_accounting(self):
         config = AdaptiveConfig(min_reps=2, max_reps=8, round_reps=2,
@@ -165,8 +156,8 @@ class TestAdaptiveEngine:
         runs 4 reps where the fixed grid runs 16."""
         points = sweep_points("fig8-quality", fig8_quality_point, "llc_mb",
                               [8.0, 64.0], bits=192)
-        config = AdaptiveConfig(rep_axis="seed", min_reps=2, max_reps=8,
-                                round_reps=2, target=ConvergenceTarget(
+        config = AdaptiveConfig(min_reps=2, max_reps=8, round_reps=2,
+                                target=ConvergenceTarget(
                                     ber_ci_halfwidth=0.05))
         outcome = run_adaptive_sweep(points, config=config, jobs=1)
         assert (outcome.executed_reps, outcome.fixed_reps) == (4, 16)
