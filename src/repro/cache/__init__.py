@@ -14,6 +14,7 @@ from repro.cache.hierarchy import (
     CacheHierarchy,
     HierarchyConfig,
     HierarchyResult,
+    PrefetchSchedule,
 )
 from repro.cache.prefetcher import IPStridePrefetcher, StreamerPrefetcher
 from repro.cache.replacement import (
@@ -33,6 +34,7 @@ __all__ = [
     "HierarchyResult",
     "IPStridePrefetcher",
     "LRUPolicy",
+    "PrefetchSchedule",
     "RandomPolicy",
     "ReplacementPolicy",
     "SRRIPPolicy",

@@ -16,8 +16,9 @@ attacks of §3.2/§5.1 rely on:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import Cache, CacheConfig, EvictedLine
 from repro.cache.cacti import llc_latency_cycles
@@ -147,6 +148,97 @@ class HierarchyStats:
                 stats.nt_accesses += 1
 
 
+def _make_prefetchers(config: HierarchyConfig) -> tuple:
+    """One core's prefetchers as Table 2 places them: IP-stride at L1 and
+    the streamer at L2 (none when they are disabled).  The hierarchy and
+    every :class:`PrefetchSchedule` build theirs here, so both train
+    identically configured prefetchers."""
+    if not config.prefetchers_enabled:
+        return ()
+    return (IPStridePrefetcher(line_bytes=config.line_bytes),
+            StreamerPrefetcher(line_bytes=config.line_bytes))
+
+
+def _prefetcher_state(prefetchers: tuple) -> tuple:
+    return tuple(prefetcher.state() for prefetcher in prefetchers)
+
+
+Observe = Callable[[Optional[int], int], List[int]]
+
+
+def _candidate_lines(l1_observe: Observe, l2_observe: Observe,
+                     pc: Optional[int], addr: int, capacity: int,
+                     line_bytes: int) -> List[int]:
+    """Both of a core's prefetchers observe one demand access; returns
+    their candidates inside DRAM as line numbers, in issue order (L1's
+    first)."""
+    candidates = l1_observe(pc, addr)
+    l2_candidates = l2_observe(pc, addr)
+    if l2_candidates:
+        candidates = candidates + l2_candidates
+    if not candidates:
+        return candidates
+    return [candidate // line_bytes for candidate in candidates
+            if 0 <= candidate < capacity]
+
+
+class PrefetchSchedule:
+    """What one core's prefetchers fetch over a reference stream replayed
+    ``passes`` times in a row, worked out ahead of the replay.
+
+    Table 2's IP-stride (L1) and streamer (L2) prefetchers see only their
+    own core's ``(pc, addr)`` sequence, so their candidates at each
+    reference depend on the stream and the tables they start from alone:
+    not on cache contents, DRAM timing, the row policy or the other cores.
+    The schedule trains fresh prefetchers, built by the hierarchy's own
+    factory and started from ``core``'s tables, through each pass, and
+    keeps each reference's candidate lines.  A replay hands them to
+    :meth:`CacheHierarchy.access` in place of training the core's
+    prefetchers again, so the replays of one stream on several cores or
+    under several row policies share one training.
+
+    Pass ``p``'s lines for reference ``i`` are
+    ``lines[p][starts[p][i]:starts[p][i + 1]]``: one flat ``array`` per
+    pass, since a tuple per reference would cost several MB on a 60k-
+    reference stream.  ``states[p]`` is the prefetcher state (settings and
+    tables) pass ``p`` starts from, ``states[p + 1]`` the one training
+    through it leaves.
+    """
+
+    def __init__(self, hierarchy: "CacheHierarchy", stream: Sequence,
+                 passes: int, core: int = 0) -> None:
+        if passes < 1:
+            raise ValueError("passes must be >= 1")
+        self.stream = stream
+        self.line_bytes = line_bytes = hierarchy._line_bytes
+        self.capacity = capacity = hierarchy._capacity
+        prefetchers = _make_prefetchers(hierarchy.config)
+        for prefetcher, start in zip(prefetchers,
+                                     hierarchy.prefetcher_state(core)):
+            prefetcher.load(start)
+        observes = [prefetcher.observe for prefetcher in prefetchers]
+        self.states = [_prefetcher_state(prefetchers)]
+        self.lines: List[array] = []
+        self.starts: List[array] = []
+        for _ in range(passes):
+            lines = array("q")
+            if observes:
+                l1_observe, l2_observe = observes
+                starts = array("l", [0])
+                extend, mark = lines.extend, starts.append
+                for ref in stream:
+                    found = _candidate_lines(l1_observe, l2_observe, ref.pc,
+                                             ref.addr, capacity, line_bytes)
+                    if found:
+                        extend(found)
+                    mark(len(lines))
+            else:
+                starts = array("l", [0]) * (len(stream) + 1)
+            self.lines.append(lines)
+            self.starts.append(starts)
+            self.states.append(_prefetcher_state(prefetchers))
+
+
 class CacheHierarchy:
     """Per-core L1/L2 plus a shared inclusive LLC over a memory controller."""
 
@@ -171,20 +263,15 @@ class CacheHierarchy:
             name="LLC", size_bytes=int(config.llc_size_mb * 1024 * 1024),
             ways=config.llc_ways, latency_cycles=config.llc_latency_cycles,
             line_bytes=line, replacement=config.llc_replacement))
-        if config.prefetchers_enabled:
-            self._l1_prefetchers = [IPStridePrefetcher(line_bytes=line)
-                                    for _ in range(config.num_cores)]
-            self._l2_prefetchers = [StreamerPrefetcher(line_bytes=line)
-                                    for _ in range(config.num_cores)]
-        else:
-            self._l1_prefetchers = []
-            self._l2_prefetchers = []
+        # Per core: (IP-stride, streamer), or () without prefetchers.
+        self._prefetchers = [_make_prefetchers(config)
+                             for _ in range(config.num_cores)]
         # Hot-path call tables: bound observe methods per core, and bound
         # invalidate methods over every upper-level cache (the inclusive
         # back-invalidation loop touches all of them per LLC eviction).
         self._pf_observe = [
-            (l1pf.observe, l2pf.observe)
-            for l1pf, l2pf in zip(self._l1_prefetchers, self._l2_prefetchers)
+            tuple(prefetcher.observe for prefetcher in prefetchers)
+            for prefetchers in self._prefetchers if prefetchers
         ]
         self._upper_invalidates = [
             cache.invalidate for caches in (self.l1, self.l2)
@@ -223,8 +310,16 @@ class CacheHierarchy:
 
     def access(self, core: int, addr: int, issued: int, *,
                is_write: bool = False, pc: Optional[int] = None,
-               requestor: str = "cpu") -> HierarchyResult:
-        """A demand load/store by ``core`` at physical address ``addr``."""
+               requestor: str = "cpu",
+               prefetch_lines: Optional[Sequence[int]] = None
+               ) -> HierarchyResult:
+        """A demand load/store by ``core`` at physical address ``addr``.
+
+        ``core``'s prefetchers observe the access (``pc``, ``addr``), and
+        their candidates not in the LLC are fetched.  ``prefetch_lines``
+        takes the place of that training: the candidates as line numbers in
+        issue order, from a :class:`PrefetchSchedule` pass (see
+        :meth:`prefetch_pass`); ``pc`` is then unused."""
         stats = self.stats
         stats.demand_accesses += 1
         latency = self._l1_latency
@@ -275,21 +370,20 @@ class CacheHierarchy:
         counters.accesses += 1
         if not hit_level:
             counters.llc_misses += 1
-        # Both prefetchers observe every demand access.  Most candidates
-        # are already in the LLC, so the issue path is entered only for
-        # one that is not.
-        if self._pf_observe:
+        # Both prefetchers observe every demand access, unless a schedule
+        # already did.  Most candidates are already in the LLC, so the
+        # issue path is entered only for one that is not.
+        if prefetch_lines is None and self._pf_observe:
             l1_observe, l2_observe = self._pf_observe[core]
-            candidates = l1_observe(pc, addr)
-            l2_candidates = l2_observe(pc, addr)
-            if l2_candidates:
-                candidates = candidates + l2_candidates
-            for candidate in candidates:
-                if (0 <= candidate < self._capacity
-                        and candidate // self._line_bytes
-                        not in self._llc_lines):
-                    self._issue_prefetches(core, candidates, issued + latency,
-                                           requestor)
+            prefetch_lines = _candidate_lines(l1_observe, l2_observe, pc,
+                                              addr, self._capacity,
+                                              self._line_bytes)
+        if prefetch_lines:
+            llc_lines = self._llc_lines
+            for line in prefetch_lines:
+                if line not in llc_lines:
+                    self._issue_prefetches(core, prefetch_lines,
+                                           issued + latency, requestor)
                     break
         return HierarchyResult(latency, issued, hit_level, mem, writebacks)
 
@@ -386,29 +480,26 @@ class CacheHierarchy:
     # Prefetchers (noise sources)
     # ------------------------------------------------------------------
 
-    def _issue_prefetches(self, core: int, candidates: List[int], time: int,
+    def _issue_prefetches(self, core: int, lines: Sequence[int], time: int,
                           requestor: str) -> None:
-        """Fetch each in-memory candidate not in the LLC into the LLC and
+        """Fetch each candidate line not in the LLC into the LLC and
         ``core``'s L2.  A fill can evict a later candidate, so each is
         checked when its turn comes."""
-        capacity = self._capacity
         pf_name = self._pf_names.get(requestor)
         if pf_name is None:
             pf_name = f"{requestor}-pf"
             self._pf_names[requestor] = pf_name
         line_bytes = self._line_bytes
-        llc_probe = self.llc.probe
+        llc_lines = self._llc_lines
         llc_fill = self.llc.fill
         l2_fill = self.l2[core].fill
         access_finish = self.controller.access_finish
         inflight = self._inflight_fills
         stats = self.stats
-        for prefetch_addr in candidates:
-            if not 0 <= prefetch_addr < capacity:
+        for line in lines:
+            if line in llc_lines:
                 continue
-            line_addr = prefetch_addr - prefetch_addr % line_bytes
-            if llc_probe(line_addr):
-                continue
+            line_addr = line * line_bytes
             # Prefetches run off the demand critical path but do touch DRAM
             # (and thus perturb row buffers — the noise the attacks battle).
             inflight[line_addr] = access_finish(line_addr, time,
@@ -420,6 +511,38 @@ class CacheHierarchy:
                 self._handle_llc_eviction(evicted, time, requestor)
             l2_fill(line_addr)
             stats.prefetches_issued += 1
+
+    def prefetcher_state(self, core: int) -> tuple:
+        """``core``'s prefetchers' settings and tables, in LRU order; ``()``
+        without prefetchers."""
+        return _prefetcher_state(self._prefetchers[core])
+
+    def prefetch_pass(self, core: int, schedule: PrefetchSchedule,
+                      index: int) -> Tuple[array, array]:
+        """Pass ``index`` of ``schedule`` as ``(lines, starts)``, for
+        ``core`` to replay through ``access(prefetch_lines=...)``.
+
+        Raises ``ValueError`` unless the schedule was built for this
+        hierarchy's line size and DRAM capacity and ``core``'s prefetchers,
+        settings and tables, are in the state the pass starts from."""
+        if (schedule.line_bytes, schedule.capacity) != (self._line_bytes,
+                                                        self._capacity):
+            raise ValueError(
+                f"schedule built for {schedule.line_bytes}-byte lines over "
+                f"{schedule.capacity} bytes of DRAM; this hierarchy has "
+                f"{self._line_bytes}-byte lines over {self._capacity}")
+        if self.prefetcher_state(core) != schedule.states[index]:
+            raise ValueError(f"core {core}'s prefetchers are not in the "
+                             f"state pass {index} of the schedule starts from")
+        return schedule.lines[index], schedule.starts[index]
+
+    def end_prefetch_pass(self, core: int, schedule: PrefetchSchedule,
+                          index: int) -> None:
+        """Leave ``core``'s prefetchers as training them through pass
+        ``index`` of ``schedule`` would have."""
+        for prefetcher, state in zip(self._prefetchers[core],
+                                     schedule.states[index + 1]):
+            prefetcher.load(state)
 
     # ------------------------------------------------------------------
     # Cache management operations (attack primitives)

@@ -15,6 +15,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 
+def _load(table: dict, state: tuple, own: tuple) -> None:
+    if state[:-1] != own[:-1]:
+        raise ValueError(f"prefetcher state {state[:-1]} does not fit a "
+                         f"prefetcher configured as {own[:-1]}")
+    table.clear()
+    table.update(state[-1])
+
+
 class IPStridePrefetcher:
     """Stride-directed prefetching keyed by the load's instruction pointer.
 
@@ -65,6 +73,17 @@ class IPStridePrefetcher:
             prefetches = [p for p in prefetches if p >= 0]
         return prefetches
 
+    def state(self) -> tuple:
+        """What :meth:`observe` depends on besides its arguments: the
+        settings, then the table in LRU order."""
+        return (type(self).__name__, self._capacity, self.degree,
+                self.line_bytes, tuple(self._table.items()))
+
+    def load(self, state: tuple) -> None:
+        """Set the table from the :meth:`state` of a prefetcher with the
+        same settings; raises ``ValueError`` for other settings."""
+        _load(self._table, state, self.state())
+
 
 class StreamerPrefetcher:
     """Sequential stream prefetcher tracking 4 KB regions.
@@ -112,3 +131,15 @@ class StreamerPrefetcher:
         if prefetches[-1] < 0:
             prefetches = [p for p in prefetches if p >= 0]
         return prefetches
+
+    def state(self) -> tuple:
+        """What :meth:`observe` depends on besides its arguments: the
+        settings, then the region table in LRU order."""
+        return (type(self).__name__, self._capacity, self.degree,
+                self.line_bytes, self.REGION_BYTES,
+                tuple(self._regions.items()))
+
+    def load(self, state: tuple) -> None:
+        """Set the table from the :meth:`state` of a prefetcher with the
+        same settings; raises ``ValueError`` for other settings."""
+        _load(self._regions, state, self.state())

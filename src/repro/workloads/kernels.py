@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.workloads.graphs import CSRGraph, generate_graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryRef:
     """One memory touch: preceded by ``compute_cycles`` of non-memory work."""
 

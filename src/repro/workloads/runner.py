@@ -6,14 +6,24 @@ DRAM banks), evaluated under the open-row baseline, the closed-row policy
 (CRP) and constant-time DRAM access (CTD).  The runner models simple
 in-order cores: each memory reference stalls the issuing core for its
 full hierarchy latency, with the kernel's compute cycles in between.
+
+A core's prefetchers see only its own stream, so what they fetch at each
+reference is worked out once per pass before the replay
+(:class:`repro.cache.PrefetchSchedule`) and handed to the hierarchy with
+each access; cache contents, DRAM timing and the interleaving of the
+cores are simulated access by access.  :func:`run_multiprogrammed` builds
+one schedule per distinct stream object, so two cores replaying one
+stream share it, and :func:`evaluate_defenses` shares one schedule across
+both cores and every row policy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.cache import CacheHierarchy, PrefetchSchedule
 from repro.config import SystemConfig
 from repro.system import System
 from repro.workloads.kernels import MemoryRef, WorkloadSpec, workload_spec
@@ -40,10 +50,26 @@ class RunResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-def _warm(system: System, streams: Sequence[Sequence[MemoryRef]]) -> None:
+def _schedules(hierarchy: CacheHierarchy,
+               streams: Sequence[Sequence[MemoryRef]],
+               passes: int) -> List[PrefetchSchedule]:
+    """One prefetch schedule per core: one per distinct stream object and
+    starting prefetcher state, shared by the cores that have both."""
+    built: Dict[tuple, PrefetchSchedule] = {}
+    schedules = []
+    for core, stream in enumerate(streams):
+        key = (id(stream), hierarchy.prefetcher_state(core))
+        if key not in built:
+            built[key] = PrefetchSchedule(hierarchy, stream, passes, core)
+        schedules.append(built[key])
+    return schedules
+
+
+def _warm(system: System, streams: Sequence[Sequence[MemoryRef]],
+          schedules: Sequence[PrefetchSchedule]) -> None:
     """One warm-up replay, then rebase the clock and zero the counters so
     the measured replay starts from cycle 0 on a warm machine (§5.1)."""
-    _replay(system, streams)
+    _replay(system, streams, schedules, 0)
     system.controller.rebase_time()
     system.hierarchy.rebase_time()
     system.reset_stats()
@@ -51,7 +77,9 @@ def _warm(system: System, streams: Sequence[Sequence[MemoryRef]]) -> None:
 
 def run_multiprogrammed(system: System,
                         streams: Sequence[Sequence[MemoryRef]],
-                        warmup: bool = True) -> RunResult:
+                        warmup: bool = True, *,
+                        schedules: Optional[Sequence[PrefetchSchedule]] = None
+                        ) -> RunResult:
     """Replay one reference stream per core; returns combined stats.
 
     Cores advance independently (event-driven, lowest-time-first), so
@@ -61,21 +89,42 @@ def run_multiprogrammed(system: System,
     With ``warmup`` (the default, matching §5.1's warm-up methodology)
     the streams are replayed once beforehand to populate the caches and
     the prefetcher tables; only the second, warm replay is measured.
+
+    ``schedules`` gives each core's :class:`PrefetchSchedule`, built for
+    its stream with a pass for the warm-up and one for the measured
+    replay; without it, one is built per distinct stream.  A schedule that
+    does not fit its core raises ``ValueError``.
     """
-    if warmup:
-        _warm(system, streams)
-    return _replay(system, streams)
-
-
-def _replay(system: System,
-            streams: Sequence[Sequence[MemoryRef]]) -> RunResult:
     if len(streams) > system.config.hierarchy.num_cores:
         raise ValueError("more streams than cores")
+    passes = 2 if warmup else 1
+    if schedules is None:
+        schedules = _schedules(system.hierarchy, streams, passes)
+    elif (len(schedules) != len(streams)
+          or any(len(schedule.lines) < passes for schedule in schedules)):
+        raise ValueError(f"give one prefetch schedule of {passes} passes "
+                         "per stream")
+    if warmup:
+        _warm(system, streams, schedules)
+    return _replay(system, streams, schedules, passes - 1)
+
+
+def _replay(system: System, streams: Sequence[Sequence[MemoryRef]],
+            schedules: Sequence[PrefetchSchedule], index: int) -> RunResult:
+    """Pass ``index`` of the schedules: every stream once, the candidate
+    lines from the schedules."""
+    hierarchy = system.hierarchy
+    passes = []
+    for core, (stream, schedule) in enumerate(zip(streams, schedules)):
+        if schedule.stream is not stream:
+            raise ValueError(f"core {core}'s prefetch schedule was built "
+                             "for another stream")
+        passes.append(hierarchy.prefetch_pass(core, schedule, index))
     cursors = [0] * len(streams)
     times = [0] * len(streams)
     instructions = 0
     llc_misses = 0
-    access = system.hierarchy.access
+    access = hierarchy.access
     requestors = [f"core{core}" for core in range(len(streams))]
     active = [core for core, stream in enumerate(streams) if stream]
     while active:
@@ -94,16 +143,21 @@ def _replay(system: System,
                 limit = at + 1
         # The picked core keeps issuing until then.
         stream = streams[core]
+        lines, starts = passes[core]
         requestor = requestors[core]
         end = len(stream)
         cursor = cursors[core]
         while True:
             ref = stream[cursor]
+            first = starts[cursor]
             cursor += 1
+            last = starts[cursor]
             compute = ref.compute_cycles
             issued = now + compute
             result = access(core, ref.addr, issued, is_write=ref.is_write,
-                            pc=ref.pc, requestor=requestor)
+                            requestor=requestor,
+                            prefetch_lines=(lines[first:last] if last != first
+                                            else ()))
             now = issued + result.latency
             instructions += 1 + compute  # 1-IPC compute model
             if not result.hit_level:
@@ -114,6 +168,7 @@ def _replay(system: System,
         times[core] = now
         if cursor == end:
             active.remove(core)
+            hierarchy.end_prefetch_pass(core, schedules[core], index)
     return RunResult(cycles=max(times) if times else 0,
                      instructions=instructions, refs=sum(cursors),
                      llc_misses=llc_misses)
@@ -171,15 +226,22 @@ def evaluate_defenses(name: str, base_config: Optional[SystemConfig] = None,
 
     Two instances of the same kernel on the same input share the memory
     system; ``max_refs`` bounds each instance's replayed stream so the
-    sweep completes at simulation scale.
+    sweep completes at simulation scale.  The row policy does not reach
+    the prefetchers, so every policy's replay shares one prefetch
+    schedule.
     """
     spec = workload_spec(name)
     graph = spec.build_graph()
     stream = spec.refs(graph=graph, max_refs=max_refs)
+    streams = [stream, stream]
     base = base_config or fig11_config()
     results: Dict[str, RunResult] = {}
+    schedules = None
     for policy in policies:
         system = System(base.with_defense(policy))
-        results[policy] = run_multiprogrammed(system, [stream, stream])
+        if schedules is None:
+            schedules = _schedules(system.hierarchy, streams, passes=2)
+        results[policy] = run_multiprogrammed(system, streams,
+                                              schedules=schedules)
     return DefenseEvaluation(workload=spec.name, results=results,
                              paper_mpki=spec.paper_mpki)

@@ -23,8 +23,8 @@ def _addrs(count, stride=64, mod=1 << 21, mul=5):
 def _hierarchy_state(hierarchy):
     """Everything a hierarchy carries from one access to the next: each
     level's tags, dirty bits, line map, fill counts, policy metadata and
-    stats; both prefetchers' tables; the in-flight fills; the NT RNG; and
-    the hierarchy stats, by requestor included."""
+    stats; each core's prefetchers' tables, in LRU order; the in-flight
+    fills; the NT RNG; and the hierarchy stats, by requestor included."""
     def policy_state(policy):
         state = {}
         for name, value in vars(policy).items():
@@ -43,8 +43,8 @@ def _hierarchy_state(hierarchy):
                     policy_state(cache._policy), cache.stats)
                    for cache in (*hierarchy.l1, *hierarchy.l2,
                                  hierarchy.llc)],
-        "l1_prefetchers": [pf._table for pf in hierarchy._l1_prefetchers],
-        "l2_prefetchers": [pf._regions for pf in hierarchy._l2_prefetchers],
+        "prefetchers": [hierarchy.prefetcher_state(core)
+                        for core in range(hierarchy.config.num_cores)],
         "inflight_fills": hierarchy._inflight_fills,
         "nt_rng": hierarchy._nt_rng.getstate(),
         "stats": hierarchy.stats,

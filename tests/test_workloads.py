@@ -1,11 +1,12 @@
 """Unit and integration tests for graph workloads and the Fig. 11 runner."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro import System, SystemConfig
-from repro.cache import HierarchyConfig
+from repro.cache import HierarchyConfig, IPStridePrefetcher, PrefetchSchedule
 from repro.dram import DRAMGeometry
 from repro.workloads import (
     KERNELS,
@@ -24,16 +25,18 @@ from repro.workloads import (
     workload_spec,
 )
 from repro.workloads.kernels import Layout
+from tests.test_batching_fastpath import _hierarchy_state
 
 
 def tiny_graph():
     return generate_graph(num_nodes=60, avg_degree=4, seed=1)
 
 
-def tiny_system(cores=2):
+def tiny_system(cores=2, **hierarchy):
+    hierarchy = {"llc_size_mb": 2.0, **hierarchy}
     return System(SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
-        hierarchy=HierarchyConfig(num_cores=cores, llc_size_mb=2.0),
+        hierarchy=HierarchyConfig(num_cores=cores, **hierarchy),
         num_cores=cores))
 
 
@@ -118,6 +121,7 @@ def test_spec_refs_truncation():
     spec = workload_spec("PR")
     refs = spec.refs(max_refs=100)
     assert len(refs) == 100
+    assert not hasattr(refs[0], "__dict__")  # slotted: 60k refs per stream
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +164,39 @@ def _reference_replay(system, streams):
                      llc_misses=llc_misses)
 
 
+def _reference_run(system, streams, warmup=True):
+    """``run_multiprogrammed`` with the prefetchers trained online, as
+    each access reaches the hierarchy."""
+    if warmup:
+        _reference_replay(system, streams)
+        system.controller.rebase_time()
+        system.hierarchy.rebase_time()
+        system.reset_stats()
+    return _reference_replay(system, streams)
+
+
+def _system_state(system):
+    """The hierarchy's full state (tags, dirty bits, replacement state,
+    stats by requestor, in-flight fills, each core's prefetcher tables)
+    plus the controller's per-requestor stats and every bank's state."""
+    controller = system.controller
+    return {
+        "hierarchy": _hierarchy_state(system.hierarchy),
+        "requestors": controller.requestor_stats,
+        "banks": [vars(bank) for bank in controller.device.banks],
+    }
+
+
 def _record_accesses(system):
-    """Log every call the replay makes to the hierarchy's ``access``."""
+    """Log each access the replay makes: core, address, issue time, write
+    flag and requestor.  (The runner hands over precomputed prefetch
+    candidates where the reference passes ``pc``.)"""
     calls = []
     access = system.hierarchy.access
 
     def recording(core, addr, issued, **kwargs):
-        calls.append((core, addr, issued, sorted(kwargs.items())))
+        calls.append((core, addr, issued, kwargs.get("is_write", False),
+                      kwargs.get("requestor", "cpu")))
         return access(core, addr, issued, **kwargs)
 
     system.hierarchy.access = recording
@@ -201,6 +231,113 @@ def test_runner_issue_order_matches_one_pick_per_reference(seed):
         assert calls == expected_calls
         assert result == expected
         assert result.refs == sum(len(stream) for stream in streams)
+        assert _system_state(system) == _system_state(reference)
+
+
+def _small_system(prefetchers=True):
+    """Two cores over 4 KB L1s, 16 KB L2s and a 64 KB LLC: prefetches
+    evict, and some land late."""
+    return tiny_system(2, l1_size_kb=4, l2_size_kb=16, llc_size_mb=0.0625,
+                       prefetchers_enabled=prefetchers)
+
+
+def _stride_to_top(system, count=40):
+    """Rising strides that end at the top of DRAM, so the prefetchers
+    propose lines past it."""
+    top = system.controller.config.geometry.capacity_bytes
+    return [MemoryRef(addr=top - 64 * (count - i), is_write=False, pc=5,
+                      compute_cycles=1) for i in range(count)]
+
+
+def _scheduled_vs_online(case):
+    """Runs ``case`` on twin systems, scheduled and online, comparing each
+    run; returns the prefetches and late-prefetch stalls they counted."""
+    graph = generate_graph(600, 6, seed=2)
+    pr = workload_spec("PR").refs(graph=graph, max_refs=1500)
+    cc = workload_spec("CC").refs(graph=graph, max_refs=1200)
+    system = _small_system(prefetchers=case != "no-prefetchers")
+    reference = _small_system(prefetchers=case != "no-prefetchers")
+    edge = _stride_to_top(system)
+    runs = {
+        "cold": [([pr, edge + cc], False)],
+        "warm": [([pr, cc], True)],
+        "shared": [([pr, pr], True)],
+        "no-prefetchers": [([pr, cc], True)],
+        "twice": [([pr, cc], True), ([cc, cc], False), ([pr, cc], True)],
+    }[case]
+    prefetches = stalls = 0
+    for streams, warmup in runs:
+        result = run_multiprogrammed(system, streams, warmup=warmup)
+        expected = _reference_run(reference, streams, warmup=warmup)
+        assert result == expected
+        assert _system_state(system) == _system_state(reference)
+        prefetches += system.hierarchy.stats.prefetches_issued
+        stalls += system.hierarchy.stats.late_prefetch_stalls
+    return prefetches, stalls
+
+
+@pytest.mark.parametrize("case", ["cold", "warm", "shared",
+                                  "no-prefetchers", "twice"])
+def test_scheduled_replay_matches_online_training(case):
+    """Replaying each core's prefetch schedule leaves the machine exactly
+    as training the prefetchers online does: every run's result, every
+    cache, the in-flight fills, the DRAM, and the prefetcher tables."""
+    prefetches, stalls = _scheduled_vs_online(case)
+    if case == "no-prefetchers":
+        assert prefetches == 0
+    else:
+        assert prefetches > 0 and stalls > 0
+
+
+def test_prefetch_schedule_applies_only_where_it_was_built():
+    """A schedule replays only on a hierarchy with its prefetcher
+    settings, line size and DRAM capacity, on prefetchers in the state it
+    starts from, and with the stream it was built for."""
+    stream = workload_spec("PR").refs(graph=tiny_graph(), max_refs=300)
+    streams = [stream, stream]
+    schedule = PrefetchSchedule(tiny_system().hierarchy, stream, passes=2)
+
+    def rejects(system, schedules, warmup=True):
+        before = _system_state(system)
+        with pytest.raises(ValueError):
+            run_multiprogrammed(system, streams, warmup=warmup,
+                                schedules=schedules)
+        assert _system_state(system) == before
+
+    rejects(tiny_system(prefetchers_enabled=False), [schedule, schedule])
+    rejects(tiny_system(line_bytes=128), [schedule, schedule])
+    rejects(System(replace(tiny_system().config,
+                           geometry=DRAMGeometry(ranks=1, banks_per_rank=16,
+                                                 rows_per_bank=2048))),
+            [schedule, schedule])
+    trained = tiny_system()
+    trained.hierarchy.access(1, 0x1000, 0, pc=3)
+    rejects(trained, [schedule, schedule])
+    rejects(tiny_system(), [schedule, PrefetchSchedule(
+        tiny_system().hierarchy, stream[:-1], passes=2)])
+    rejects(tiny_system(), [schedule])
+    one_pass = PrefetchSchedule(tiny_system().hierarchy, stream, passes=1)
+    rejects(tiny_system(), [one_pass, one_pass])
+    # Other prefetcher settings than the hierarchy's factory builds.
+    swapped = tiny_system()
+    l1, l2 = swapped.hierarchy._prefetchers[0]
+    swapped.hierarchy._prefetchers[0] = (IPStridePrefetcher(degree=3), l2)
+    rejects(swapped, [schedule, schedule])
+    with pytest.raises(ValueError):
+        PrefetchSchedule(swapped.hierarchy, stream, passes=1)
+    # The same schedule replays on any fresh twin, under any row policy,
+    # and after a one-pass schedule's run on another.
+    for policy in ("open", "crp", "ctd"):
+        system = System(tiny_system().config.with_defense(policy))
+        reference = System(tiny_system().config.with_defense(policy))
+        assert (run_multiprogrammed(system, streams,
+                                    schedules=[schedule, schedule])
+                == _reference_run(reference, streams))
+        assert _system_state(system) == _system_state(reference)
+    cold = tiny_system()
+    run_multiprogrammed(cold, streams, warmup=False,
+                        schedules=[one_pass, one_pass])
+    assert cold.hierarchy.prefetcher_state(0) == schedule.states[1]
 
 
 def test_runner_counts_each_cores_references_in_the_hierarchy():
