@@ -17,13 +17,6 @@ from repro.cache.hierarchy import (
     PrefetchSchedule,
 )
 from repro.cache.prefetcher import IPStridePrefetcher, StreamerPrefetcher
-from repro.cache.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    make_replacement_policy,
-)
 
 __all__ = [
     "Cache",
@@ -33,12 +26,7 @@ __all__ = [
     "HierarchyConfig",
     "HierarchyResult",
     "IPStridePrefetcher",
-    "LRUPolicy",
     "PrefetchSchedule",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "SRRIPPolicy",
     "StreamerPrefetcher",
     "llc_latency_cycles",
-    "make_replacement_policy",
 ]

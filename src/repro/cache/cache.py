@@ -1,17 +1,25 @@
-"""A single set-associative write-back cache."""
+"""A single set-associative write-back cache.
+
+Table 2 uses LRU at L1 and SRRIP [118] at L2/L3; §3.3's idealised
+Fig. 2/3 LLC is LRU too.  Replacement matters to the attacks: eviction
+sets are only *probabilistically* effective because the policy is opaque
+to the attacker (§3.2, Table 1 "ISA guarantees: X" for eviction sets),
+and SRRIP in particular can retain a target line after ``ways``
+conflicting fills.
+"""
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cache.replacement import (
-    LRUPolicy,
-    ReplacementPolicy,
-    SRRIPPolicy,
-    make_replacement_policy,
-)
+#: SRRIP's 2-bit re-reference prediction values: fills insert at
+#: ``MAX_RRPV - 1`` (long re-reference), hits promote to 0, and the victim
+#: is a way at ``MAX_RRPV``.
+MAX_RRPV = 3
+_SRRIP_INSERT = MAX_RRPV - 1
 
 
 @dataclass(frozen=True)
@@ -24,7 +32,7 @@ class CacheConfig:
         ways: associativity.
         line_bytes: cache-line size (64 everywhere in Table 2).
         latency_cycles: lookup latency paid by every probe of this level.
-        replacement: ``lru`` / ``srrip`` / ``random``.
+        replacement: ``lru`` or ``srrip``.
     """
 
     name: str
@@ -45,6 +53,11 @@ class CacheConfig:
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
                 f"line*ways = {self.line_bytes * self.ways}"
+            )
+        if self.replacement not in ("lru", "srrip"):
+            raise ValueError(
+                f"unknown replacement policy {self.replacement!r}; "
+                "choose from ['lru', 'srrip']"
             )
 
     @property
@@ -107,25 +120,20 @@ class Cache:
         self._dirty = bytearray(sets * ways)
         self._where: Dict[int, int] = {}
         # Valid ways per set: a set below ``ways`` fills its first invalid
-        # way, so the policy only ever picks victims in full sets.
+        # way, so victims are only ever picked in full sets.
         self._filled = array("l", [0]) * sets
-        self._policy: ReplacementPolicy = make_replacement_policy(
-            config.replacement, sets, ways)
-        self._policy_on_hit = self._policy.on_hit
-        self._policy_on_fill = self._policy.on_fill
-        self._policy_victim = self._policy.victim
-        # LRU (L1) and SRRIP (L2/LLC) carry all of Table 2's traffic; alias
-        # their per-slot state so access/fill update it, and fill picks LRU
-        # victims (boxing each stamp once, via tolist), without a policy call.
-        policy = self._policy
-        self._last_use: Optional[array] = None
-        self._rrpv: Optional[bytearray] = None
-        if isinstance(policy, LRUPolicy):
-            self._last_use = policy._last_use
-            self._next_stamp = policy._next_stamp
-        elif isinstance(policy, SRRIPPolicy):
-            self._rrpv = policy._rrpv
-            self._insert_rrpv = policy.MAX_RRPV - 1
+        # Replacement state, one entry per slot.  LRU stamps a slot with the
+        # next of 1, 2, 3, ... on every hit or fill and evicts the lowest
+        # stamp; SRRIP keeps one RRPV byte per slot.  Every cache sets the
+        # same attributes in the same order, the other policy's to None:
+        # instances that share one layout keep CPython's attribute-access
+        # fast paths on the demand path.
+        lru = config.replacement == "lru"
+        self._last_use: Optional[array] = (
+            array("q", [0]) * (sets * ways) if lru else None)
+        self._next_stamp = itertools.count(1).__next__ if lru else None
+        self._rrpv: Optional[bytearray] = (
+            None if lru else bytearray([MAX_RRPV]) * (sets * ways))
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -158,10 +166,8 @@ class Cache:
             return False
         if self._last_use is not None:
             self._last_use[slot] = self._next_stamp()
-        elif self._rrpv is not None:
-            self._rrpv[slot] = 0
         else:
-            self._policy_on_hit(slot)
+            self._rrpv[slot] = 0
         if is_write:
             self._dirty[slot] = True
         self.stats.hits += 1
@@ -181,10 +187,8 @@ class Cache:
         if slot is not None:
             if last_use is not None:
                 last_use[slot] = self._next_stamp()
-            elif rrpv is not None:
-                rrpv[slot] = 0
             else:
-                self._policy_on_hit(slot)
+                rrpv[slot] = 0
             if dirty:
                 self._dirty[slot] = True
             return None
@@ -202,7 +206,7 @@ class Cache:
                 uses = last_use[base:base + self._ways].tolist()
                 slot = base + uses.index(min(uses))
             else:
-                slot = self._policy_victim(base)
+                slot = self._srrip_victim(base)
             old_line = tags[slot]
             del where[old_line]
             old_dirty = self._dirty[slot] != 0
@@ -216,12 +220,26 @@ class Cache:
         self._dirty[slot] = dirty
         if last_use is not None:
             last_use[slot] = self._next_stamp()
-        elif rrpv is not None:
-            rrpv[slot] = self._insert_rrpv
         else:
-            self._policy_on_fill(slot)
+            rrpv[slot] = _SRRIP_INSERT
         self.stats.fills += 1
         return evicted
+
+    def _srrip_victim(self, base: int) -> int:
+        """SRRIP's victim in the full set whose first slot is ``base``: the
+        first way at ``MAX_RRPV``.  When no way is there (RRPVs never exceed
+        it), every way ages by the distance to the nearest re-reference in
+        one shot, equivalent to repeated +1 rounds."""
+        rrpv = self._rrpv
+        end = base + self._ways
+        slot = rrpv.find(MAX_RRPV, base, end)
+        if slot >= 0:
+            return slot
+        row = rrpv[base:end]
+        oldest = max(row)
+        step = MAX_RRPV - oldest
+        rrpv[base:end] = bytes([r + step for r in row])
+        return base + row.index(oldest)
 
     def invalidate(self, addr: int) -> Optional[bool]:
         """Remove ``addr``'s line if present; returns its dirty bit

@@ -627,19 +627,25 @@ class CacheHierarchy:
 
         Effectiveness is NOT guaranteed by construction — under SRRIP the
         target line may survive ``ways`` conflicting fills (Table 1's
-        "ISA guarantees: X" for eviction sets)."""
+        "ISA guarantees: X" for eviction sets).
+
+        The candidates ``base + k * stride`` (mod DRAM capacity) are
+        distinct until the walk wraps back to ``base``; raises
+        ``ValueError`` there, when DRAM holds fewer than ``size`` other
+        lines of ``addr``'s LLC set."""
         if size is None:
             size = self.config.llc_ways
         stride = self.llc_set_stride()
-        base = self.llc.line_addr(addr)
         capacity = self.controller.config.geometry.capacity_bytes
+        base = self.llc.line_addr(addr) % capacity
         result: List[int] = []
-        k = 1
-        while len(result) < size:
+        for k in range(1, size + 1):
             candidate = (base + k * stride) % capacity
-            k += 1
-            if candidate != base and candidate not in result:
-                result.append(candidate)
+            if candidate == base:
+                raise ValueError(
+                    f"DRAM holds {k - 1} lines in the LLC set of {addr:#x} "
+                    f"besides it, fewer than the {size} requested")
+            result.append(candidate)
         return result
 
     def reset_stats(self) -> None:

@@ -53,34 +53,22 @@ def sec33_point(llc_mb: float, ways: int = 16, bits: int = 384) -> Dict[str, flo
 def fig8_point(llc_mb: float) -> Dict[str, float]:
     """All-attack throughputs (Mb/s) at one LLC size (§5.3)."""
     from repro.attacks import (
-        DmaEngineChannel,
-        DramaClflushChannel,
-        DramaEvictionChannel,
-        ImpactPnmChannel,
-        ImpactPumChannel,
-        PnmOffchipChannel,
-        StreamlineChannel,
+        ATTACKS,
+        channel_config,
         streamline_upper_bound_mbps,
     )
 
     base = SystemConfig.paper_default().with_llc(float(llc_mb))
-    xor_base = replace(base, mapping="xor")
     point: Dict[str, float] = {}
-    point["DRAMA-eviction"] = DramaEvictionChannel(System(xor_base)) \
-        .transmit_random(64, seed=1).throughput_mbps
-    point["DRAMA-clflush"] = DramaClflushChannel(System(base)) \
-        .transmit_random(192, seed=1).throughput_mbps
-    point["Streamline"] = StreamlineChannel(System(base)) \
-        .transmit_random(192, seed=1).throughput_mbps
-    point["Streamline-bound"] = streamline_upper_bound_mbps(System(base))
-    point["DMA-engine"] = DmaEngineChannel(System(base)) \
-        .transmit_random(384, seed=1).throughput_mbps
-    point["PnM-OffChip"] = PnmOffchipChannel(System(base)) \
-        .transmit_random(512, seed=1).throughput_mbps
-    point["IMPACT-PnM"] = ImpactPnmChannel(System(base)) \
-        .transmit_random(512, seed=1).throughput_mbps
-    point["IMPACT-PuM"] = ImpactPumChannel(System(base)) \
-        .transmit_random(512, seed=1).throughput_mbps
+    for name, bits in _FIG8_BITS.items():
+        # One expression per channel: no System outlives its transmission,
+        # so at most one 64 MB LLC is alive at a time.
+        point[_FIG8_NAMES[name]] = ATTACKS[name](
+            System(channel_config(name, base))
+        ).transmit_random(bits, seed=1).throughput_mbps
+        if name == "streamline":
+            point["Streamline-bound"] = streamline_upper_bound_mbps(
+                System(base))
     return point
 
 

@@ -212,22 +212,6 @@ class System:
         ctx.advance_to(finish)
         return latencies
 
-    def dram_run(self, ctx: Context, addrs: List[int], *,
-                 is_write: bool = False,
-                 requestor: Optional[str] = None) -> List[int]:
-        """Back-to-back *uncached* DRAM accesses, returning latencies.
-
-        The DRAMA-style receiver shape: every access goes straight to the
-        memory controller (no cache lookup), chained issue-at-previous-
-        finish.  Same batching-safety rule as :meth:`load_many`.
-        """
-        who = requestor if requestor is not None else ctx.name
-        finish, latencies = self.controller.access_run(
-            addrs, ctx.now, requestor=who, is_write=is_write,
-            collect_latencies=True)
-        ctx.advance_to(finish)
-        return latencies
-
     def clflush(self, ctx: Context, core: int, addr: int, *,
                 requestor: Optional[str] = None) -> HierarchyResult:
         """Flush a line; write-back latency is on the critical path."""

@@ -1,7 +1,6 @@
 """Equivalence tests: batched operations, the scheduler run-to-block fast
 path, and BackgroundNoise window semantics."""
 
-import itertools
 import random
 
 import pytest
@@ -22,25 +21,21 @@ def _addrs(count, stride=64, mod=1 << 21, mul=5):
 
 def _hierarchy_state(hierarchy):
     """Everything a hierarchy carries from one access to the next: each
-    level's tags, dirty bits, line map, fill counts, policy metadata and
-    stats; each core's prefetchers' tables, in LRU order; the in-flight
-    fills; the NT RNG; and the hierarchy stats, by requestor included."""
-    def policy_state(policy):
-        state = {}
-        for name, value in vars(policy).items():
-            if isinstance(value, random.Random):
-                value = value.getstate()
-            elif isinstance(getattr(value, "__self__", None),
-                            itertools.count):
-                # LRU's stamp source: its repr, count(n), names the next
-                # stamp it hands out.
-                value = repr(value.__self__)
-            state[name] = value
-        return state
+    level's tags, dirty bits, line map, fill counts, replacement state
+    (LRU stamps and the next stamp, or SRRIP RRPVs) and stats; each core's
+    prefetchers' tables, in LRU order; the in-flight fills; the NT RNG;
+    and the hierarchy stats, by requestor included."""
+    def next_stamp(cache):
+        # LRU's stamp source: its repr, count(n), names the next stamp it
+        # hands out.
+        if cache._next_stamp is None:
+            return None
+        return repr(cache._next_stamp.__self__)
 
     return {
         "caches": [(cache._tags, cache._dirty, cache._where, cache._filled,
-                    policy_state(cache._policy), cache.stats)
+                    cache._last_use, next_stamp(cache), cache._rrpv,
+                    cache.stats)
                    for cache in (*hierarchy.l1, *hierarchy.l2,
                                  hierarchy.llc)],
         "prefetchers": [hierarchy.prefetcher_state(core)

@@ -110,6 +110,22 @@ def test_build_eviction_set_same_llc_set():
         assert h.llc.line_of(addr) != h.llc.line_of(target)
 
 
+def test_build_eviction_set_raises_when_dram_holds_too_few_lines():
+    """A 1 MiB DRAM under the paper's 8 MB LLC holds two lines of each LLC
+    set: a line has one other line to build its eviction set from."""
+    controller = MemoryController(MemoryControllerConfig(
+        geometry=DRAMGeometry(ranks=1, banks_per_rank=2, rows_per_bank=64)))
+    h = CacheHierarchy(HierarchyConfig(), controller)
+    assert controller.config.geometry.capacity_bytes == 2 * h.llc_set_stride()
+    target = 0x12340
+    assert h.build_eviction_set(target, size=1) == [
+        target + h.llc_set_stride()]
+    with pytest.raises(ValueError, match="1 lines .* fewer than the 2"):
+        h.build_eviction_set(target, size=2)
+    with pytest.raises(ValueError, match="fewer than the 16 requested"):
+        h.build_eviction_set(target)
+
+
 def test_nt_access_bypass_probability_zero_uses_caches():
     h = make_hierarchy(nt_bypass_probability=0.0)
     h.access(core=0, addr=0x60000, issued=0)

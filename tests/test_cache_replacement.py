@@ -1,38 +1,47 @@
-"""Unit tests for replacement policies.
+"""Unit tests for cache replacement: LRU and SRRIP.
 
-Policies address ways by flat slot (``set * ways + way``) and are only
-asked for victims in full sets; the cache itself fills invalid ways.
+:class:`Cache` keeps replacement state per flat slot (``set * ways +
+way``) and picks victims only in full sets; it fills invalid ways itself.
 """
 
 import gc
+import itertools
 import random
 from array import array
 
 import pytest
 
-from repro.cache import (
-    Cache,
-    CacheConfig,
-    LRUPolicy,
-    RandomPolicy,
-    SRRIPPolicy,
-    make_replacement_policy,
-)
+from repro.cache import Cache, CacheConfig
+from repro.cache.cache import MAX_RRPV
 from repro.config import SystemConfig
 from repro.exp.figures import _sec33_system
 from repro.system import System
 
 
+def _cache(sets, ways, replacement):
+    return Cache(CacheConfig(name="t", size_bytes=sets * ways * 64,
+                             ways=ways, latency_cycles=1,
+                             replacement=replacement))
+
+
+def _set_lines(cache, set_index, count):
+    """``count`` distinct line addresses that map to ``set_index``."""
+    line_bytes = cache.config.line_bytes
+    stride = cache.config.num_sets * line_bytes
+    return [set_index * line_bytes + k * stride for k in range(count)]
+
+
 def test_lru_evicts_oldest():
-    policy = LRUPolicy(num_sets=2, ways=4)
-    for slot in range(8):
-        policy.on_fill(slot)
-    policy.on_hit(0)  # way 0 of set 0 becomes most recent
-    assert policy.victim(0) == 1
-    assert policy.victim(4) == 4  # set 1 (slots 4-7) is untouched
+    cache = _cache(sets=2, ways=4, replacement="lru")
+    set0, set1 = _set_lines(cache, 0, 5), _set_lines(cache, 1, 5)
+    for addr in set0[:4] + set1[:4]:
+        assert cache.fill(addr) is None
+    assert cache.access(set0[0])  # way 0 of set 0 becomes most recent
+    assert cache.fill(set0[4]).addr == set0[1]
+    assert cache.fill(set1[4]).addr == set1[0]  # set 1 is untouched
 
 
-@pytest.mark.parametrize("replacement", ["lru", "srrip", "random"])
+@pytest.mark.parametrize("replacement", ["lru", "srrip"])
 def test_fill_reuses_invalidated_way_without_evicting(replacement):
     cache = Cache(CacheConfig(name="t", size_bytes=1024, ways=4,
                               latency_cycles=1, replacement=replacement))
@@ -49,26 +58,32 @@ def test_fill_reuses_invalidated_way_without_evicting(replacement):
 
 
 def test_srrip_hit_promotes_to_zero():
-    policy = SRRIPPolicy(num_sets=1, ways=2)
-    policy.on_fill(0)
-    policy.on_fill(1)
-    policy.on_hit(0)
+    cache = _cache(sets=1, ways=2, replacement="srrip")
+    a, b, c = _set_lines(cache, 0, 3)
+    cache.fill(a)
+    cache.fill(b)
+    assert cache.access(a)
     # Way 0 has RRPV 0, way 1 has MAX-1; aging finds way 1 first.
-    assert policy.victim(0) == 1
+    assert list(cache._rrpv) == [0, MAX_RRPV - 1]
+    assert cache.fill(c).addr == b
 
 
 def test_srrip_can_retain_reused_line_against_fills():
-    """The property that defeats naive eviction sets (Table 1): a re-used
-    line survives a burst of single-use fills."""
-    policy = SRRIPPolicy(num_sets=1, ways=4)
-    for slot in range(4):
-        policy.on_fill(slot)
-    policy.on_hit(2)  # target line re-referenced
-    victims = [policy.victim(0) for _ in range(3)]
-    assert 2 not in victims
+    """The property that defeats naive eviction sets (Table 1): under
+    SRRIP a re-used line survives ``ways`` single-use fills, which evict
+    it under LRU."""
+    for replacement, retained in (("srrip", True), ("lru", False)):
+        cache = _cache(sets=1, ways=4, replacement=replacement)
+        lines = _set_lines(cache, 0, 8)
+        for addr in lines[:4]:
+            cache.fill(addr)
+        assert cache.access(lines[2])  # target line re-referenced
+        for addr in lines[4:]:
+            cache.fill(addr)
+        assert cache.probe(lines[2]) is retained
 
 
-def _reference_srrip_victim(rrpv, base, ways, max_rrpv=SRRIPPolicy.MAX_RRPV):
+def _reference_srrip_victim(rrpv, base, ways, max_rrpv=MAX_RRPV):
     """SRRIP victim selection as first written, on a list of RRPVs."""
     end = base + ways
     try:
@@ -85,63 +100,80 @@ def _reference_srrip_victim(rrpv, base, ways, max_rrpv=SRRIPPolicy.MAX_RRPV):
 @pytest.mark.parametrize("seed", range(5))
 def test_srrip_victim_matches_reference(seed):
     rng = random.Random(seed)
-    ways = 8
-    policy = SRRIPPolicy(num_sets=64, ways=ways)
-    # Half the rows have no way at the maximum, so victim() must age them.
-    for set_index in range(64):
-        top = SRRIPPolicy.MAX_RRPV - (set_index % 2)
+    sets, ways = 64, 8
+    cache = _cache(sets, ways, "srrip")
+    line_bytes = cache.config.line_bytes
+    # Lines 0 .. sets*ways-1 fill every way of every set.
+    for line in range(sets * ways):
+        assert cache.fill(line * line_bytes) is None
+    # Half the rows have no way at the maximum, so the fill must age them.
+    for set_index in range(sets):
+        top = MAX_RRPV - (set_index % 2)
         for slot in range(set_index * ways, (set_index + 1) * ways):
-            policy._rrpv[slot] = rng.randint(0, top)
-    reference = list(policy._rrpv)
+            cache._rrpv[slot] = rng.randint(0, top)
+    reference = list(cache._rrpv)
     aged = 0
-    for _ in range(3):
-        for set_index in rng.sample(range(64), 64):
+    for round_ in range(3):
+        for set_index in rng.sample(range(sets), sets):
             base = set_index * ways
-            aged += SRRIPPolicy.MAX_RRPV not in reference[base:base + ways]
-            victim = policy.victim(base)
-            assert victim == _reference_srrip_victim(reference, base, ways)
-            assert list(policy._rrpv) == reference
-            # Refill the victim's way, as the cache does.
-            policy.on_fill(victim)
-            reference[victim] = SRRIPPolicy.MAX_RRPV - 1
+            aged += MAX_RRPV not in reference[base:base + ways]
+            victim = _reference_srrip_victim(reference, base, ways)
+            old_addr = cache._tags[victim] * line_bytes
+            line = (ways + round_) * sets + set_index
+            assert cache.fill(line * line_bytes).addr == old_addr
+            assert cache._where[line] == victim
+            # The fill inserts the new line at MAX-1.
+            reference[victim] = MAX_RRPV - 1
+            assert list(cache._rrpv) == reference
     assert aged >= 32
 
 
 class _ReferenceLRUCache:
-    """A cache that asks an :class:`LRUPolicy` on every hit, fill and
-    eviction, as :class:`Cache` did before it stamped LRU slots inline."""
+    """LRU written plainly: a cache that makes one policy call per hit,
+    fill and eviction, on stamps of its own in a list.  :class:`Cache`
+    stamps slots and picks victims inline and must agree with it."""
 
     def __init__(self, config):
         self.sets, self.ways = config.num_sets, config.ways
         self.line_bytes = config.line_bytes
-        self.policy = LRUPolicy(self.sets, self.ways)
+        self.next_stamp = itertools.count(1).__next__
+        self.last_use = [0] * (self.sets * self.ways)
         self.tags = [-1] * (self.sets * self.ways)
         self.where = {}
+
+    def on_hit(self, slot):
+        self.last_use[slot] = self.next_stamp()
+
+    on_fill = on_hit
+
+    def victim(self, base):
+        uses = self.last_use[base:base + self.ways]
+        return base + uses.index(min(uses))
 
     def access(self, addr):
         slot = self.where.get(addr // self.line_bytes)
         if slot is None:
             return False
-        self.policy.on_hit(slot)
+        self.on_hit(slot)
         return True
 
     def fill(self, addr):
         line = addr // self.line_bytes
         slot = self.where.get(line)
         if slot is not None:
-            self.policy.on_hit(slot)
+            self.on_hit(slot)
             return None
         base = (line % self.sets) * self.ways
         evicted = None
         if -1 in self.tags[base:base + self.ways]:
             slot = self.tags.index(-1, base)
         else:
-            slot = self.policy.victim(base)
+            slot = self.victim(base)
             evicted = self.tags[slot] * self.line_bytes
             del self.where[self.tags[slot]]
         self.tags[slot] = line
         self.where[line] = slot
-        self.policy.on_fill(slot)
+        self.on_fill(slot)
         return evicted
 
     def invalidate(self, addr):
@@ -169,30 +201,36 @@ def test_lru_cache_matches_policy_calls(seed):
             assert ((cache.invalidate(addr) is not None)
                     == reference.invalidate(addr))
         assert list(cache._tags) == reference.tags
-        assert cache._policy._last_use == reference.policy._last_use
+        assert list(cache._last_use) == reference.last_use
     assert cache.stats.evictions > 100
+    # Both stamp sources hand out the same next stamp.
+    assert cache._next_stamp() == reference.next_stamp()
 
 
-@pytest.mark.parametrize("build, llc_policy", [
-    (lambda: System(SystemConfig.paper_default().with_llc(64.0)),
-     SRRIPPolicy),
-    (lambda: _sec33_system(64.0, ways=16), LRUPolicy),
+@pytest.mark.parametrize("build, llc_replacement", [
+    (lambda: System(SystemConfig.paper_default().with_llc(64.0)), "srrip"),
+    (lambda: _sec33_system(64.0, ways=16), "lru"),
 ], ids=["srrip-llc", "lru-llc-fig2"])
-def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(build,
-                                                              llc_policy):
+def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(
+        build, llc_replacement):
     """A 64 MB LLC has 1M slots.  Its per-slot state holds no Python
     object per slot, so the garbage collector walks none: a bytearray
     refers to nothing, an array only to its type.  Dirty bits stored as
-    bytes still read back as ``bool``."""
+    bytes still read back as ``bool``.  Every cache, LRU or SRRIP, has
+    the same attributes in the same order."""
     hierarchy = build().hierarchy
     llc = hierarchy.llc
-    assert isinstance(llc._policy, llc_policy)
+    assert llc.config.replacement == llc_replacement
     assert len(llc._tags) == 1 << 20
+    layout = list(vars(hierarchy.l1[0]))
     for cache in (*hierarchy.l1, *hierarchy.l2, llc):
+        assert list(vars(cache)) == layout
         sets, ways = cache.config.num_sets, cache.config.ways
-        policy = cache._policy
-        per_slot = [cache._tags, cache._dirty, policy._last_use
-                    if isinstance(policy, LRUPolicy) else policy._rrpv]
+        lru = cache.config.replacement == "lru"
+        assert (cache._rrpv if lru else cache._last_use) is None
+        assert (cache._next_stamp is None) is not lru
+        per_slot = [cache._tags, cache._dirty,
+                    cache._last_use if lru else cache._rrpv]
         for state in per_slot:
             assert len(state) == sets * ways
             assert gc.get_referents(state) in ([], [array])
@@ -216,22 +254,16 @@ def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(build,
     assert llc.invalidate(2 * stride) is None
 
 
-def test_random_is_deterministic_under_seed():
-    a = RandomPolicy(num_sets=2, ways=8, seed=7)
-    b = RandomPolicy(num_sets=2, ways=8, seed=7)
-    victims = [a.victim(8) for _ in range(10)]
-    assert victims == [b.victim(8) for _ in range(10)]
-    assert all(8 <= slot < 16 for slot in victims)
-
-
-def test_factory_dispatch():
-    assert isinstance(make_replacement_policy("lru", 4, 2), LRUPolicy)
-    assert isinstance(make_replacement_policy("srrip", 4, 2), SRRIPPolicy)
-    assert isinstance(make_replacement_policy("random", 4, 2), RandomPolicy)
-    with pytest.raises(ValueError):
-        make_replacement_policy("fifo", 4, 2)
+def test_config_accepts_only_lru_and_srrip():
+    lru, srrip = _cache(4, 2, "lru"), _cache(4, 2, "srrip")
+    assert len(lru._last_use) == 8 and lru._rrpv is None
+    assert len(srrip._rrpv) == 8 and srrip._last_use is None
+    for name in ("random", "fifo"):
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            CacheConfig(name="t", size_bytes=512, ways=2, latency_cycles=1,
+                        replacement=name)
 
 
 def test_invalid_geometry_rejected():
-    with pytest.raises(ValueError):
-        LRUPolicy(num_sets=0, ways=4)
+    with pytest.raises(ValueError, match="ways must be >= 1"):
+        CacheConfig(name="t", size_bytes=512, ways=0, latency_cycles=1)
