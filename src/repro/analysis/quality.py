@@ -61,31 +61,6 @@ def wilson_interval(successes: int, trials: int,
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson score interval — the adaptive sweep
-    engine's convergence measure for BER estimates.  ``trials == 0``
-    returns the vacuous ``0.5`` (the full ``(0, 1)`` interval).
-
-    Monotonically non-increasing in ``trials`` for a fixed observed
-    proportion, which is what makes "stop when the half-width drops
-    below target" a sound early-stop rule.
-    """
-    lo, hi = wilson_interval(successes, trials, z)
-    return (hi - lo) / 2.0
-
-
-def relative_spread(values: Sequence[float]) -> Optional[float]:
-    """``(max - min) / max(|mean|, eps)`` over a window of estimates —
-    the stability measure for capacity-style metrics that have no
-    closed-form CI.  ``None`` until at least two values exist."""
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        return None
-    mean = sum(vals) / len(vals)
-    scale = max(abs(mean), 1e-12)
-    return (max(vals) - min(vals)) / scale
-
-
 def bin_latencies(latencies: Sequence[int], bins: int = 8) -> List[int]:
     """Quantize latencies into at most ``bins`` equal-frequency bins.
 

@@ -224,68 +224,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a fig8-style quality sweep through the sweep engine directly
-    and — with ``--adaptive`` — schedule repetitions in rounds and
-    early-stop each point once its BER confidence interval is tight
-    enough."""
-    from repro.exp import (
-        AdaptiveConfig,
-        ConvergenceTarget,
-        ResultCache,
-        run_adaptive_sweep,
-        run_sweep,
-        sweep_points,
-    )
-    from repro.exp.figures import fig8_quality_point
-
-    points = sweep_points("fig8-quality", fig8_quality_point, "llc_mb",
-                          [float(mb) for mb in args.llc_mb],
-                          bits=args.bits, attacks=args.attacks)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    common = dict(jobs=args.jobs, cache=cache)
-
-    if args.adaptive:
-        config = AdaptiveConfig(
-            min_reps=args.min_reps, max_reps=args.max_reps,
-            round_reps=args.round_reps,
-            target=ConvergenceTarget(ber_ci_halfwidth=args.ber_ci,
-                                     capacity_rel_tol=args.capacity_tol))
-        outcome = run_adaptive_sweep(points, config=config, **common)
-        rows = []
-        for result in outcome.results:
-            pooled = result.pooled_streams()
-            worst = max(pooled.values(),
-                        key=lambda s: s["ci_halfwidth"]) if pooled else None
-            rows.append((
-                result.point.describe(), result.reps,
-                "yes" if result.converged else "NO",
-                f"{worst['ber']:.4f}" if worst else "-",
-                f"{worst['ci_halfwidth']:.4f}" if worst else "-"))
-        print(format_table(
-            ["point", "reps", "converged", "worst BER", "CI half-width"],
-            rows, title=f"adaptive sweep (target ±{args.ber_ci})"))
-        print(f"executed {outcome.executed_reps} reps vs "
-              f"{outcome.fixed_reps} fixed "
-              f"({outcome.rep_savings_ratio:.2f}x savings) in "
-              f"{outcome.rounds} rounds, {outcome.elapsed_seconds:.1f}s")
-        return 0
-
-    outcome = run_sweep(points, **common)
-    rows = []
-    for point, payload in zip(points, outcome):
-        attacks = (payload or {}).get("attacks", {})
-        best = max((m.get("throughput_mbps", 0.0)
-                    for m in attacks.values()), default=0.0)
-        rows.append((point.describe(), len(attacks), f"{best:.2f}"))
-    print(format_table(["point", "channels", "best Mb/s"], rows,
-                       title="quality sweep"))
-    mode = "parallel" if outcome.parallel else "serial"
-    print(f"{len(points)} points in {outcome.elapsed_seconds:.1f}s "
-          f"({mode}, jobs={outcome.jobs})")
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or prune the on-disk result cache."""
     from repro.exp.cache import ResultCache
@@ -418,38 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
-        "sweep",
-        help="run a quality sweep through the sweep engine, optionally "
-             "early-stopping reps adaptively on CI convergence")
-    p.add_argument("--llc-mb", type=float, nargs="+", default=[8.0, 64.0],
-                   help="LLC sizes (MB) to sweep (default: 8 64)")
-    p.add_argument("--bits", type=int, default=128,
-                   help="message-length scale per channel (default 128)")
-    p.add_argument("--attacks", nargs="+", choices=sorted(ATTACKS),
-                   default=None,
-                   help="subset of channels (default: all seven)")
-    p.add_argument("--adaptive", action="store_true",
-                   help="schedule repetitions in rounds and early-stop "
-                        "each point once its worst-stream Wilson BER CI "
-                        "half-width drops below --ber-ci")
-    p.add_argument("--ber-ci", type=float, default=0.05, metavar="HW",
-                   help="target BER CI half-width (default 0.05)")
-    p.add_argument("--capacity-tol", type=float, default=None, metavar="TOL",
-                   help="also require capacity stability: relative spread "
-                        "of the trailing capacity window below TOL")
-    p.add_argument("--min-reps", type=int, default=2,
-                   help="repetition floor before early-stop may fire")
-    p.add_argument("--max-reps", type=int, default=8,
-                   help="repetition ceiling per point (the fixed-grid "
-                        "budget adaptive is measured against)")
-    p.add_argument("--round-reps", type=int, default=2,
-                   help="new repetitions per scheduling round")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist point results to a ResultCache here")
-    add_jobs(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser(
         "cache",
         help="inspect or prune the on-disk result cache")
     p.add_argument("action", choices=["stats", "prune"],
@@ -477,8 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # `repro sweep | head` and friends: the reader went away, which is
-        # not an error worth a traceback.
+        # `repro covert --attack all | head` and friends: the reader went
+        # away, which is not an error worth a traceback.
         return 0
 
 

@@ -19,7 +19,9 @@ parallelism saturates realistically.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.address import DRAMGeometry
@@ -124,7 +126,10 @@ class RequestScheduler:
         for request in requests:
             if request.bank >= self.geometry.num_banks:
                 raise ValueError(f"bank {request.bank} out of range")
-        pending: List[Request] = sorted(requests, key=lambda r: r.arrival)
+        arrival = attrgetter("arrival")
+        # Sorted by arrival and only ever popped from, so the requests
+        # that have arrived by ``now`` are always a prefix of ``pending``.
+        pending: List[Request] = sorted(requests, key=arrival)
         open_rows: Dict[int, Optional[int]] = {}
         bank_ready: Dict[int, int] = {}
         bus_ready = 0
@@ -132,20 +137,21 @@ class RequestScheduler:
         out: List[ScheduledRequest] = []
         t = self.timings
         while pending:
-            arrived = [r for r in pending if r.arrival <= now]
+            arrived = bisect_right(pending, now, key=arrival)
             if not arrived:
                 now = pending[0].arrival
                 continue
-            candidates = arrived[:self.window]
-            chosen = self._pick(candidates, open_rows, bank_ready, now)
-            if chosen is None:
+            candidates = pending[:min(arrived, self.window)]
+            index = self._pick(candidates, open_rows, bank_ready, now)
+            if index is None:
                 # every candidate's bank is busy: advance to the earliest
                 # bank-ready or next-arrival instant.
                 horizon = [bank_ready.get(r.bank, 0) for r in candidates]
-                later = [r.arrival for r in pending if r.arrival > now]
-                now = min(x for x in (horizon + later) if x > now)
+                if arrived < len(pending):
+                    horizon.append(pending[arrived].arrival)
+                now = min(x for x in horizon if x > now)
                 continue
-            pending.remove(chosen)
+            chosen = pending.pop(index)
             start = max(now, chosen.arrival, bank_ready.get(chosen.bank, 0))
             current = open_rows.get(chosen.bank)
             if current is None:
@@ -169,14 +175,18 @@ class RequestScheduler:
 
     def _pick(self, candidates: List[Request],
               open_rows: Dict[int, Optional[int]],
-              bank_ready: Dict[int, int], now: int) -> Optional[Request]:
-        ready = [r for r in candidates if bank_ready.get(r.bank, 0) <= now]
+              bank_ready: Dict[int, int], now: int) -> Optional[int]:
+        """Index in ``candidates`` of the request to serve now, or ``None``
+        when every candidate's bank is busy."""
+        ready = [i for i, r in enumerate(candidates)
+                 if bank_ready.get(r.bank, 0) <= now]
         if not ready:
             return None
         if self.policy is SchedulingPolicy.FRFCFS:
-            for request in ready:  # arrival order: first-ready row hit
+            for index in ready:  # arrival order: first-ready row hit
+                request = candidates[index]
                 if open_rows.get(request.bank) == request.row:
-                    return request
+                    return index
         return ready[0]  # oldest
 
 

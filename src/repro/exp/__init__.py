@@ -20,14 +20,6 @@ Usage::
         print(point.params["llc_mb"], result["IMPACT-PnM"])
 """
 
-from repro.exp.adaptive import (
-    AdaptiveConfig,
-    AdaptiveOutcome,
-    AdaptivePointResult,
-    ConvergenceTarget,
-    bernoulli_probe_point,
-    run_adaptive_sweep,
-)
 from repro.exp.cache import MISSING, ResultCache, code_version
 from repro.exp.runner import (
     SweepOutcome,
@@ -41,18 +33,12 @@ from repro.exp.sweep import SweepPoint, sweep_points
 
 __all__ = [
     "MISSING",
-    "AdaptiveConfig",
-    "AdaptiveOutcome",
-    "AdaptivePointResult",
-    "ConvergenceTarget",
     "ResultCache",
     "SweepOutcome",
     "SweepPoint",
-    "bernoulli_probe_point",
     "code_version",
     "default_jobs",
     "point_slug",
-    "run_adaptive_sweep",
     "run_sweep",
     "shutdown_pool",
     "sweep_points",

@@ -96,8 +96,7 @@ _FIG8_NAMES = {
 
 
 def fig8_quality_point(llc_mb: float, bits: int = 128,
-                       attacks: Optional[List[str]] = None,
-                       seed: int = 1) -> Dict[str, Any]:
+                       attacks: Optional[List[str]] = None) -> Dict[str, Any]:
     """One Fig. 8 point with full channel-quality analytics per attack.
 
     Runs the same seven channels as :func:`fig8_point` (or the subset
@@ -105,11 +104,8 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
     lengths scaled so ``bits`` plays the role the canonical point's 512
     does, and returns per-attack throughput *plus* BER with Wilson CI,
     mutual-information capacity, TVLA leakage t-score, and eye-diagram
-    summaries — the payload ``repro report`` renders.
-
-    ``seed`` varies the transmitted random message — the repetition axis
-    adaptive sweeps resample to tighten the BER confidence interval
-    (``seed=1`` reproduces the historical fixed point exactly).
+    summaries — the payload ``repro report`` renders.  As in
+    :func:`fig8_point`, each channel's random message uses ``seed=1``.
     """
     from repro.attacks import (
         ATTACKS,
@@ -127,8 +123,12 @@ def fig8_quality_point(llc_mb: float, bits: int = 128,
     for cli_name in names:
         message_bits = max(16, _FIG8_BITS[cli_name] * int(bits) // 512)
         channel = ATTACKS[cli_name](System(channel_config(cli_name, base)))
-        result = channel.transmit_random(message_bits, seed=int(seed))
-        quality = result.quality(channel.threshold_cycles)
+        result = channel.transmit_random(message_bits, seed=1)
+        threshold = channel.threshold_cycles
+        # Drop the channel, and with it its System, before the next one
+        # builds: at most one 64 MB LLC is alive at a time.
+        del channel
+        quality = result.quality(threshold)
         out["attacks"][_FIG8_NAMES[cli_name]] = {
             "throughput_mbps": result.throughput_mbps,
             "raw_throughput_mbps": result.raw_throughput_mbps,

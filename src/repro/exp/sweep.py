@@ -42,17 +42,6 @@ class SweepPoint:
     def run(self) -> Any:
         return self.fn(**dict(self.params))
 
-    def with_params(self, **updates: Any) -> "SweepPoint":
-        """A copy with ``updates`` merged into ``params`` — how the
-        adaptive engine expands one declared point into its repetitions
-        along the repetition axis (each rep is its own cacheable point)."""
-        merged: Dict[str, Any] = dict(self.params)
-        merged.update(updates)
-        inner = ", ".join(f"{k}={v!r}" for k, v in updates.items())
-        label = f"{self.describe()}[{inner}]" if inner else self.label
-        return SweepPoint(experiment=self.experiment, fn=self.fn,
-                          params=merged, label=label)
-
     def describe(self) -> str:
         if self.label:
             return self.label

@@ -40,6 +40,17 @@ def test_wilson_half_is_symmetric():
     assert low < 0.5 < high
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+def test_wilson_narrows_with_trials(rate):
+    """More trials at the same observed rate can only tighten the
+    interval."""
+    widths = [high - low for low, high in
+              (wilson_interval(int(rate * n), n)
+               for n in (20, 80, 320, 1280, 5120))]
+    assert all(a > b for a, b in zip(widths, widths[1:]))
+    assert all(0.0 < width < 1.0 for width in widths)
+
+
 def test_wilson_validation():
     with pytest.raises(ValueError):
         wilson_interval(5, 3)

@@ -156,20 +156,6 @@ def test_trace_summary_missing_file(tmp_path, capsys):
     assert "no trace file" in capsys.readouterr().err
 
 
-def test_sweep_command_adaptive_fills_the_cache(tmp_path, capsys):
-    from repro.exp.cache import ResultCache
-
-    cache_dir = tmp_path / "cache"
-    assert main(["sweep", "--adaptive", "--llc-mb", "8", "--bits", "16",
-                 "--attacks", "impact-pnm", "--min-reps", "2",
-                 "--max-reps", "2", "--capacity-tol", "1.0", "--jobs", "1",
-                 "--cache-dir", str(cache_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "adaptive sweep" in out and "executed 2 reps vs 2 fixed" in out
-    stats = ResultCache(cache_dir).stats()
-    assert (stats["entries"], stats["stale_entries"]) == (2, 0)
-
-
 def test_cache_command_stats_and_prune(tmp_path, capsys):
     from repro.exp.cache import ResultCache
 

@@ -1,12 +1,15 @@
 """Tests for the FCFS / FR-FCFS request scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram import DRAMGeometry, DRAMTimings
 from repro.dram.bank import AccessKind
 from repro.dram.scheduling import (
     Request,
     RequestScheduler,
+    ScheduledRequest,
     SchedulingPolicy,
     requests_from_refs,
 )
@@ -139,3 +142,76 @@ def test_empty_trace():
     assert stats.count == 0
     assert stats.mean_latency == 0.0
     assert stats.makespan == 0
+
+
+def reference_schedule(scheduler, requests):
+    """The scheduler's original loop, quadratic in trace length: each
+    step rebuilds the arrived list, scans every pending request for the
+    next arrival, and removes the chosen request by equality."""
+    pending = sorted(requests, key=lambda r: r.arrival)
+    open_rows, bank_ready = {}, {}
+    bus_ready = now = 0
+    out = []
+    t = scheduler.timings
+    while pending:
+        arrived = [r for r in pending if r.arrival <= now]
+        if not arrived:
+            now = pending[0].arrival
+            continue
+        candidates = arrived[:scheduler.window]
+        ready = [r for r in candidates if bank_ready.get(r.bank, 0) <= now]
+        chosen = ready[0] if ready else None
+        if ready and scheduler.policy is SchedulingPolicy.FRFCFS:
+            chosen = next((r for r in ready
+                           if open_rows.get(r.bank) == r.row), ready[0])
+        if chosen is None:
+            horizon = [bank_ready.get(r.bank, 0) for r in candidates]
+            later = [r.arrival for r in pending if r.arrival > now]
+            now = min(x for x in (horizon + later) if x > now)
+            continue
+        pending.remove(chosen)
+        start = max(now, chosen.arrival, bank_ready.get(chosen.bank, 0))
+        current = open_rows.get(chosen.bank)
+        if current is None:
+            kind, latency = AccessKind.EMPTY, t.empty_cycles
+        elif current == chosen.row:
+            kind, latency = AccessKind.HIT, t.hit_cycles
+        else:
+            kind, latency = AccessKind.CONFLICT, t.conflict_cycles
+        data_time = max(start + latency,
+                        bus_ready + RequestScheduler.BUS_BURST_CYCLES)
+        bus_ready = data_time
+        open_rows[chosen.bank] = chosen.row
+        bank_ready[chosen.bank] = data_time
+        out.append(ScheduledRequest(request=chosen, service_start=start,
+                                    finish=data_time, kind=kind))
+        now = max(now, start)
+    out.sort(key=lambda s: (s.request.arrival, s.service_start))
+    return out
+
+
+@st.composite
+def traces(draw):
+    """Short traces over few banks, rows and arrival instants, so equal
+    arrivals, row hits and busy banks are common, and arrivals spread
+    past a few services, so banks free up between them; some requests
+    repeat exactly."""
+    request = st.builds(Request,
+                        arrival=st.integers(0, 50).map(lambda k: 8 * k),
+                        bank=st.integers(0, 3), row=st.integers(0, 3),
+                        is_write=st.booleans(),
+                        requestor=st.sampled_from(["a", "b"]))
+    trace = draw(st.lists(request, max_size=30))
+    if trace:
+        trace += draw(st.lists(st.sampled_from(trace), max_size=8))
+    return draw(st.permutations(trace))
+
+
+@pytest.mark.parametrize("window", [1, 2, 4, 16])
+@pytest.mark.parametrize("policy", list(SchedulingPolicy))
+@settings(max_examples=60, deadline=None)
+@given(trace=traces())
+def test_schedule_matches_reference_loop(policy, window, trace):
+    scheduler = RequestScheduler(GEOM, T, policy=policy, window=window)
+    assert (scheduler.schedule(trace).scheduled
+            == reference_schedule(scheduler, trace))

@@ -18,7 +18,9 @@ from repro.exp import (
     sweep_points,
     trace_path,
 )
-from repro.exp.figures import fig8_sweep
+from repro.exp import figures
+from repro.exp import runner as runner_mod
+from repro.exp.figures import fig8_point, fig8_quality_point, fig8_sweep
 
 CALLS = {"n": 0}
 
@@ -279,6 +281,35 @@ class TestRunSweep:
             run_sweep([SweepPoint("exp", failing_point)], jobs=1)
 
 
+# ---------------------------------------------------------------------------
+# Where run_sweep executes: the worker pool or this process
+# ---------------------------------------------------------------------------
+
+class TestBackendResolution:
+    def test_auto_picks_pool_only_when_it_helps(self, monkeypatch, tmp_path):
+        """The pool runs a sweep only when ``jobs > 1`` and more than one
+        point is pending (result-cache hits do not count)."""
+        calls = []
+
+        def fake_pool(points, jobs, on_result):
+            calls.append((len(points), jobs))
+            for index, point in enumerate(points):
+                on_result(index, point.run())
+
+        monkeypatch.setattr(runner_mod, "_run_parallel", fake_pool)
+        points = [SweepPoint("exp", counting_point, {"value": v})
+                  for v in (1, 2, 3, 4)]
+        assert run_sweep(points, jobs=4).parallel
+        assert calls == [(4, 4)]
+        assert not run_sweep(points[:1], jobs=4).parallel
+        assert not run_sweep(points, jobs=1).parallel
+        cache = ResultCache(str(tmp_path / "cache"))
+        run_sweep(points[:3], jobs=1, cache=cache)
+        outcome = run_sweep(points, jobs=4, cache=cache)
+        assert not outcome.parallel and outcome.cache_hits == 3
+        assert calls == [(4, 4)]
+
+
 class TestMetricsDir:
     """Per-point trace files: their names, their stamps, and where
     relative directories land."""
@@ -348,6 +379,28 @@ class TestParallelEqualsSerial:
                               [7, 3, 5, 1])
         outcome = run_sweep(points, jobs=4)
         assert [p["value"] for p in outcome] == [7, 3, 5, 1]
+
+
+@pytest.mark.parametrize("point", [fig8_point, fig8_quality_point])
+def test_no_system_outlives_its_channel(point, monkeypatch):
+    """Each channel's System is garbage before the next one builds, so a
+    64 MB point holds one LLC at a time."""
+    import gc
+    import weakref
+
+    built, alive = [], []
+
+    class RecordingSystem(figures.System):
+        def __init__(self, *args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(figures, "System", RecordingSystem)
+    point(8.0)
+    assert len(built) == 8  # seven channels and the Streamline bound
+    assert alive == [0] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +606,25 @@ class RecordingCache(ResultCache):
     def put(self, experiment, params, payload):
         self.puts.append(params["value"])
         super().put(experiment, params, payload)
+
+
+def test_parallel_sweep_puts_each_point_once(tmp_path):
+    """A sweep on the pool commits exactly one entry per executed point,
+    all in the current code version's directory, and a repeat of the
+    sweep is all hits."""
+    _pool_or_skip()
+    cache = RecordingCache(str(tmp_path / "cache"))
+    points = sweep_points("exp", pid_point, "value", range(6))
+    outcome = run_sweep(points, jobs=2, cache=cache)
+    assert outcome.parallel, outcome.fallback_reason
+    assert sorted(cache.puts) == list(range(6))
+    stats = cache.stats()
+    assert (stats["entries"], stats["stale_entries"]) == (6, 0)
+    assert {path.parent for path in (tmp_path / "cache").rglob("*.json")} \
+        == {tmp_path / "cache" / code_version()}
+    again = run_sweep(points, jobs=2, cache=cache)
+    assert again.cache_hits == 6 and len(cache.puts) == 6
+    assert again.results == outcome.results
 
 
 class TestPoolFallback:
