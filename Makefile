@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-clean examples results clean
+.PHONY: install test bench examples results clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
@@ -7,10 +7,7 @@ test:
 	pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only -s
-
-bench-clean:
-	rm -rf benchmarks/results/.cache
+	pytest benchmarks/ -s
 
 examples:
 	python examples/quickstart.py
@@ -22,8 +19,8 @@ examples:
 
 results:
 	pytest tests/ 2>&1 | tee test_output.txt
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	pytest benchmarks/ 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf benchmarks/results .pytest_cache .benchmarks
+	rm -rf reports test_output.txt bench_output.txt .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,7 +1,7 @@
 """Shared helpers for the paper-reproduction benches.
 
-Every bench regenerates one of the paper's tables or figures, prints the
-series (visible under ``pytest -s``), and persists it under
+Every bench regenerates one of the paper's tables or figures from cold,
+prints the series (visible under ``pytest -s``), and persists it under
 ``benchmarks/results/``.  EXPERIMENTS.md records the paper-vs-measured
 comparison for each.
 """
@@ -11,10 +11,9 @@ import os
 import pytest
 
 from repro.analysis import ResultTable
-from repro.exp import ResultCache, default_jobs, run_sweep
+from repro.exp import default_jobs, run_sweep
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-SWEEP_CACHE_DIR = os.path.join(RESULTS_DIR, ".cache")
 
 
 @pytest.fixture
@@ -25,21 +24,9 @@ def result_table():
     return factory
 
 
-@pytest.fixture(scope="session")
-def sweep_cache():
-    """On-disk result cache shared by the figure sweeps.
-
-    Keyed by (experiment, params, code version), so editing any module
-    under ``repro`` invalidates every entry; an unchanged re-run of the
-    suite replays every figure from disk.  Delete ``results/.cache`` (or
-    run ``make bench-clean``) for a cold run.
-    """
-    return ResultCache(SWEEP_CACHE_DIR)
-
-
 @pytest.fixture
-def run_points(sweep_cache):
-    """Run sweep points through the parallel runner + result cache.
+def run_points():
+    """Run sweep points through the parallel runner.
 
     ``REPRO_JOBS`` overrides the worker count (1 forces serial execution).
     """
@@ -47,5 +34,5 @@ def run_points(sweep_cache):
     jobs = int(jobs_env) if jobs_env else default_jobs()
 
     def run(points):
-        return run_sweep(points, jobs=jobs, cache=sweep_cache)
+        return run_sweep(points, jobs=jobs)
     return run

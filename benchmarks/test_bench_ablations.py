@@ -24,7 +24,7 @@ def base_config():
         num_cores=2)
 
 
-def test_ablation_batch_size(benchmark, result_table):
+def test_ablation_batch_size(result_table):
     """Why batch 4: one-bit batches burn a semaphore round per bit, huge
     batches stop overlapping sender and receiver work."""
     def sweep():
@@ -35,7 +35,7 @@ def test_ablation_batch_size(benchmark, result_table):
             results[batch] = channel.transmit_random(512, seed=3)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table("ablation_batch_size",
                          ["batch_size", "throughput_mbps", "error_rate"],
                          title="Ablation: IMPACT-PnM batch size (paper: 4)")
@@ -46,7 +46,7 @@ def test_ablation_batch_size(benchmark, result_table):
     assert all(r.error_rate == 0.0 for r in results.values())
 
 
-def test_ablation_noise_sensitivity(benchmark, result_table):
+def test_ablation_noise_sensitivity(result_table):
     """§5.1: noise sources degrade the channel gracefully, not abruptly."""
     def sweep():
         results = {}
@@ -56,7 +56,7 @@ def test_ablation_noise_sensitivity(benchmark, result_table):
                 .transmit_random(512, seed=4)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table("ablation_noise",
                          ["noise_per_kc", "throughput_mbps", "error_rate"],
                          title="Ablation: IMPACT-PnM vs background activation noise")
@@ -69,7 +69,7 @@ def test_ablation_noise_sensitivity(benchmark, result_table):
     assert errors[-1] < 0.45  # degraded, not dead
 
 
-def test_ablation_timer_granularity(benchmark, result_table):
+def test_ablation_timer_granularity(result_table):
     """§7: restricting fine-grained timers (Apple-M1-style) as a defense.
     The channel survives until the timer quantum exceeds the ~70-cycle
     hit/conflict gap, then collapses — at the cost of breaking every
@@ -96,7 +96,7 @@ def test_ablation_timer_granularity(benchmark, result_table):
             results[resolution] = channel.transmit_random(384, seed=5)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table("ablation_timer",
                          ["timer_resolution_cycles", "throughput_mbps",
                           "error_rate"],
@@ -112,7 +112,7 @@ def test_ablation_timer_granularity(benchmark, result_table):
     assert results[512].error_rate > 0.30
 
 
-def test_ablation_row_timeout(benchmark, result_table):
+def test_ablation_row_timeout(result_table):
     """Table 2 lists a 100 ns open-row timeout.  With it enabled, rows
     close before the pipelined receiver probes them (both symbols decode
     as EMPTY) — an accidental defense the attacker must counter by
@@ -129,7 +129,7 @@ def test_ablation_row_timeout(benchmark, result_table):
             results[label] = channel.transmit_random(256, seed=6)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table("ablation_row_timeout",
                          ["configuration", "throughput_mbps", "error_rate"],
                          title="Ablation: open-row timeout vs IMPACT-PnM")
@@ -141,7 +141,7 @@ def test_ablation_row_timeout(benchmark, result_table):
             > results["no timeout, batch 4"].error_rate)
 
 
-def test_ablation_refresh_noise(benchmark, result_table):
+def test_ablation_refresh_noise(result_table):
     """Periodic refresh closes rows mid-transmission: a small, bounded
     error floor (§5.1 noise sources)."""
     def sweep():
@@ -152,7 +152,7 @@ def test_ablation_refresh_noise(benchmark, result_table):
                 .transmit_random(512, seed=7)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table("ablation_refresh",
                          ["refresh_enabled", "throughput_mbps", "error_rate"],
                          title="Ablation: DRAM refresh as a noise source")
@@ -163,7 +163,7 @@ def test_ablation_refresh_noise(benchmark, result_table):
     assert results[True].error_rate < 0.25
 
 
-def test_ablation_fec_goodput(benchmark, result_table):
+def test_ablation_fec_goodput(result_table):
     """From raw leakage to usable bits: Hamming(7,4) over the noisy
     channels turns error rates into goodput."""
     def sweep():
@@ -178,7 +178,7 @@ def test_ablation_fec_goodput(benchmark, result_table):
                                         result.error_rate)))
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     table = result_table("ablation_fec",
                          ["channel", "raw_mbps", "error", "goodput_mbps",
                           "residual_error"],
@@ -191,7 +191,7 @@ def test_ablation_fec_goodput(benchmark, result_table):
     table.emit()
 
 
-def test_ablation_memory_scheduling_policy(benchmark, result_table):
+def test_ablation_memory_scheduling_policy(result_table):
     """FCFS vs FR-FCFS on the Fig. 11 workload miss streams: FR-FCFS's
     row-hit-first reordering is why the open-row policy is worth
     defending (and why CRP's Fig. 11 cost exists at all)."""
@@ -220,7 +220,7 @@ def test_ablation_memory_scheduling_policy(benchmark, result_table):
             rows.append(row)
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     table = result_table(
         "ablation_scheduling",
         ["workload", "policy", "row_hit_rate", "mean_latency", "makespan"],
@@ -237,7 +237,7 @@ def test_ablation_memory_scheduling_policy(benchmark, result_table):
         assert row["frfcfs"].makespan <= row["fcfs"].makespan
 
 
-def test_ablation_pei_offload_speedup(benchmark, result_table):
+def test_ablation_pei_offload_speedup(result_table):
     """The adoption premise (§1): PiM is deployed because it wins.  Our
     PEI engine accelerates low-locality PageRank gathers — the same
     substrate the attacks then abuse."""
@@ -260,7 +260,7 @@ def test_ablation_pei_offload_speedup(benchmark, result_table):
         pei = run_pagerank(System(small_llc()), graph, layout, mode="pei")
         return host, pei
 
-    host, pei = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    host, pei = sweep()
     table = result_table(
         "ablation_pei_speedup",
         ["mode", "cycles_per_edge", "pei_memory_ops", "cache_accesses"],
@@ -275,7 +275,7 @@ def test_ablation_pei_offload_speedup(benchmark, result_table):
     assert speedup > 1.5
 
 
-def test_ablation_multi_pair_scaling(benchmark, result_table):
+def test_ablation_multi_pair_scaling(result_table):
     """Extension: aggregate IMPACT-PnM throughput with k concurrent
     sender/receiver pairs on disjoint bank subsets — the bank-level
     parallelism headroom beyond the paper's single-pair evaluation."""
@@ -289,7 +289,7 @@ def test_ablation_multi_pair_scaling(benchmark, result_table):
                 bits_per_pair=256)
         return results
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     table = result_table(
         "ablation_multi_pair",
         ["pairs", "aggregate_mbps", "per_pair_mbps", "worst_error"],

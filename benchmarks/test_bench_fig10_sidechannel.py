@@ -20,10 +20,9 @@ from repro.exp.figures import fig10_sweep
 BANK_COUNTS = [1024, 2048, 4096, 8192]
 
 
-def test_fig10_sidechannel_sweep(benchmark, result_table, run_points):
+def test_fig10_sidechannel_sweep(result_table, run_points):
     sweep = fig10_sweep(BANK_COUNTS)
-    outcome = benchmark.pedantic(lambda: run_points(sweep),
-                                 rounds=1, iterations=1)
+    outcome = run_points(sweep)
     results = dict(zip(BANK_COUNTS, outcome.results))
     table = result_table(
         "fig10_sidechannel",

@@ -12,7 +12,7 @@ of a channel that is really gone.
 
 This is the slowest figure (five workloads x three row policies), so the
 :mod:`repro.exp` rewiring matters most here: the five workloads run on
-five worker processes, and the result cache replays unchanged re-runs.
+five worker processes.
 """
 
 from repro.exp import sweep_points
@@ -21,10 +21,9 @@ from repro.exp.figures import defense_security_point, fig11_sweep
 WORKLOADS = ["BC", "BFS", "CC", "TC", "PR"]
 
 
-def test_fig11_defense_overheads(benchmark, result_table, run_points):
+def test_fig11_defense_overheads(result_table, run_points):
     sweep = fig11_sweep(WORKLOADS)
-    outcome = benchmark.pedantic(lambda: run_points(sweep),
-                                 rounds=1, iterations=1)
+    outcome = run_points(sweep)
     evaluations = dict(zip(WORKLOADS, outcome.results))
     table = result_table(
         "fig11_defenses",
@@ -67,14 +66,12 @@ def test_fig11_defense_overheads(benchmark, result_table, run_points):
     assert mpki["BC"] < mpki["PR"] < mpki["TC"] < mpki["BFS"] <= mpki["CC"] * 1.2
 
 
-def test_fig11_defenses_actually_eliminate_the_channel(benchmark,
-                                                       result_table,
+def test_fig11_defenses_actually_eliminate_the_channel(result_table,
                                                        run_points):
     defenses = ["open", "crp", "ctd", "mpr"]
     sweep = sweep_points("fig11-security", defense_security_point,
                          "defense", defenses, bits=128, attack="impact-pnm")
-    outcome = benchmark.pedantic(lambda: run_points(sweep),
-                                 rounds=1, iterations=1)
+    outcome = run_points(sweep)
     reports = dict(zip(defenses, outcome.results))
     table = result_table(
         "fig11_security",

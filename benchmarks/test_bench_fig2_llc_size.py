@@ -5,9 +5,8 @@ sizes; the baseline (eviction) attack peaks at 2.29 Mb/s and degrades as
 the LLC (and its lookup latency) grows; eviction latency rises with size.
 
 The sweep runs through :mod:`repro.exp`: points fan out across worker
-processes and land in the shared result cache, so re-runs replay from
-disk until the simulator's code changes.  The paper's claims for these
-points gate tier-1 (``SIDECHANNEL_CLAIMS`` in
+processes, and every run computes every point.  The paper's claims for
+these points gate tier-1 (``SIDECHANNEL_CLAIMS`` in
 ``tests/test_golden_sidechannel.py``).
 """
 
@@ -16,10 +15,9 @@ from repro.exp.figures import fig2_sweep
 LLC_SIZES_MB = [2, 4, 8, 16, 32, 64]
 
 
-def test_fig2_llc_size_sweep(benchmark, result_table, run_points):
+def test_fig2_llc_size_sweep(result_table, run_points):
     points = fig2_sweep(LLC_SIZES_MB)
-    outcome = benchmark.pedantic(lambda: run_points(points),
-                                 rounds=1, iterations=1)
+    outcome = run_points(points)
     rows = list(zip(LLC_SIZES_MB, outcome.results))
     table = result_table(
         "fig2_llc_size",

@@ -21,9 +21,8 @@ def run_poc():
     return pnm.transmit(MESSAGE), pum.transmit(MESSAGE)
 
 
-def test_fig7_poc_per_bank_latencies(benchmark, result_table):
-    pnm_result, pum_result = benchmark.pedantic(run_poc, rounds=1,
-                                                iterations=1)
+def test_fig7_poc_per_bank_latencies(result_table):
+    pnm_result, pum_result = run_poc()
     table = result_table(
         "fig7_poc",
         ["bank", "bit", "pnm_latency", "pnm_decoded", "pum_latency",

@@ -18,7 +18,7 @@ the DRAMA variants are fully simulated.
 
 Each LLC size is one :mod:`repro.exp` sweep point
 (:func:`repro.exp.figures.fig8_point`), so the four sizes run on four
-worker processes and cached re-runs replay in milliseconds.
+worker processes.
 
 The claims that read only the 8 and 64 MB points gate tier-1
 (``FIG8_CLAIMS`` in ``tests/test_golden_fig8.py``); the assertions below
@@ -34,10 +34,9 @@ ATTACKS = ["DRAMA-eviction", "DRAMA-clflush", "Streamline",
            "IMPACT-PuM"]
 
 
-def test_fig8_throughput_across_llc_sizes(benchmark, result_table, run_points):
+def test_fig8_throughput_across_llc_sizes(result_table, run_points):
     sweep = fig8_sweep(LLC_SIZES_MB)
-    outcome = benchmark.pedantic(lambda: run_points(sweep),
-                                 rounds=1, iterations=1)
+    outcome = run_points(sweep)
     points = dict(zip(LLC_SIZES_MB, outcome.results))
     table = result_table(
         "fig8_throughput",

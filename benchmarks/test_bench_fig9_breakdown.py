@@ -18,8 +18,8 @@ def run_breakdowns():
             pum.sender_receiver_breakdown(bits=16, seed=3))
 
 
-def test_fig9_sender_receiver_breakdown(benchmark, result_table):
-    pnm, pum = benchmark.pedantic(run_breakdowns, rounds=1, iterations=1)
+def test_fig9_sender_receiver_breakdown(result_table):
+    pnm, pum = run_breakdowns()
     table = result_table(
         "fig9_breakdown",
         ["attack", "send_cycles", "read_cycles"],

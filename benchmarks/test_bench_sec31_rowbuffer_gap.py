@@ -9,8 +9,8 @@ is large enough to detect."  The measurement is the benchmark's own
 from perfbench.points import sec31_point
 
 
-def test_sec31_row_buffer_gap(benchmark, result_table):
-    latencies = benchmark.pedantic(sec31_point, rounds=3, iterations=1)
+def test_sec31_row_buffer_gap(result_table):
+    latencies = sec31_point()
     gap = latencies["conflict"] - latencies["hit"]
     table = result_table(
         "sec31_rowbuffer_gap",

@@ -37,8 +37,8 @@ def sweep():
     return reports
 
 
-def test_sec3_cache_monitor_detection(benchmark, result_table):
-    reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_sec3_cache_monitor_detection(result_table):
+    reports = sweep()
     table = result_table(
         "sec3_detection",
         ["attack", "side", "cache_accesses", "llc_misses", "clflushes",

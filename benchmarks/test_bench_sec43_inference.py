@@ -43,8 +43,8 @@ def sweep():
     return results
 
 
-def test_sec43_inference_precision(benchmark, result_table):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_sec43_inference_precision(result_table):
+    results = sweep()
     table = result_table(
         "sec43_inference",
         ["banks", "identification_accuracy", "mean_margin",

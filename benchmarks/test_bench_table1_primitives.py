@@ -11,11 +11,8 @@ from repro import System, SystemConfig
 from repro.attacks import TABLE1, measure_all
 
 
-def test_table1_attack_primitives(benchmark, result_table):
-    system = System(SystemConfig.paper_default())
-    latencies = benchmark.pedantic(
-        lambda: measure_all(System(SystemConfig.paper_default())),
-        rounds=1, iterations=1)
+def test_table1_attack_primitives(result_table):
+    latencies = measure_all(System(SystemConfig.paper_default()))
     table = result_table(
         "table1_primitives",
         ["primitive", "no_cache_lookup", "no_excessive_accesses",

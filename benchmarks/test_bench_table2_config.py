@@ -3,9 +3,8 @@
 from repro import SystemConfig
 
 
-def test_table2_simulation_configuration(benchmark, result_table):
-    config = benchmark.pedantic(SystemConfig.paper_default,
-                                rounds=1, iterations=1)
+def test_table2_simulation_configuration(result_table):
+    config = SystemConfig.paper_default()
     table = result_table("table2_config", ["component", "configuration"],
                          title="Table 2: simulation configuration")
     for row in config.describe():

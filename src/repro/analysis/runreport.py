@@ -16,6 +16,7 @@ from :func:`repro.analysis.report.format_markdown_table`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -61,29 +62,45 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def code_version() -> str:
+    """Content hash of the ``repro`` package sources, which a run report
+    records as its provenance: any change to any ``.py`` file under the
+    package gives a different version."""
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for root, dirs, files in sorted(os.walk(package_dir)):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            digest.update(os.path.relpath(path, package_dir).encode())
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 def collect_run_report(experiment: str, points: Sequence[Any],
                        outcome: Any, trace_dir: str) -> Dict[str, Any]:
     """Join sweep payloads with the per-point trace summaries.
 
     ``points`` and ``outcome`` are the exact arguments/return of the
     :func:`repro.exp.run_sweep` call that traced into ``trace_dir``;
-    :func:`repro.exp.trace_path` names each point's file.  A point with no
-    trace (a result-cache hit) gets no summary.  ``totals`` sums the
-    summaries' event counts, per-requestor rows and wall times.
+    :func:`repro.exp.trace_path` names each point's file.  ``totals``
+    sums the summaries' event counts, per-requestor rows and wall times.
     """
-    from repro.exp import code_version, point_slug, trace_path
+    from repro.exp import point_slug, trace_path
     from repro.obs import summarize_chrome_trace
 
     entries: List[Dict[str, Any]] = []
     for point, payload in zip(points, outcome.results):
-        path = trace_path(trace_dir, point)
         entries.append({
             "label": point.describe(),
             "slug": point_slug(point),
             "params": dict(point.params),
             "payload": payload,
-            "trace_summary": (summarize_chrome_trace(path)
-                              if os.path.exists(path) else None),
+            "trace_summary": summarize_chrome_trace(
+                trace_path(trace_dir, point)),
         })
 
     return {
@@ -94,8 +111,7 @@ def collect_run_report(experiment: str, points: Sequence[Any],
         "parallel": outcome.parallel,
         "elapsed_seconds": round(outcome.elapsed_seconds, 3),
         "points": entries,
-        "totals": _totals([entry["trace_summary"] for entry in entries
-                           if entry["trace_summary"]]),
+        "totals": _totals([entry["trace_summary"] for entry in entries]),
     }
 
 

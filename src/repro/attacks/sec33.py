@@ -20,7 +20,6 @@ higher" with modern replacement policies; the full-protocol channels in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.attacks.channel import (
@@ -36,18 +35,6 @@ from repro.system import System
 
 #: Lightweight per-bit handshake (shared-memory flag spin, not a futex).
 HANDSHAKE_CYCLES = 40
-
-
-@dataclass
-class Sec33Result:
-    """One point of Fig. 2/3: throughput plus mean eviction latency."""
-
-    channel: ChannelResult
-    eviction_latency_cycles: float
-
-    @property
-    def throughput_mbps(self) -> float:
-        return self.channel.throughput_mbps
 
 
 #: Decode threshold for the §3.3 attacks: their probes are *raw* memory

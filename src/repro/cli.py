@@ -224,24 +224,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or prune the on-disk result cache."""
-    from repro.exp.cache import ResultCache
-
-    store = ResultCache(args.results_dir)
-    if args.action == "prune":
-        removed = store.prune()
-        print(f"results: removed {removed} stale entries from "
-              f"{store.directory}")
-    stats = store.stats()
-    rows = [("results", stats["directory"], stats["entries"],
-             stats["stale_entries"], f"{stats['bytes'] / 1e6:.1f}")]
-    print(format_table(
-        ["store", "directory", "entries", "stale", "MB"], rows,
-        title=f"on-disk result cache (code version {store.version})"))
-    return 0
-
-
 def cmd_recon(args: argparse.Namespace) -> int:
     config = _config(args)
     system = System(config)
@@ -354,17 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="reports", metavar="DIR")
     add_jobs(p)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "cache",
-        help="inspect or prune the on-disk result cache")
-    p.add_argument("action", choices=["stats", "prune"],
-                   help="stats: show entry counts/sizes; prune: drop "
-                        "other code versions' entries and an old flat "
-                        "layout's files, then show stats")
-    p.add_argument("--results-dir", default="benchmarks/results/.cache",
-                   metavar="DIR", help="result-cache directory")
-    p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("recon", help="reverse-engineer the bank function")
     p.add_argument("--mapping", choices=["row", "line", "xor"], default="xor")

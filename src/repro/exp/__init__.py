@@ -1,5 +1,4 @@
-"""Parallel sweep execution: declarative sweeps, a process-pool runner,
-and a deterministic on-disk result cache.
+"""Parallel sweep execution: declarative sweeps and a process-pool runner.
 
 Every headline result of the reproduction is a *sweep* — the same
 experiment re-run across LLC sizes, way counts, bank counts, defenses, or
@@ -10,17 +9,16 @@ bit-identical results to serial execution.
 
 Usage::
 
-    from repro.exp import ResultCache, SweepPoint, run_sweep
+    from repro.exp import SweepPoint, run_sweep
     from repro.exp.figures import fig8_point
 
     points = [SweepPoint("fig8", fig8_point, {"llc_mb": mb})
               for mb in (8, 16, 32, 64)]
-    outcome = run_sweep(points, jobs=4, cache=ResultCache(".cache"))
+    outcome = run_sweep(points, jobs=4)
     for point, result in zip(points, outcome):
         print(point.params["llc_mb"], result["IMPACT-PnM"])
 """
 
-from repro.exp.cache import MISSING, ResultCache, code_version
 from repro.exp.runner import (
     SweepOutcome,
     default_jobs,
@@ -32,11 +30,8 @@ from repro.exp.runner import (
 from repro.exp.sweep import SweepPoint, sweep_points
 
 __all__ = [
-    "MISSING",
-    "ResultCache",
     "SweepOutcome",
     "SweepPoint",
-    "code_version",
     "default_jobs",
     "point_slug",
     "run_sweep",

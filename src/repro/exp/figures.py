@@ -2,10 +2,9 @@
 
 Every function here is module-level (picklable across process boundaries),
 takes only JSON-able parameters, and returns a JSON-able dict — the
-contract :mod:`repro.exp.runner` and :mod:`repro.exp.cache` build on.
+contract :mod:`repro.exp.runner` and the run reports build on.
 The figure benchmarks and the CLI both express their sweeps through these
-functions, so the parallel runner and result cache speed up every
-consumer at once.
+functions, so the parallel runner speeds up every consumer at once.
 
 Results are bit-identical to the historical in-bench implementations:
 each point builds its own :class:`repro.system.System` from a config and

@@ -13,7 +13,7 @@ environment changes, every task carries the parent's ``REPRO_*``
 environment at dispatch time — sanitizer flags and the like behave
 exactly as if the worker had been forked fresh.
 
-Degradation is graceful by design: ``jobs=1``, a single pending point, or
+Degradation is graceful by design: ``jobs=1``, a single point, or
 an environment where worker processes cannot be started (sandboxes without
 semaphores, exotic interpreters) all run the exact same point functions
 in this process; if a worker dies, the pool is shut down and the points
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro import obs
-from repro.exp.cache import ResultCache
 from repro.exp.sweep import SweepPoint
 
 
@@ -47,8 +46,7 @@ class PoolUnavailableError(RuntimeError):
 
     An *infrastructure* failure, distinct from a sweep point raising: the
     runner falls back to serial in-process execution on this error, while
-    a point's own exception propagates to the caller (after completed
-    in-flight results have been committed)."""
+    a point's own exception propagates to the caller."""
 
 
 def default_jobs() -> int:
@@ -77,14 +75,12 @@ class SweepOutcome:
     results: List[Any]
     jobs: int
     parallel: bool
+    #: Always 0, like ``warm_hits``: every point runs, and nothing is
+    #: reused between points or sweeps.  Both fields stay because
+    #: benchmark harnesses read them to prove a run was cold.
     cache_hits: int = 0
-    cache_misses: int = 0
     elapsed_seconds: float = 0.0
     fallback_reason: Optional[str] = None
-    #: Always 0: every point builds fresh systems, and nothing is reused
-    #: between points except result-cache entries (``cache_hits``).  The
-    #: field stays because benchmark harnesses read it to prove a run
-    #: was cold.
     warm_hits: int = 0
     points: Sequence[SweepPoint] = field(default_factory=tuple)
 
@@ -197,11 +193,11 @@ def _run_parallel(points: Sequence[SweepPoint], jobs: int,
     """Execute ``points`` on the reused pool, handing each payload to
     ``on_result(index, payload)`` as it arrives.
 
-    When a point or ``on_result`` raises (say, a full disk under the
-    result cache), the points not yet started are cancelled, the running
-    ones are still handed over, and then the first exception is re-raised;
-    the pool stays usable.  Raises :class:`PoolUnavailableError`, after
-    shutting the pool down, when workers cannot start or one dies."""
+    When a point raises, the points not yet started are cancelled, the
+    running ones finish, and then the first exception is re-raised; the
+    pool stays usable.  Raises :class:`PoolUnavailableError`, after
+    shutting the pool down, when workers cannot start or one dies; the
+    payloads handed over by then are the points the pool finished."""
     from concurrent.futures import as_completed
     from concurrent.futures.process import BrokenProcessPool
 
@@ -239,13 +235,13 @@ def _run_parallel(points: Sequence[SweepPoint], jobs: int,
 
 
 def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
-              cache: Optional[ResultCache] = None,
+              cache: None = None,
               trace_dir: Optional[str] = None) -> SweepOutcome:
     """Run every point, in parallel when possible, and return a
     :class:`SweepOutcome` whose ``results`` align with ``points``.
 
     Points run on the reused worker pool when ``jobs > 1`` and more than
-    one point is pending, in this process otherwise.  If the pool cannot
+    one point is given, in this process otherwise.  If the pool cannot
     start or a worker dies mid-sweep, the points it did not finish run
     once more in this process, so no point runs more than twice.
 
@@ -253,13 +249,12 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
         points: the sweep; order is preserved in the outcome.
         jobs: worker processes (``None`` → :func:`default_jobs`;
             ``1`` → serial in-process execution).
-        cache: optional result cache — cached points never reach a worker,
-            and freshly computed payloads are stored back.
-        trace_dir: when given, every executed point writes a Chrome-trace
-            JSON, stamped with the point's wall time, into this directory
+        cache: ignored; accepted because benchmark harnesses pass
+            ``cache=None`` to ask for a cold run, which every run is.
+        trace_dir: when given, every point writes a Chrome-trace JSON,
+            stamped with the point's wall time, into this directory
             (exported, made absolute, as ``REPRO_TRACE_DIR`` for the
             duration of the sweep so worker processes see it too).
-            Cached points are not re-traced.
     """
     started = time.perf_counter()
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
@@ -271,36 +266,12 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
     if trace_dir:
         os.environ["REPRO_TRACE_DIR"] = os.path.abspath(trace_dir)
     try:
-        results: List[Any] = [None] * len(points)
-        pending: List[int] = []
-        cache_hits = 0
-        for index, point in enumerate(points):
-            if cache is not None:
-                hit = cache.get(point.experiment, point.params)
-                if not ResultCache.is_missing(hit):
-                    results[index] = hit
-                    cache_hits += 1
-                    continue
-            pending.append(index)
-
-        completed = [False] * len(pending)
-
-        def _commit(pos: int, payload: Any) -> None:
-            # Results are committed (and cached) as they arrive, not after
-            # the whole sweep: when one point fails, everything that
-            # finished stays finished and a retried sweep never redoes it.
-            index = pending[pos]
-            results[index] = payload
-            completed[pos] = True
-            if cache is not None:
-                cache.put(points[index].experiment, points[index].params,
-                          payload)
-
+        finished: Dict[int, Any] = {}
         parallel = False
         fallback_reason: Optional[str] = None
-        if jobs > 1 and len(pending) > 1:
+        if jobs > 1 and len(points) > 1:
             try:
-                _run_parallel([points[i] for i in pending], jobs, _commit)
+                _run_parallel(points, jobs, finished.__setitem__)
                 parallel = True
             except PoolUnavailableError as exc:
                 # Identical results, just serially — and only for the
@@ -308,9 +279,8 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
                 # *point* raising is not an infrastructure failure and
                 # propagates instead, whatever its exception type.
                 fallback_reason = f"{type(exc).__name__}: {exc}"
-        for pos, done in enumerate(completed):
-            if not done:
-                _commit(pos, _run_point(points[pending[pos]]))
+        results = [finished[index] if index in finished else _run_point(point)
+                   for index, point in enumerate(points)]
     finally:
         if saved is None:
             os.environ.pop("REPRO_TRACE_DIR", None)
@@ -320,8 +290,6 @@ def run_sweep(points: Sequence[SweepPoint], *, jobs: Optional[int] = None,
         results=results,
         jobs=jobs,
         parallel=parallel,
-        cache_hits=cache_hits,
-        cache_misses=len(pending),
         elapsed_seconds=time.perf_counter() - started,
         fallback_reason=fallback_reason,
         points=tuple(points),

@@ -3,8 +3,8 @@
 A :class:`SweepPoint` names one independent experiment invocation: a
 module-level function plus JSON-able keyword parameters.  Restricting the
 callable to module level keeps points picklable, which is what lets the
-runner fan them out across worker processes; restricting parameters to
-JSON-able values is what makes results cacheable by content hash.
+runner fan them out across worker processes; JSON-able parameters are
+what a run report records for each point.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ class SweepPoint:
     """One independently runnable point of a sweep.
 
     Attributes:
-        experiment: cache namespace (e.g. ``"fig8"``); points of one sweep
+        experiment: the sweep's name (e.g. ``"fig8"``); points of one sweep
             share it, their ``params`` distinguish them.
         fn: a **module-level** callable (picklable by reference) invoked as
-            ``fn(**params)``; must return a JSON-serializable payload when
-            the sweep runs under a :class:`repro.exp.cache.ResultCache`.
-        params: keyword arguments; also the cache-key material.
-        label: optional human-readable tag for logs.
+            ``fn(**params)``; its payload must pickle to come back from a
+            worker process.
+        params: keyword arguments.
+        label: optional human-readable tag for logs and trace file names.
     """
 
     experiment: str

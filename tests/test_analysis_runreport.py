@@ -6,6 +6,7 @@ import json
 import os
 
 from repro.analysis.runreport import (
+    code_version,
     collect_run_report,
     render_markdown,
     write_run_report,
@@ -21,6 +22,7 @@ def test_report_joins_a_parallel_sweeps_artifacts(tmp_path):
     report = collect_run_report("fig8", points, outcome, trace_dir)
 
     assert report["parallel"] is True, outcome.fallback_reason
+    assert report["code_version"] == code_version()
     assert [entry["label"] for entry in report["points"]] == \
         [point.describe() for point in points]
     summaries = [entry["trace_summary"] for entry in report["points"]]
@@ -56,3 +58,12 @@ def test_report_joins_a_parallel_sweeps_artifacts(tmp_path):
     with open(json_path, encoding="utf-8") as handle:
         assert json.load(handle)["points"][1]["label"] == \
             points[1].describe()
+
+
+def test_code_version_is_a_source_hash():
+    """The provenance stamp is a stable 16-hex-digit prefix of the hash
+    over the package's sources."""
+    version = code_version()
+    assert len(version) == 16
+    int(version, 16)  # hex digest prefix
+    assert code_version() == version

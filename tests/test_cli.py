@@ -154,23 +154,3 @@ def test_trace_summary_missing_file(tmp_path, capsys):
     assert main(["trace", "impact-pnm", "--summary",
                  "--out", str(tmp_path / "absent.json")]) == 2
     assert "no trace file" in capsys.readouterr().err
-
-
-def test_cache_command_stats_and_prune(tmp_path, capsys):
-    from repro.exp.cache import ResultCache
-
-    results_dir = tmp_path / "results"
-    ResultCache(results_dir, version="old").put("exp", {"a": 1}, {"r": 1})
-    ResultCache(results_dir).put("exp", {"a": 1}, {"r": 2})
-    (results_dir / "_lru.idx").write_text("{}")
-    assert main(["cache", "stats", "--results-dir", str(results_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "results" in out and "warm" not in out
-    for column in ("store", "directory", "entries", "stale", "MB"):
-        assert column in out
-
-    assert main(["cache", "prune", "--results-dir", str(results_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "removed 2 stale entries" in out
-    stats = ResultCache(results_dir).stats()
-    assert (stats["entries"], stats["stale_entries"]) == (1, 0)

@@ -1,16 +1,12 @@
 """Tests for the parallel sweep-execution subsystem (:mod:`repro.exp`)."""
 
-import errno
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.exp import (
-    ResultCache,
     SweepPoint,
-    code_version,
     default_jobs,
     point_slug,
     run_sweep,
@@ -73,145 +69,6 @@ class TestSweepPoint:
 
 
 # ---------------------------------------------------------------------------
-# Result cache
-# ---------------------------------------------------------------------------
-
-class TestResultCache:
-    def test_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
-        cache.put("exp", {"a": 1}, {"answer": 42})
-        assert cache.get("exp", {"a": 1}) == {"answer": 42}
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_params_change_misses(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        cache.put("exp", {"a": 1}, {"answer": 42})
-        assert ResultCache.is_missing(cache.get("exp", {"a": 2}))
-        assert ResultCache.is_missing(cache.get("other", {"a": 1}))
-
-    def test_code_version_change_invalidates(self, tmp_path):
-        """A different code version is a different key: editing the
-        simulator must never serve stale figures."""
-        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"r": 1})
-        newer = ResultCache(tmp_path, version="v2")
-        assert ResultCache.is_missing(newer.get("exp", {"a": 1}))
-
-    def test_put_lands_in_its_version_directory(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        path = Path(cache.put("exp", {"a": 1}, {"r": 1}))
-        assert path == Path(cache.path_for("exp", {"a": 1}))
-        assert path.parent == tmp_path / "v1"
-        assert path.name == f"exp-{cache.key('exp', {'a': 1})}.json"
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        """Anything but a JSON object with a payload is a miss, and the
-        next put replaces it."""
-        cache = ResultCache(tmp_path, version="v1")
-        for text in ("not json{", "[]", "null", "{}"):
-            path = Path(cache.path_for("exp", {"a": 1}))
-            path.parent.mkdir(exist_ok=True)
-            path.write_text(text)
-            assert ResultCache.is_missing(cache.get("exp", {"a": 1})), text
-            cache.put("exp", {"a": 1}, {"r": 1})
-            assert cache.get("exp", {"a": 1}) == {"r": 1}, text
-
-    def test_entries_record_provenance(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v7")
-        cache.put("exp", {"a": 1}, {"r": 1})
-        raw = json.loads(Path(cache.path_for("exp", {"a": 1})).read_text())
-        assert raw["experiment"] == "exp"
-        assert raw["code_version"] == "v7"
-        assert raw["params"] == {"a": 1}
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        cache.put("exp", {"a": 1}, {"r": 1})
-        ResultCache(tmp_path, version="v2").put("exp", {"a": 1}, {"r": 2})
-        assert cache.clear() == 2
-        assert ResultCache.is_missing(cache.get("exp", {"a": 1}))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_default_version_is_code_hash(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.version == code_version()
-        assert len(code_version()) == 16
-        int(code_version(), 16)  # hex digest prefix
-
-    def test_concurrent_writers_of_one_entry_both_commit(self, tmp_path,
-                                                         monkeypatch):
-        """A second cache on the same directory commits the same entry
-        while the first writer is mid-dump: both puts succeed and no temp
-        file is left behind."""
-        from repro.exp import cache as cache_module
-
-        real_dump = json.dump
-        first = ResultCache(tmp_path, version="v1")
-        second = ResultCache(tmp_path, version="v1")
-        nested = []
-
-        def dump(obj, handle, **kwargs):
-            if not nested:
-                nested.append(True)
-                second.put("exp", {"a": 1}, {"writer": 2})
-            real_dump(obj, handle, **kwargs)
-
-        monkeypatch.setattr(cache_module.json, "dump", dump)
-        path = first.put("exp", {"a": 1}, {"writer": 1})
-        assert nested
-        assert first.get("exp", {"a": 1}) == {"writer": 1}
-        assert list(tmp_path.iterdir()) == [tmp_path / "v1"]
-        assert list((tmp_path / "v1").iterdir()) == [Path(path)]
-
-    def test_failed_put_removes_its_temp_file(self, tmp_path, monkeypatch):
-        from repro.exp import cache as cache_module
-
-        def dump(obj, handle, **kwargs):
-            raise TypeError("unserializable")
-
-        cache = ResultCache(tmp_path, version="v1")
-        monkeypatch.setattr(cache_module.json, "dump", dump)
-        with pytest.raises(TypeError):
-            cache.put("exp", {"a": 1}, {"r": 1})
-        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
-
-    def test_prune_drops_only_stale_versions(self, tmp_path):
-        """Prune removes the other versions' entries and what the flat
-        layout left at the top level (entries of every version side by
-        side, and its recency index), so one prune migrates an old
-        directory."""
-        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"r": 1})
-        ResultCache(tmp_path, version="v3").put("exp", {"a": 3}, {"r": 3})
-        flat_entry = tmp_path / f"exp-{'0' * 24}.json"
-        flat_entry.write_text(json.dumps({"code_version": "v2",
-                                          "payload": {"r": 2}}))
-        (tmp_path / "_lru.idx").write_text('{"entries": {}}')
-        cache = ResultCache(tmp_path, version="v2")
-        cache.put("exp", {"b": 1}, {"r": 2})
-        stats = cache.stats()
-        assert stats["entries"] == 5 and stats["stale_entries"] == 4
-        assert cache.prune() == 4
-        assert cache.get("exp", {"b": 1}) == {"r": 2}
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["stale_entries"] == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["v2"]
-
-    def test_files_the_cache_did_not_write_survive(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v2")
-        ResultCache(tmp_path, version="v1").put("exp", {"a": 1}, {"r": 1})
-        cache.put("exp", {"a": 1}, {"r": 2})
-        foreign = [tmp_path / "notes.txt", tmp_path / "results.json",
-                   tmp_path / "v1" / "README", tmp_path / "v2" / "x.json"]
-        for path in foreign:
-            path.write_text("kept")
-        assert cache.stats()["entries"] == 2
-        assert cache.prune() == 1
-        assert cache.clear() == 1
-        assert cache.stats()["entries"] == 0
-        assert all(path.read_text() == "kept" for path in foreign)
-
-
-# ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
 
@@ -230,28 +87,6 @@ class TestRunSweep:
         assert len(outcome) == 2
         assert outcome[1]["value"] == 5
         assert [p["value"] for p in outcome] == [4, 5]
-
-    def test_cache_second_run_runs_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        points = sweep_points("exp", counting_point, "value", [1, 2])
-        before = CALLS["n"]
-        first = run_sweep(points, jobs=1, cache=cache)
-        assert CALLS["n"] == before + 2
-        assert first.cache_misses == 2 and first.cache_hits == 0
-        second = run_sweep(points, jobs=1, cache=cache)
-        assert CALLS["n"] == before + 2  # every point served from disk
-        assert second.cache_hits == 2 and second.cache_misses == 0
-        assert second.results == first.results
-
-    def test_cache_respects_param_changes(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        run_sweep(sweep_points("exp", counting_point, "value", [1]),
-                  jobs=1, cache=cache)
-        before = CALLS["n"]
-        outcome = run_sweep(sweep_points("exp", counting_point, "value", [9]),
-                            jobs=1, cache=cache)
-        assert CALLS["n"] == before + 1
-        assert outcome.cache_misses == 1
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
@@ -286,9 +121,9 @@ class TestRunSweep:
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
-    def test_auto_picks_pool_only_when_it_helps(self, monkeypatch, tmp_path):
+    def test_auto_picks_pool_only_when_it_helps(self, monkeypatch):
         """The pool runs a sweep only when ``jobs > 1`` and more than one
-        point is pending (result-cache hits do not count)."""
+        point is given."""
         calls = []
 
         def fake_pool(points, jobs, on_result):
@@ -303,10 +138,6 @@ class TestBackendResolution:
         assert calls == [(4, 4)]
         assert not run_sweep(points[:1], jobs=4).parallel
         assert not run_sweep(points, jobs=1).parallel
-        cache = ResultCache(str(tmp_path / "cache"))
-        run_sweep(points[:3], jobs=1, cache=cache)
-        outcome = run_sweep(points, jobs=4, cache=cache)
-        assert not outcome.parallel and outcome.cache_hits == 3
         assert calls == [(4, 4)]
 
 
@@ -457,6 +288,19 @@ def unpicklable_point(kind, value, runs):
     return {"value": value, "fn": lambda: value}
 
 
+def file_per_run_point(value, runs, fails=False):
+    """Creates one new file under ``runs`` per execution, then raises
+    ``OSError`` if ``fails``."""
+    import os
+    import tempfile
+
+    handle, _path = tempfile.mkstemp(prefix=f"{value}-", dir=runs)
+    os.close(handle)
+    if fails:
+        raise OSError(f"point {value} failed")
+    return {"value": value}
+
+
 def _pool_or_skip():
     """Run one two-point sweep on the pool; skip when workers cannot
     start here."""
@@ -552,6 +396,18 @@ class TestWorkerPool:
         assert run_sweep(sweep_points("exp", counting_point, "value",
                                       [4, 5]), jobs=2).parallel
 
+    def test_point_raising_oserror_runs_once_on_the_pool(self, tmp_path):
+        """A point's own OSError is the point failing, not the pool: it
+        propagates without a serial re-run (one file per execution)."""
+        _pool_or_skip()
+        points = [SweepPoint("exp", file_per_run_point,
+                             {"value": v, "runs": str(tmp_path),
+                              "fails": v == 2}) for v in (1, 2)]
+        with pytest.raises(OSError, match="point 2 failed"):
+            run_sweep(points, jobs=2)
+        for value in (1, 2):
+            assert len(list(tmp_path.glob(f"{value}-*"))) == 1, value
+
     def test_shutdown_pool_is_idempotent(self):
         shutdown_pool()
         shutdown_pool()
@@ -560,7 +416,7 @@ class TestWorkerPool:
 class TestPoolShrink:
     def test_run_trims_pool_to_requested_jobs(self, tmp_path):
         """A narrower ``jobs`` replaces the pool with one of
-        ``min(jobs, pending)`` workers, which later sweeps reuse."""
+        ``min(jobs, points)`` workers, which later sweeps reuse."""
         _pool_or_skip()
         wide = _sweep_pids(tmp_path, "wide", 3)
         narrow = _sweep_pids(tmp_path, "narrow", 2)
@@ -596,35 +452,18 @@ def crash_once_point(value, runs, sentinel, parent):
     return {"value": value}
 
 
-class RecordingCache(ResultCache):
-    """A result cache that records the ``value`` param of every put."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.puts = []
-
-    def put(self, experiment, params, payload):
-        self.puts.append(params["value"])
-        super().put(experiment, params, payload)
-
-
-def test_parallel_sweep_puts_each_point_once(tmp_path):
-    """A sweep on the pool commits exactly one entry per executed point,
-    all in the current code version's directory, and a repeat of the
-    sweep is all hits."""
+def test_parallel_sweep_runs_each_point_once(tmp_path):
+    """A sweep on the pool runs every point exactly once (one file per
+    execution) and returns the payloads in point order."""
     _pool_or_skip()
-    cache = RecordingCache(str(tmp_path / "cache"))
-    points = sweep_points("exp", pid_point, "value", range(6))
-    outcome = run_sweep(points, jobs=2, cache=cache)
+    values = [5, 0, 3, 1, 4, 2]
+    points = sweep_points("exp", file_per_run_point, "value", values,
+                          runs=str(tmp_path))
+    outcome = run_sweep(points, jobs=2)
     assert outcome.parallel, outcome.fallback_reason
-    assert sorted(cache.puts) == list(range(6))
-    stats = cache.stats()
-    assert (stats["entries"], stats["stale_entries"]) == (6, 0)
-    assert {path.parent for path in (tmp_path / "cache").rglob("*.json")} \
-        == {tmp_path / "cache" / code_version()}
-    again = run_sweep(points, jobs=2, cache=cache)
-    assert again.cache_hits == 6 and len(cache.puts) == 6
-    assert again.results == outcome.results
+    assert outcome.results == [{"value": v} for v in values]
+    for value in values:
+        assert len(list(tmp_path.glob(f"{value}-*"))) == 1, value
 
 
 class TestPoolFallback:
@@ -635,18 +474,16 @@ class TestPoolFallback:
         _pool_or_skip()
         runs = tmp_path / "runs"
         runs.mkdir()
-        cache = RecordingCache(str(tmp_path / "cache"), version="v1")
         points = [SweepPoint("exp", crash_once_point,
                              {"value": v, "runs": str(runs),
                               "sentinel": str(tmp_path / "died"),
                               "parent": os.getpid()}) for v in range(6)]
-        outcome = run_sweep(points, jobs=2, cache=cache)
+        outcome = run_sweep(points, jobs=2)
         assert outcome.fallback_reason and not outcome.parallel
         assert (tmp_path / "died").exists()
-        assert sorted(cache.puts) == list(range(6))
+        assert outcome.results == [{"value": v} for v in range(6)]
         for value in range(6):
             assert 1 <= len(list(runs.glob(f"{value}-*"))) <= 2, value
-        assert outcome.results == run_sweep(points, jobs=1).results
         assert run_sweep(sweep_points("exp", counting_point, "value",
                                       [1, 2]), jobs=2).parallel
 
@@ -684,117 +521,3 @@ def test_import_loads_no_process_machinery():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert done.stdout.strip() == "[]"
-
-# ---------------------------------------------------------------------------
-# Commit-as-you-go: completed results survive a failing sibling point
-# ---------------------------------------------------------------------------
-
-def logged_point(value, log):
-    """Appends its value to ``log`` — counts executions across processes."""
-    with open(log, "a") as fh:
-        fh.write(f"{value}\n")
-    return {"value": value}
-
-
-def logged_fail_on_two(value, log):
-    with open(log, "a") as fh:
-        fh.write(f"{value}\n")
-    if value == 2:
-        raise RuntimeError("point two failed")
-    return {"value": value}
-
-
-def file_per_run_point(value, runs):
-    """Creates one new file under ``runs`` per execution; value 2 then
-    raises ``OSError``."""
-    import os
-    import tempfile
-
-    handle, _path = tempfile.mkstemp(prefix=f"{value}-", dir=runs)
-    os.close(handle)
-    if value == 2:
-        raise OSError("point 2 failed")
-    return {"value": value}
-
-
-class FullDiskCache(ResultCache):
-    """A result cache whose every write fails as on a full disk."""
-
-    def put(self, experiment, params, payload):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def _log_counts(log):
-    text = Path(log).read_text() if Path(log).exists() else ""
-    counts = {}
-    for line in text.splitlines():
-        counts[line] = counts.get(line, 0) + 1
-    return counts
-
-
-class TestCommitOnFailure:
-    """A failing point must not discard its siblings' finished work: every
-    completed payload is committed to the result cache before the sweep
-    re-raises, so a retry never redoes completed points."""
-
-    def test_serial_failure_commits_completed_results(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", version="v1")
-        log = str(tmp_path / "runs.log")
-        points = [SweepPoint("exp", logged_fail_on_two,
-                             {"value": v, "log": log}) for v in (1, 2)]
-        with pytest.raises(RuntimeError, match="point two failed"):
-            run_sweep(points, jobs=1, cache=cache)
-        assert cache.get("exp", {"value": 1, "log": log}) == {"value": 1}
-        with pytest.raises(RuntimeError, match="point two failed"):
-            run_sweep(points, jobs=1, cache=cache)
-        # The completed point ran exactly once across both attempts.
-        assert _log_counts(log)["1"] == 1
-
-    def test_parallel_failure_commits_completed_results(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", version="v1")
-        log = str(tmp_path / "runs.log")
-        points = [SweepPoint("exp", logged_fail_on_two,
-                             {"value": v, "log": log}) for v in (1, 2, 3)]
-        with pytest.raises(RuntimeError, match="point two failed"):
-            run_sweep(points, jobs=2, cache=cache)
-        # Whatever completed before the failure propagated is cached ...
-        committed = [v for v in (1, 3) if not ResultCache.is_missing(
-            cache.get("exp", {"value": v, "log": log}))]
-        assert committed, "no completed sibling was committed"
-        with pytest.raises(RuntimeError, match="point two failed"):
-            run_sweep(points, jobs=2, cache=cache)
-        counts = _log_counts(log)
-        # ... and never re-executed on the retry.
-        for value in committed:
-            assert counts[str(value)] == 1
-
-    def test_point_raising_oserror_runs_once_on_the_pool(self, tmp_path):
-        """A point's own OSError is the point failing, not the pool, and so
-        is the result cache failing to store a finished point: either
-        propagates without a serial re-run (one file per execution)."""
-        full_disk = FullDiskCache(str(tmp_path / "cache"), version="v1")
-        # Value 2 raises in the point; values 1 and 3 finish and then
-        # fail to commit.
-        for values, cache, match in (((1, 2), None, "point 2 failed"),
-                                     ((1, 3), full_disk, "No space left")):
-            runs = tmp_path / f"runs-{values[-1]}"
-            runs.mkdir()
-            points = [SweepPoint("exp", file_per_run_point,
-                                 {"value": v, "runs": str(runs)})
-                      for v in values]
-            with pytest.raises(OSError, match=match):
-                run_sweep(points, jobs=2, cache=cache)
-            for value in values:
-                assert len(list(runs.glob(f"{value}-*"))) == 1, (values,
-                                                                  value)
-
-    def test_pool_run_on_result_fires_before_raise(self, tmp_path):
-        """A parallel sweep commits a finished point before the failing
-        point's exception reaches the caller."""
-        cache = ResultCache(tmp_path / "cache", version="v1")
-        with pytest.raises(RuntimeError, match="boom"):
-            run_sweep([SweepPoint("exp", counting_point,
-                                  params={"value": 7}),
-                       SweepPoint("exp", failing_point)], jobs=2,
-                      cache=cache)
-        assert cache.get("exp", {"value": 7}) == {"value": 7, "double": 14}
