@@ -9,7 +9,7 @@ eviction sets, non-temporal hints).
 """
 
 from repro.cache.cacti import llc_latency_cycles
-from repro.cache.cache import Cache, CacheConfig, EvictedLine
+from repro.cache.cache import Cache, CacheConfig
 from repro.cache.hierarchy import (
     CacheHierarchy,
     HierarchyConfig,
@@ -22,7 +22,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "CacheHierarchy",
-    "EvictedLine",
     "HierarchyConfig",
     "HierarchyResult",
     "IPStridePrefetcher",

@@ -13,13 +13,17 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: SRRIP's 2-bit re-reference prediction values: fills insert at
 #: ``MAX_RRPV - 1`` (long re-reference), hits promote to 0, and the victim
 #: is a way at ``MAX_RRPV``.
 MAX_RRPV = 3
 _SRRIP_INSERT = MAX_RRPV - 1
+#: ``_SRRIP_AGE[step]`` adds ``step`` to every RRPV of a row in one
+#: ``bytearray.translate``.
+_SRRIP_AGE = [bytes(min(r + step, 255) for r in range(256))
+              for step in range(MAX_RRPV + 1)]
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ class CacheConfig:
     replacement: str = "lru"
 
     def __post_init__(self) -> None:
+        if self.line_bytes < 1:
+            raise ValueError("line_bytes must be >= 1")
         if self.size_bytes < self.line_bytes:
             raise ValueError("cache smaller than one line")
         if self.ways < 1:
@@ -63,19 +69,6 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_bytes // (self.line_bytes * self.ways)
-
-
-@dataclass(slots=True)
-class EvictedLine:
-    """A line pushed out of a cache by a fill.
-
-    (Slotted, unfrozen: one is allocated per eviction, which in steady
-    state means nearly every fill — frozen-dataclass ``__setattr__``
-    indirection measurably slows the simulator's hottest loop.)
-    """
-
-    addr: int  # line-aligned byte address
-    dirty: bool
 
 
 @dataclass(slots=True)
@@ -173,45 +166,58 @@ class Cache:
         self.stats.hits += 1
         return True
 
-    def fill(self, addr: int, dirty: bool = False) -> Optional[EvictedLine]:
+    def fill(self, addr: int,
+             dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Allocate ``addr``'s line, evicting a victim if the set is full.
 
-        Returns the evicted line (for writeback/back-invalidation) or None.
+        Returns the victim as ``(line_addr, dirty)``, its line-aligned byte
+        address and dirty bit (for write-back/back-invalidation), or None.
         Filling a line that is already present just refreshes its state.
         """
         line = addr // self._line_bytes
         where = self._where
         slot = where.get(line)
         last_use = self._last_use
-        rrpv = self._rrpv
         if slot is not None:
             if last_use is not None:
                 last_use[slot] = self._next_stamp()
             else:
-                rrpv[slot] = 0
+                self._rrpv[slot] = 0
             if dirty:
                 self._dirty[slot] = True
             return None
         set_index = line % self._num_sets
-        base = set_index * self._ways
+        ways = self._ways
+        base = set_index * ways
         tags = self._tags
-        filled = self._filled
-        evicted: Optional[EvictedLine] = None
-        if filled[set_index] < self._ways:
+        stats = self.stats
+        if self._filled[set_index] < ways:
             # The set has an invalid way: take the first one.
             slot = tags.index(-1, base)
-            filled[set_index] += 1
+            self._filled[set_index] += 1
+            victim = None
         else:
             if last_use is not None:
-                uses = last_use[base:base + self._ways].tolist()
+                uses = last_use[base:base + ways]
                 slot = base + uses.index(min(uses))
             else:
-                slot = self._srrip_victim(base)
+                # SRRIP: the first way at MAX_RRPV.  When no way is there
+                # (RRPVs never exceed it), every way ages by the distance
+                # to the nearest re-reference in one shot, equivalent to
+                # repeated +1 rounds.
+                rrpv = self._rrpv
+                end = base + ways
+                slot = rrpv.find(MAX_RRPV, base, end)
+                if slot < 0:
+                    row = rrpv[base:end]
+                    oldest = max(row)
+                    rrpv[base:end] = row.translate(
+                        _SRRIP_AGE[MAX_RRPV - oldest])
+                    slot = base + row.index(oldest)
             old_line = tags[slot]
             del where[old_line]
             old_dirty = self._dirty[slot] != 0
-            evicted = EvictedLine(old_line * self._line_bytes, old_dirty)
-            stats = self.stats
+            victim = (old_line * self._line_bytes, old_dirty)
             stats.evictions += 1
             if old_dirty:
                 stats.writebacks += 1
@@ -221,25 +227,9 @@ class Cache:
         if last_use is not None:
             last_use[slot] = self._next_stamp()
         else:
-            rrpv[slot] = _SRRIP_INSERT
-        self.stats.fills += 1
-        return evicted
-
-    def _srrip_victim(self, base: int) -> int:
-        """SRRIP's victim in the full set whose first slot is ``base``: the
-        first way at ``MAX_RRPV``.  When no way is there (RRPVs never exceed
-        it), every way ages by the distance to the nearest re-reference in
-        one shot, equivalent to repeated +1 rounds."""
-        rrpv = self._rrpv
-        end = base + self._ways
-        slot = rrpv.find(MAX_RRPV, base, end)
-        if slot >= 0:
-            return slot
-        row = rrpv[base:end]
-        oldest = max(row)
-        step = MAX_RRPV - oldest
-        rrpv[base:end] = bytes([r + step for r in row])
-        return base + row.index(oldest)
+            self._rrpv[slot] = _SRRIP_INSERT
+        stats.fills += 1
+        return victim
 
     def invalidate(self, addr: int) -> Optional[bool]:
         """Remove ``addr``'s line if present; returns its dirty bit

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.cache import Cache, CacheConfig, EvictedLine
+from repro.cache.cache import Cache, CacheConfig
 from repro.cache.cacti import llc_latency_cycles
 from repro.cache.prefetcher import IPStridePrefetcher, StreamerPrefetcher
 from repro.dram.controller import MemoryController, MemoryResult
@@ -73,8 +73,8 @@ class HierarchyResult:
 
     ``hit_level`` is 1/2/3 for a cache hit, 0 for a main-memory access.
     ``mem`` carries the DRAM result when the access reached memory.
-    (A slotted, non-frozen dataclass: one of these is allocated per access,
-    so construction cost sits on the simulator's critical path.)
+    (A slotted, non-frozen dataclass: :meth:`CacheHierarchy.access`
+    allocates one per call; :meth:`CacheHierarchy.demand` allocates none.)
     """
 
     latency: int
@@ -266,17 +266,15 @@ class CacheHierarchy:
         # Per core: (IP-stride, streamer), or () without prefetchers.
         self._prefetchers = [_make_prefetchers(config)
                              for _ in range(config.num_cores)]
-        # Hot-path call tables: bound observe methods per core, and bound
-        # invalidate methods over every upper-level cache (the inclusive
-        # back-invalidation loop touches all of them per LLC eviction).
+        # Hot-path call table: bound observe methods per core.
         self._pf_observe = [
             tuple(prefetcher.observe for prefetcher in prefetchers)
             for prefetchers in self._prefetchers if prefetchers
         ]
-        self._upper_invalidates = [
-            cache.invalidate for caches in (self.l1, self.l2)
-            for cache in caches
-        ]
+        # Every upper-level cache's {line: slot} map and invalidate: an LLC
+        # victim is back-invalidated only where its line is.
+        self._upper_lines = [(cache._where, cache.invalidate)
+                             for cache in (*self.l1, *self.l2)]
         self._nt_rng = random.Random(config.nt_seed)
         # Prefetch requestor labels ("cpu" -> "cpu-pf"), cached so the
         # prefetch loop does not rebuild the f-string on every candidate.
@@ -319,7 +317,25 @@ class CacheHierarchy:
         their candidates not in the LLC are fetched.  ``prefetch_lines``
         takes the place of that training: the candidates as line numbers in
         issue order, from a :class:`PrefetchSchedule` pass (see
-        :meth:`prefetch_pass`); ``pc`` is then unused."""
+        :meth:`prefetch_pass`); ``pc`` is then unused.  :meth:`demand` does
+        the work; this wraps its outcome in a :class:`HierarchyResult`."""
+        latency, hit_level, mem, writebacks = self.demand(
+            core, addr, issued, is_write, pc, requestor, prefetch_lines)
+        return HierarchyResult(latency, issued, hit_level, mem, writebacks)
+
+    def demand(self, core: int, addr: int, issued: int,
+               is_write: bool = False, pc: Optional[int] = None,
+               requestor: str = "cpu",
+               prefetch_lines: Optional[Sequence[int]] = None
+               ) -> Tuple[int, int, Optional[MemoryResult], int]:
+        """:meth:`access` as ``(latency, hit_level, mem, writebacks)``, for
+        callers that keep no result object.
+
+        One pass looks up L1, L2 and the LLC.  The levels that missed fill
+        from the bottom up, LLC, L2, L1, and each victim is handled as it
+        leaves: an LLC victim is back-invalidated and, if dirty anywhere,
+        written back to DRAM; a dirty L2 or L1 victim is written into the
+        level below."""
         stats = self.stats
         stats.demand_accesses += 1
         latency = self._l1_latency
@@ -334,30 +350,40 @@ class CacheHierarchy:
                     latency += completion - issued
         mem = None
         writebacks = 0
-        if self.l1[core].access(addr, is_write):
+        l1 = self.l1[core]
+        if l1.access(addr, is_write):
             hit_level = 1
         else:
+            l2 = self.l2[core]
             latency += self._l2_latency
-            if self.l2[core].access(addr):
+            if l2.access(addr):
                 hit_level = 2
-                writebacks = self._fill_l1(core, addr, is_write)
             else:
+                llc = self.llc
                 latency += self._llc_latency
-                if self.llc.access(addr):
+                if llc.access(addr):
                     hit_level = 3
-                    writebacks = self._fill_upper(core, addr, is_write)
                 else:
                     hit_level = 0
                     mem = self.controller.access(addr, issued + latency,
                                                  requestor=requestor,
                                                  is_write=is_write)
                     latency = mem.finish - issued
-                    writebacks = self._fill_all(core, addr, is_write,
-                                                time=mem.finish,
-                                                requestor=requestor)
-                    if self._obs is not None:
-                        self._obs.on_cache_miss(core, addr, issued,
-                                                mem.finish, requestor)
+                    victim = llc.fill(addr)
+                    if victim is not None:
+                        writebacks = self._handle_llc_eviction(
+                            victim, mem.finish, requestor)
+                victim = l2.fill(addr)
+                if victim is not None and victim[1]:
+                    llc.fill(victim[0], True)
+                    writebacks += 1
+            victim = l1.fill(addr, is_write)
+            if victim is not None and victim[1]:
+                l2.fill(victim[0], True)
+                writebacks += 1
+            if not hit_level and self._obs is not None:
+                self._obs.on_cache_miss(core, addr, issued, mem.finish,
+                                        requestor)
         # The requestor's counters, kept as HierarchyStats.observe keeps
         # them.
         counters = stats.by_requestor.get(requestor)
@@ -385,7 +411,7 @@ class CacheHierarchy:
                     self._issue_prefetches(core, prefetch_lines,
                                            issued + latency, requestor)
                     break
-        return HierarchyResult(latency, issued, hit_level, mem, writebacks)
+        return latency, hit_level, mem, writebacks
 
     def access_batch(self, core: int, addrs, issued: int, *,
                      is_write: bool = False, pc: Optional[int] = None,
@@ -398,11 +424,10 @@ class CacheHierarchy:
         a hand-written probe loop would yield at, so any cross-thread
         interleaving inside the batch would be lost (see EXPERIMENTS.md).
         """
-        access = self.access
+        demand = self.demand
         now = issued
         for addr in addrs:
-            now = access(core, addr, now, is_write=is_write, pc=pc,
-                         requestor=requestor).finish
+            now += demand(core, addr, now, is_write, pc, requestor)[0]
         return now
 
     def probe_batch(self, core: int, addrs, issued: int, *,
@@ -410,66 +435,30 @@ class CacheHierarchy:
                     requestor: str = "cpu") -> "tuple":
         """Like :meth:`access_batch` but also returns per-access latencies:
         ``(finish, [latency, ...])`` — the Prime+Probe receiver shape."""
-        access = self.access
+        demand = self.demand
         latencies: List[int] = []
         now = issued
         for addr in addrs:
-            result = access(core, addr, now, is_write=is_write, pc=pc,
-                            requestor=requestor)
-            latencies.append(result.latency)
-            now = result.finish
+            latency = demand(core, addr, now, is_write, pc, requestor)[0]
+            latencies.append(latency)
+            now += latency
         return now, latencies
 
-    def _fill_l1(self, core: int, addr: int, is_write: bool) -> int:
-        evicted = self.l1[core].fill(addr, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            self.l2[core].fill(evicted.addr, dirty=True)
-            return 1
-        return 0
-
-    def _fill_upper(self, core: int, addr: int, is_write: bool) -> int:
-        writebacks = 0
-        evicted = self.l2[core].fill(addr)
-        if evicted is not None and evicted.dirty:
-            self.llc.fill(evicted.addr, dirty=True)
-            writebacks += 1
-        writebacks += self._fill_l1(core, addr, is_write)
-        return writebacks
-
-    def _fill_all(self, core: int, addr: int, is_write: bool, *, time: int,
-                  requestor: str) -> int:
-        # _fill_upper/_fill_l1 inlined: this runs on every memory access
-        # (the simulator's hottest fill sequence, three levels deep).
-        writebacks = 0
-        llc_fill = self.llc.fill
-        evicted = llc_fill(addr)
-        if evicted is not None:
-            writebacks += self._handle_llc_eviction(evicted, time, requestor)
-        l2_fill = self.l2[core].fill
-        evicted = l2_fill(addr)
-        if evicted is not None and evicted.dirty:
-            llc_fill(evicted.addr, dirty=True)
-            writebacks += 1
-        evicted = self.l1[core].fill(addr, dirty=is_write)
-        if evicted is not None and evicted.dirty:
-            l2_fill(evicted.addr, dirty=True)
-            writebacks += 1
-        return writebacks
-
-    def _handle_llc_eviction(self, evicted: EvictedLine, time: int,
+    def _handle_llc_eviction(self, victim: Tuple[int, bool], time: int,
                              requestor: str) -> int:
-        """Inclusive LLC: back-invalidate every upper level; write back
-        dirty data to DRAM off the critical path."""
-        dirty = evicted.dirty
-        addr = evicted.addr
-        for invalidate in self._upper_invalidates:
-            if invalidate(addr):
+        """Inclusive LLC: back-invalidate the LLC's ``(line_addr, dirty)``
+        victim from every upper level; write back dirty data to DRAM off
+        the critical path.  Returns the number of write-backs (0 or 1)."""
+        addr, dirty = victim
+        line = addr // self._line_bytes
+        for lines, invalidate in self._upper_lines:
+            if line in lines and invalidate(addr):
                 dirty = True
         if dirty:
             # Finish-only path: write-backs are fire-and-forget, nobody
             # consumes the MemoryResult.
-            self.controller.access_finish(evicted.addr, time,
-                                          requestor=requestor, is_write=True)
+            self.controller.access_finish(addr, time, requestor=requestor,
+                                          is_write=True)
             self.stats.memory_writebacks += 1
             if self._obs is not None:
                 self._obs.on_cache_writeback(addr, time, requestor)
@@ -506,9 +495,9 @@ class CacheHierarchy:
                                                 requestor=pf_name)
             while len(inflight) > 512:
                 del inflight[next(iter(inflight))]
-            evicted = llc_fill(line_addr)
-            if evicted is not None:
-                self._handle_llc_eviction(evicted, time, requestor)
+            victim = llc_fill(line_addr)
+            if victim is not None:
+                self._handle_llc_eviction(victim, time, requestor)
             l2_fill(line_addr)
             stats.prefetches_issued += 1
 

@@ -124,7 +124,7 @@ def _replay(system: System, streams: Sequence[Sequence[MemoryRef]],
     times = [0] * len(streams)
     instructions = 0
     llc_misses = 0
-    access = hierarchy.access
+    demand = hierarchy.demand
     requestors = [f"core{core}" for core in range(len(streams))]
     active = [core for core, stream in enumerate(streams) if stream]
     while active:
@@ -154,13 +154,12 @@ def _replay(system: System, streams: Sequence[Sequence[MemoryRef]],
             last = starts[cursor]
             compute = ref.compute_cycles
             issued = now + compute
-            result = access(core, ref.addr, issued, is_write=ref.is_write,
-                            requestor=requestor,
-                            prefetch_lines=(lines[first:last] if last != first
-                                            else ()))
-            now = issued + result.latency
+            latency, hit_level, _, _ = demand(
+                core, ref.addr, issued, ref.is_write, None, requestor,
+                lines[first:last] if last != first else ())
+            now = issued + latency
             instructions += 1 + compute  # 1-IPC compute model
-            if not result.hit_level:
+            if not hit_level:
                 llc_misses += 1
             if cursor == end or now >= limit:
                 break
@@ -218,11 +217,13 @@ def fig11_config() -> SystemConfig:
     return replace(base, num_cores=2, hierarchy=hierarchy)
 
 
+#: Fig. 11's row policies: the open-row baseline, then CRP and CTD.
+POLICIES = ("open", "crp", "ctd")
+
+
 def evaluate_defenses(name: str, base_config: Optional[SystemConfig] = None,
-                      max_refs: int = 60_000,
-                      policies: Sequence[str] = ("open", "crp", "ctd"),
-                      ) -> DefenseEvaluation:
-    """Run one Fig. 11 workload under each row policy.
+                      max_refs: int = 60_000) -> DefenseEvaluation:
+    """Run one Fig. 11 workload under each row policy of :data:`POLICIES`.
 
     Two instances of the same kernel on the same input share the memory
     system; ``max_refs`` bounds each instance's replayed stream so the
@@ -237,7 +238,7 @@ def evaluate_defenses(name: str, base_config: Optional[SystemConfig] = None,
     base = base_config or fig11_config()
     results: Dict[str, RunResult] = {}
     schedules = None
-    for policy in policies:
+    for policy in POLICIES:
         system = System(base.with_defense(policy))
         if schedules is None:
             schedules = _schedules(system.hierarchy, streams, passes=2)

@@ -34,7 +34,7 @@ def test_fill_evicts_when_set_full():
     cache.fill(base + stride)
     evicted = cache.fill(base + 2 * stride)
     assert evicted is not None
-    assert evicted.addr == base
+    assert evicted[0] == base
     assert not cache.probe(base)
 
 
@@ -43,7 +43,7 @@ def test_dirty_eviction_reported():
     stride = cache.config.num_sets * cache.config.line_bytes
     cache.fill(0x0, dirty=True)
     evicted = cache.fill(stride)
-    assert evicted is not None and evicted.dirty
+    assert evicted is not None and evicted[1]
     assert cache.stats.writebacks == 1
 
 
@@ -53,7 +53,7 @@ def test_write_sets_dirty_bit():
     cache.fill(0x0)
     cache.access(0x0, is_write=True)
     evicted = cache.fill(stride)
-    assert evicted.dirty
+    assert evicted[1]
 
 
 def test_invalidate_returns_dirty_state():

@@ -1,9 +1,15 @@
 """Integration tests: cache hierarchy over the memory controller."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from repro.cache import CacheHierarchy, HierarchyConfig
+from repro.cache import CacheConfig, CacheHierarchy, HierarchyConfig
 from repro.dram import DRAMGeometry, MemoryController, MemoryControllerConfig
+from repro.dram.bank import Bank
+from repro.obs import Observer
+from tests.test_batching_fastpath import _hierarchy_state
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096)
 
@@ -191,3 +197,217 @@ def test_invalid_config_rejected():
         HierarchyConfig(num_cores=0)
     with pytest.raises(ValueError):
         HierarchyConfig(nt_bypass_probability=1.5)
+    # A line size below one byte leaves a cache with no slots.
+    with pytest.raises(ValueError):
+        CacheConfig("x", 4096, 4, 1, line_bytes=-64)
+    with pytest.raises(ValueError):
+        make_hierarchy(line_bytes=0)
+
+
+# ---------------------------------------------------------------------------
+# The fused demand path against the per-level sequence
+# ---------------------------------------------------------------------------
+
+def _fill_l1(h, core, addr, is_write, seen):
+    victim = h.l1[core].fill(addr, dirty=is_write)
+    if victim is not None and victim[1]:
+        seen["l1 victim written into L2"] += 1
+        h.l2[core].fill(victim[0], dirty=True)
+        return 1
+    return 0
+
+
+def _fill_upper(h, core, addr, is_write, seen):
+    writebacks = 0
+    victim = h.l2[core].fill(addr)
+    if victim is not None and victim[1]:
+        seen["l2 victim written into the LLC"] += 1
+        h.llc.fill(victim[0], dirty=True)
+        writebacks += 1
+    return writebacks + _fill_l1(h, core, addr, is_write, seen)
+
+
+def _fill_all(h, core, addr, is_write, time, requestor, seen):
+    writebacks = 0
+    victim = h.llc.fill(addr)
+    if victim is not None:
+        writebacks += _handle_llc_eviction(h, victim, time, requestor, seen)
+    return writebacks + _fill_upper(h, core, addr, is_write, seen)
+
+
+def _handle_llc_eviction(h, victim, time, requestor, seen):
+    addr, dirty = victim
+    for cache in (*h.l1, *h.l2):
+        was_dirty = cache.invalidate(addr)
+        if was_dirty is not None:
+            seen["back-invalidation"] += 1
+        if was_dirty:
+            dirty = True
+    if not dirty:
+        return 0
+    seen["DRAM write-back"] += 1
+    h.controller.access_finish(addr, time, requestor=requestor,
+                               is_write=True)
+    h.stats.memory_writebacks += 1
+    if h._obs is not None:
+        h._obs.on_cache_writeback(addr, time, requestor)
+    return 1
+
+
+def _issue_prefetches(h, core, lines, time, requestor, seen):
+    line_bytes = h.config.line_bytes
+    inflight = h._inflight_fills
+    for line in lines:
+        line_addr = line * line_bytes
+        if h.llc.probe(line_addr):
+            continue
+        inflight[line_addr] = h.controller.access_finish(
+            line_addr, time, requestor=f"{requestor}-pf")
+        while len(inflight) > 512:
+            del inflight[next(iter(inflight))]
+        victim = h.llc.fill(line_addr)
+        if victim is not None:
+            _handle_llc_eviction(h, victim, time, requestor, seen)
+        h.l2[core].fill(line_addr)
+        h.stats.prefetches_issued += 1
+
+
+def _reference_demand(h, core, addr, issued, is_write, pc, requestor,
+                      prefetch_lines, seen):
+    """``CacheHierarchy.demand`` as one ``Cache.access`` per level and the
+    fill helpers the hierarchy had before its fused pass: ``_fill_l1``,
+    ``_fill_upper``, ``_fill_all`` and ``_handle_llc_eviction``, which
+    invalidates the victim in every upper cache."""
+    config = h.config
+    h.stats.demand_accesses += 1
+    latency = config.l1_latency
+    completion = h._inflight_fills.pop(addr - addr % config.line_bytes, None)
+    if completion is not None:
+        seen["late prefetch"] += 1
+        h.stats.late_prefetch_stalls += 1
+        latency += max(0, completion - issued)
+    mem = None
+    writebacks = 0
+    if h.l1[core].access(addr, is_write):
+        hit_level = 1
+    else:
+        latency += config.l2_latency
+        if h.l2[core].access(addr):
+            hit_level = 2
+            writebacks = _fill_l1(h, core, addr, is_write, seen)
+        else:
+            latency += h.llc.latency_cycles
+            if h.llc.access(addr):
+                hit_level = 3
+                writebacks = _fill_upper(h, core, addr, is_write, seen)
+            else:
+                hit_level = 0
+                mem = h.controller.access(addr, issued + latency,
+                                          requestor=requestor,
+                                          is_write=is_write)
+                latency = mem.finish - issued
+                writebacks = _fill_all(h, core, addr, is_write, mem.finish,
+                                       requestor, seen)
+                if h._obs is not None:
+                    h._obs.on_cache_miss(core, addr, issued, mem.finish,
+                                         requestor)
+    h.stats.observe(requestor, issued, miss=not hit_level)
+    if prefetch_lines is None:
+        capacity = h.controller.config.geometry.capacity_bytes
+        candidates = []
+        for prefetcher in h._prefetchers[core]:
+            candidates += prefetcher.observe(pc, addr)
+        prefetch_lines = [candidate // config.line_bytes
+                          for candidate in candidates
+                          if 0 <= candidate < capacity]
+    if any(not h.llc.probe(line * config.line_bytes)
+           for line in prefetch_lines):
+        _issue_prefetches(h, core, prefetch_lines, issued + latency,
+                          requestor, seen)
+    return latency, hit_level, mem, writebacks
+
+
+class _RecordingObserver(Observer):
+    """Every DRAM and cache event in order, live banks left out."""
+
+    def __init__(self):
+        self.events = []
+
+
+def _recorder(name):
+    def hook(self, *args):
+        self.events.append(
+            (name, *(arg for arg in args if not isinstance(arg, Bank))))
+    return hook
+
+
+for _hook in ("on_dram_access", "on_precharge", "on_refresh",
+              "on_cache_miss", "on_cache_writeback"):
+    setattr(_RecordingObserver, _hook, _recorder(_hook))
+
+
+def _observed_hierarchy(cores, l1_replacement, prefetchers):
+    """Caches of 16, 32 and 128 lines, so that every kind of victim
+    occurs within a few hundred accesses."""
+    h = make_hierarchy(num_cores=cores, l1_size_kb=1, l1_ways=2,
+                       l1_replacement=l1_replacement, l2_size_kb=2,
+                       l2_ways=4, llc_size_mb=8 / 1024, llc_ways=8,
+                       llc_latency=20, prefetchers_enabled=prefetchers)
+    observer = _RecordingObserver()
+    h.set_observer(observer)
+    h.controller.set_observer(observer)
+    return h, observer
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("l1_replacement", ["lru", "srrip"])
+@pytest.mark.parametrize("prefetch", ["online", "lines", "off"])
+def test_demand_matches_per_level_reference(cores, l1_replacement, prefetch):
+    """Random reads and writes through ``demand`` and through the
+    reference leave identical results, caches, prefetchers, in-flight
+    fills, stats, DRAM and observed events, access by access."""
+    rng = random.Random(f"{cores}-{l1_replacement}-{prefetch}")
+    fused, fused_events = _observed_hierarchy(cores, l1_replacement,
+                                              prefetch != "off")
+    reference, reference_events = _observed_hierarchy(cores, l1_replacement,
+                                                      prefetch != "off")
+    seen = Counter()
+    lines = 600
+    cursors = [rng.randrange(lines) for _ in range(4)]
+    now = 0
+    for _ in range(1500):
+        core = rng.randrange(cores)
+        pc = rng.randrange(4)
+        if rng.random() < 0.6:
+            # Strided per-pc streams train both prefetchers.
+            cursors[pc] = (cursors[pc] + pc + 1) % lines
+            line = cursors[pc]
+        else:
+            line = rng.randrange(lines)
+        addr = line * 64 + rng.randrange(64)
+        is_write = rng.random() < 0.3
+        requestor = rng.choice(("cpu", "spy"))
+        prefetch_lines = None
+        if prefetch == "lines":
+            prefetch_lines = [rng.randrange(lines)
+                              for _ in range(rng.randrange(4))]
+        result = fused.demand(core, addr, now, is_write, pc, requestor,
+                              prefetch_lines)
+        expected = _reference_demand(reference, core, addr, now, is_write,
+                                     pc, requestor, prefetch_lines, seen)
+        assert result == expected
+        assert _hierarchy_state(fused) == _hierarchy_state(reference)
+        now += rng.randrange(result[0] + 1)
+    assert fused.controller.requestor_stats == (
+        reference.controller.requestor_stats)
+    assert ([vars(bank) for bank in fused.controller.device.banks]
+            == [vars(bank) for bank in reference.controller.device.banks])
+    assert fused_events.events == reference_events.events
+    # Every victim path ran.
+    for kind in ("l1 victim written into L2", "l2 victim written into the LLC",
+                 "back-invalidation", "DRAM write-back"):
+        assert seen[kind] > 0, kind
+    if prefetch == "off":
+        assert fused.stats.prefetches_issued == 0
+    else:
+        assert fused.stats.prefetches_issued > 0 and seen["late prefetch"] > 0

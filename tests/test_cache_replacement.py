@@ -37,8 +37,8 @@ def test_lru_evicts_oldest():
     for addr in set0[:4] + set1[:4]:
         assert cache.fill(addr) is None
     assert cache.access(set0[0])  # way 0 of set 0 becomes most recent
-    assert cache.fill(set0[4]).addr == set0[1]
-    assert cache.fill(set1[4]).addr == set1[0]  # set 1 is untouched
+    assert cache.fill(set0[4])[0] == set0[1]
+    assert cache.fill(set1[4])[0] == set1[0]  # set 1 is untouched
 
 
 @pytest.mark.parametrize("replacement", ["lru", "srrip"])
@@ -65,7 +65,7 @@ def test_srrip_hit_promotes_to_zero():
     assert cache.access(a)
     # Way 0 has RRPV 0, way 1 has MAX-1; aging finds way 1 first.
     assert list(cache._rrpv) == [0, MAX_RRPV - 1]
-    assert cache.fill(c).addr == b
+    assert cache.fill(c)[0] == b
 
 
 def test_srrip_can_retain_reused_line_against_fills():
@@ -120,7 +120,7 @@ def test_srrip_victim_matches_reference(seed):
             victim = _reference_srrip_victim(reference, base, ways)
             old_addr = cache._tags[victim] * line_bytes
             line = (ways + round_) * sets + set_index
-            assert cache.fill(line * line_bytes).addr == old_addr
+            assert cache.fill(line * line_bytes)[0] == old_addr
             assert cache._where[line] == victim
             # The fill inserts the new line at MAX-1.
             reference[victim] = MAX_RRPV - 1
@@ -196,7 +196,7 @@ def test_lru_cache_matches_policy_calls(seed):
             assert cache.access(addr) == reference.access(addr)
         elif op < 0.9:
             evicted = cache.fill(addr)
-            assert (evicted.addr if evicted else None) == reference.fill(addr)
+            assert (evicted[0] if evicted else None) == reference.fill(addr)
         else:
             assert ((cache.invalidate(addr) is not None)
                     == reference.invalidate(addr))
@@ -243,11 +243,11 @@ def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(
     for k in range(ways):
         assert llc.fill(k * stride, dirty=k == 0) is None
     dirty_victim = llc.fill(ways * stride)
-    assert dirty_victim.addr == 0
-    assert dirty_victim.dirty is True
+    assert dirty_victim[0] == 0
+    assert dirty_victim[1] is True
     clean_victim = llc.fill((ways + 1) * stride)
-    assert clean_victim.addr == stride
-    assert clean_victim.dirty is False
+    assert clean_victim[0] == stride
+    assert clean_victim[1] is False
     assert llc.access(ways * stride, is_write=True)
     assert llc.invalidate(ways * stride) is True
     assert llc.invalidate(2 * stride) is False

@@ -189,17 +189,19 @@ def _system_state(system):
 
 def _record_accesses(system):
     """Log each access the replay makes: core, address, issue time, write
-    flag and requestor.  (The runner hands over precomputed prefetch
-    candidates where the reference passes ``pc``.)"""
+    flag and requestor.  Both the runner and ``access`` go through
+    ``demand``.  (The runner hands over precomputed prefetch candidates
+    where the reference passes ``pc``.)"""
     calls = []
-    access = system.hierarchy.access
+    demand = system.hierarchy.demand
 
-    def recording(core, addr, issued, **kwargs):
-        calls.append((core, addr, issued, kwargs.get("is_write", False),
-                      kwargs.get("requestor", "cpu")))
-        return access(core, addr, issued, **kwargs)
+    def recording(core, addr, issued, is_write=False, pc=None,
+                  requestor="cpu", prefetch_lines=None):
+        calls.append((core, addr, issued, is_write, requestor))
+        return demand(core, addr, issued, is_write, pc, requestor,
+                      prefetch_lines)
 
-    system.hierarchy.access = recording
+    system.hierarchy.demand = recording
     return calls
 
 
