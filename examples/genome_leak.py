@@ -5,9 +5,10 @@
    the PiM system's DRAM banks (the shared index every user probes).
 2. A victim maps reads from a *private* sample genome; its seeding step
    activates the bank holding each probed hash bucket.
-3. A concurrent attacker rescans all banks with PEIs after each probe and
-   decodes which bucket group the victim touched — narrowing each read's
-   candidate reference positions without ever seeing the read.
+3. A rate-matched attacker (``ReadMappingSideChannel``) rescans all banks
+   with PEIs after each probe and decodes which bucket group the victim
+   touched — narrowing each read's candidate reference positions without
+   ever seeing the read.
 
 Run:  python examples/genome_leak.py
 """

@@ -105,17 +105,23 @@ class ReadMappingSideChannel:
         self.system = system
         self.config = config or SideChannelConfig()
         self.num_banks = system.num_banks
+        rows = system.config.geometry.rows_per_bank
+        if not 0 <= self.config.anchor_row < rows:
+            raise ValueError(f"anchor row {self.config.anchor_row} out of "
+                             f"range [0, {rows})")
         # The scan targets are fixed: the anchor row in every bank, handed
-        # to the PEI engine pre-decoded so the rescan skips per-address
-        # decode and result objects.
-        self._scan_locs = [(bank, self.config.anchor_row)
-                           for bank in range(self.num_banks)]
+        # to the PEI engine pre-decoded (no address decode checks the row,
+        # hence the check above) and as one tuple, so every rescan passes
+        # the same object.
+        self._scan_locs = tuple((bank, self.config.anchor_row)
+                                for bank in range(self.num_banks))
 
     def _scan(self, ctx: Context) -> List[int]:
         """One full-bank rescan from ``ctx.now``; returns the banks seen
-        in conflict.  ``execute_parallel_raw`` decodes in the same pass,
-        is bit-identical to ``execute_parallel`` and self-downgrades under
-        observers."""
+        in conflict.  ``execute_parallel_raw`` is bit-identical to
+        ``execute_parallel`` plus a decode; after the first rescan it runs
+        the bank model only over the banks touched since the previous
+        one, and under observers it delegates to ``execute_parallel``."""
         cfg = self.config
         finish, slow_banks = self.system.pei.execute_parallel_raw(
             self._scan_locs, ctx.now, threshold_cycles=cfg.threshold_cycles,
@@ -168,6 +174,7 @@ class ReadMappingSideChannel:
         sched = Scheduler()
         sched.spawn(harness, system, name="side-channel")
         sched.run()
+        system.controller.settle()
         return SideChannelResult(
             num_banks=self.num_banks,
             rounds=len(accesses),
@@ -250,6 +257,7 @@ class ConcurrentSideChannel(ReadMappingSideChannel):
         sched.spawn(victim, system, name="victim")
         sched.spawn(attacker, system, name="attacker")
         sched.run()
+        system.controller.settle()
 
         # Score: attribute each victim event to the first scan window
         # ending after it; a leak is correct when that window decoded the

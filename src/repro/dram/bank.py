@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.dram.timings import DRAMTimings
 
@@ -297,14 +297,3 @@ class Bank:
         """Model a refresh: the bank is busy and its row buffer is closed."""
         self.busy_until = max(self.busy_until, until)
         self.open_row = None
-
-    def snapshot(self) -> Dict[str, object]:
-        """Debug/telemetry snapshot of bank state."""
-        return {
-            "index": self.index,
-            "open_row": self.open_row,
-            "busy_until": self.busy_until,
-            "hits": self.stats.hits,
-            "empties": self.stats.empties,
-            "conflicts": self.stats.conflicts,
-        }

@@ -106,6 +106,36 @@ class RequestorStats:
     conflicts: int = 0
 
 
+class DeferredRescan:
+    """Idle row hits of all-bank rescans, not yet written to the banks.
+
+    Created and advanced by
+    :meth:`repro.pim.pei.PEIEngine.execute_parallel_raw`.  ``locations``
+    is the rescans' tuple of ``(bank, row)`` pairs, one row over every
+    bank in order, and ``issued`` and ``finish`` are the latest rescan's.
+    A bank owes ``rescans - written[bank]`` rescans; each was an idle hit
+    on that row, and the latest left the bank's ``busy_until`` and
+    ``last_activation`` at ``issued + int(bank * gap) + hit_at``, where
+    ``hit_at`` is the PEI's lead to the bank plus tCAS.  ``touched``
+    holds the banks written back since the latest rescan, which the next
+    rescan runs through the bank model.
+    """
+
+    __slots__ = ("locations", "gap", "hit_at", "issued", "finish",
+                 "rescans", "written", "touched")
+
+    def __init__(self, locations, gap: float, hit_at: int, issued: int,
+                 finish: int) -> None:
+        self.locations = locations
+        self.gap = gap
+        self.hit_at = hit_at
+        self.issued = issued
+        self.finish = finish
+        self.rescans = 0
+        self.written = [0] * len(locations)
+        self.touched: set = set()
+
+
 class MemoryController:
     """Single-channel DDR controller over a :class:`DRAMDevice`."""
 
@@ -123,6 +153,9 @@ class MemoryController:
         self._close_after = self.config.row_policy is RowPolicy.CLOSED
         self._constant_time = self.config.constant_time
         self._refresh_enabled = self.config.refresh_enabled
+        # Pending rescan state (see settle): None, or the DeferredRescan
+        # whose hits some banks have not received yet.
+        self._pending: Optional[DeferredRescan] = None
         # Observability hook (repro.obs): None = off, and every hook site
         # is guarded by `if obs is not None`, so the default request path
         # pays one attribute load + branch.
@@ -134,6 +167,7 @@ class MemoryController:
     def set_observer(self, observer) -> None:
         """Attach a :class:`repro.obs.Observer` (tracer and/or sanitizer);
         ``None`` detaches."""
+        self.settle()
         self._obs = observer
         if observer is not None:
             observer.bind_device(self.device)
@@ -178,10 +212,37 @@ class MemoryController:
             self.requestor_stats[requestor] = stats
         return stats
 
+    def _write_back(self, bank_index: int) -> None:
+        """Give one bank the rescan hits it still owes (see
+        :class:`DeferredRescan`) and mark it touched."""
+        pending = self._pending
+        bank = self.device.banks[bank_index]
+        index = bank.index  # a negative bank_index names the same bank
+        owed = pending.rescans - pending.written[index]
+        if owed:
+            bank.busy_until = bank.last_activation = (
+                pending.issued + int(index * pending.gap) + pending.hit_at)
+            bank.stats.hits += owed
+            pending.written[index] = pending.rescans
+        pending.touched.add(index)
+
+    def settle(self) -> None:
+        """Write every bank's pending rescan state back and drop the
+        pending record, so the next rescan runs over every bank.  Code
+        that reads ``device.banks`` directly calls this first."""
+        if self._pending is None:
+            return
+        for index in range(len(self.device.banks)):
+            self._write_back(index)
+        self._pending = None
+
     def _begin(self, bank_index: int, issued: int, requestor: str) -> int:
-        """Common entry: partition check, queueing, atomic-lock, refresh."""
+        """Common entry: partition check, rescan write-back, queueing,
+        atomic-lock, refresh."""
         if self._partition:
             self._check_partition(bank_index, requestor)
+        if self._pending is not None:
+            self._write_back(bank_index)
         start = issued + self._queue_cycles
         locked = self._locked_until
         if start < locked:
@@ -269,6 +330,8 @@ class MemoryController:
         """
         if self._partition:
             self._check_partition(bank_index, requestor)
+        if self._pending is not None:
+            self._write_back(bank_index)
         start = issued + self._queue_cycles
         locked = self._locked_until
         if start < locked:
@@ -429,12 +492,14 @@ class MemoryController:
 
     def reset_stats(self) -> None:
         """Zero per-requestor and per-bank counters; device state is kept."""
+        self.settle()
         self.requestor_stats.clear()
         self.device.reset_stats()
 
     def rebase_time(self) -> None:
         """Zero the device's clocks (see :meth:`DRAMDevice.rebase_time`);
         the discarded warm-up time folds into the device's refresh epoch."""
+        self.settle()
         now = max(self._locked_until,
                   max((b.busy_until for b in self.device.banks), default=0))
         self.device.rebase_time(now)
@@ -444,6 +509,7 @@ class MemoryController:
 
     def open_rows(self) -> List[Optional[int]]:
         """Currently open row per bank (None = precharged)."""
+        self.settle()
         return [bank.open_row for bank in self.device.banks]
 
     @property

@@ -102,6 +102,3 @@ class DRAMDevice:
             bank.busy_until = 0
             bank.last_activation = 0
             bank.row_opened_at = 0
-
-    def total_activations(self) -> int:
-        return sum(b.stats.activations for b in self.banks)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.dram.bank import AccessKind
-from repro.dram.controller import MemoryController
+from repro.dram.controller import DeferredRescan, MemoryController
 from repro.obs import current_observer
 
 
@@ -251,7 +251,7 @@ class PEIEngine:
                                      kind=mem.kind, bank=mem.bank))
         return results
 
-    def execute_parallel_raw(self, locations: List[Tuple[int, int]],
+    def execute_parallel_raw(self, locations: Sequence[Tuple[int, int]],
                              issued: int, *, threshold_cycles: int,
                              issue_gap_cycles: Optional[float] = None,
                              requestor: str = "pei",
@@ -263,19 +263,33 @@ class PEIEngine:
         :meth:`execute_parallel` on the equivalent addresses, but returns
         only ``(finish, slow_banks)``: when the last PEI completes
         (``issued`` for an empty list) and, in input order, the banks whose
-        round trip exceeded ``threshold_cycles``.  The §4.3 attacker
-        rescans every bank once per victim probe, making this the
-        simulator's hottest loop; almost all of its PEIs are row hits on
-        idle banks, which the loop commits itself.  Whenever an observer is
+        round trip exceeded ``threshold_cycles``.  A row hit on an idle
+        bank is committed by the loop itself; every other access goes
+        through :meth:`Bank.access_raw`.
+
+        The §4.3 attacker rescans every bank once per victim probe, and
+        almost every PEI is then an idle hit on a bank nothing touched
+        since the previous rescan.  When ``locations`` is a tuple holding
+        one row over banks ``0..N-1`` in order, the controller keeps those
+        hits pending (:class:`repro.dram.controller.DeferredRescan`), and
+        the next rescan of the same tuple runs the loop only over the
+        banks touched since.  It does so when it has the same gap and
+        lead as the pending rescan, is issued at or after that rescan's
+        finish, waits for no RowClone lock, and an idle hit's round trip
+        is within ``threshold_cycles``: each untouched bank is then an
+        idle hit and never slow.  Any other rescan first settles the
+        controller and runs over every location.  Whenever an observer is
         attached (tracer, sanitizer) or a controller feature with
         per-access hooks is active (bank partitioning, refresh,
-        constant-time), the call delegates to :meth:`execute_parallel`, so
-        every observable event is still reported identically.
+        constant-time), the call settles the controller and delegates to
+        :meth:`execute_parallel`, so every observable event is still
+        reported identically.
         """
         controller = self.controller
         if (self._obs is not None or controller._obs is not None
                 or controller._partition or controller._refresh_enabled
                 or controller._constant_time):
+            controller.settle()
             encode = controller.mapper.encode
             results = self.execute_parallel(
                 [encode(bank, row) for bank, row in locations], issued,
@@ -294,7 +308,22 @@ class PEIEngine:
         # what Bank.access_raw would record.
         idle_hits = not close_after and timings.row_timeout_cycles == 0
         hit_cycles = timings.hit_cycles
+        hit_at = lead + hit_cycles
         locked = controller._locked_until  # only rowclone moves it
+        count = len(locations)
+        # A pending record exists only under idle_hits and with gap >= 0,
+        # so every PEI arrives at or after the previous rescan's finish;
+        # an equal hit_at means an equal lead.
+        pending = controller._pending
+        if (pending is not None and pending.locations is locations
+                and pending.gap == gap and pending.hit_at == hit_at
+                and issued >= pending.finish and locked <= issued + lead
+                and hit_at + tail <= threshold_cycles):
+            order = sorted(pending.touched)
+        else:
+            controller.settle()
+            pending = None
+            order = range(count)
         banks = controller.device.banks
         hit_kind = AccessKind.HIT
         conflict_kind = AccessKind.CONFLICT
@@ -302,7 +331,8 @@ class PEIEngine:
         conflicts = 0
         last = issued
         slow: List[int] = []
-        for i, (bank_index, row) in enumerate(locations):
+        for i in order:
+            bank_index, row = locations[i]
             issue_time = issued + int(i * gap)
             start = issue_time + lead
             if start < locked:
@@ -325,7 +355,25 @@ class PEIEngine:
                 last = finish
             if finish - issue_time > threshold_cycles:
                 slow.append(bank_index)
-        count = len(locations)
+        if pending is not None:
+            # The untouched banks' hits stay pending.  No bank finishes
+            # before its idle hit would, so the last bank's idle finish
+            # and the touched banks' finishes give the rescan's finish.
+            hits += count - len(order)
+            idle_last = issued + int((count - 1) * gap) + hit_at + tail
+            if idle_last > last:
+                last = idle_last
+            pending.rescans += 1
+            written = pending.written
+            for i in order:
+                written[i] = pending.rescans
+            pending.touched.clear()
+            pending.issued = issued
+            pending.finish = last
+        elif idle_hits and gap >= 0 and _one_row_over_banks(locations,
+                                                             len(banks)):
+            controller._pending = DeferredRescan(locations, gap, hit_at,
+                                                 issued, last)
         if count:
             self.memory_executions += count
             stats = controller._stats_for(requestor)
@@ -333,3 +381,14 @@ class PEIEngine:
             stats.hits += hits
             stats.conflicts += conflicts
         return last, slow
+
+
+def _one_row_over_banks(locations: Sequence[Tuple[int, int]],
+                        num_banks: int) -> bool:
+    """Whether ``locations`` is a tuple of ``(bank, row)`` pairs holding
+    one row over banks ``0..num_banks-1`` in order.  A tuple of tuples
+    cannot change, so a later rescan recognises it by identity alone."""
+    if type(locations) is not tuple or len(locations) != num_banks:
+        return False
+    row = locations[0][1]
+    return locations == tuple((bank, row) for bank in range(num_banks))

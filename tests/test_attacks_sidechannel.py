@@ -4,18 +4,21 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.attacks import (
+    ConcurrentSideChannel,
     ReadMappingSideChannel,
     SideChannelConfig,
     fake_schedule,
 )
 from repro.cache import HierarchyConfig
 from repro.dram import DRAMGeometry
+from repro.exp.figures import FIG10_NOISE_RATE, _fig10_schedule
 from repro.genomics import (
     PimReadMapper,
     ReferenceIndex,
     generate_reference,
     sample_reads,
 )
+from repro.obs import Tracer
 
 
 def bank_config(num_banks, noise=0.0):
@@ -109,6 +112,16 @@ def test_end_to_end_with_real_read_mapper():
         schedule, entries_per_bank=index.entries_per_bank)
     assert result.error_rate == 0.0
     assert result.entries_per_bank == index.entries_per_bank
+
+
+@pytest.mark.parametrize("anchor_row", [10**9, -5, 8192])
+def test_out_of_range_anchor_row_rejected(anchor_row):
+    """The rescan hands the anchor row to the PEI engine pre-decoded, past
+    the address mapping's range check, so the channel checks it."""
+    system = System(bank_config(16))
+    with pytest.raises(ValueError, match="anchor row"):
+        ReadMappingSideChannel(system, SideChannelConfig(anchor_row=anchor_row))
+    ReadMappingSideChannel(system, SideChannelConfig(anchor_row=8191))
 
 
 def test_anchor_row_collision_rejected():
@@ -238,3 +251,64 @@ def test_pum_threshold_calibration():
     assert result.error_rate == 0.0
     with pytest.raises(ValueError):
         channel.calibrate_threshold(samples=0)
+
+
+# ---------------------------------------------------------------------------
+# Deferred rescans over whole runs
+# ---------------------------------------------------------------------------
+
+def _fig10_config(num_banks):
+    return (SystemConfig.paper_default().with_banks(num_banks)
+            .with_noise(FIG10_NOISE_RATE))
+
+
+def _run_and_state(channel_class, config, schedule, traced):
+    """One run on a fresh system; with ``traced`` a Tracer on the PEI
+    engine sends every rescan through ``execute_parallel``."""
+    system = System(config, sanitize=False)
+    if traced:
+        system.pei.set_observer(Tracer())
+    result = channel_class(system).run(schedule)
+    controller = system.controller
+    banks = [(b.open_row, b.busy_until, b.last_activation, b.row_opened_at,
+              b.stats) for b in controller.device.banks]
+    return (result, controller.requestor_stats,
+            system.pei.memory_executions, banks)
+
+
+@pytest.mark.parametrize("channel_class,config,schedule", [
+    (ReadMappingSideChannel, lambda: _fig10_config(1024),
+     lambda: _fig10_schedule(1024, 100)[0]),
+    (ConcurrentSideChannel, lambda: bank_config(1024, noise=FIG10_NOISE_RATE),
+     lambda: fake_schedule(1024, 60, seed=3)),
+], ids=["fig10-1024", "concurrent-1024"])
+def test_run_matches_a_traced_run(channel_class, config, schedule):
+    """A whole run with deferred rescans leaves the result, the counters
+    and every bank as the same run through ``execute_parallel`` does."""
+    fast = _run_and_state(channel_class, config(), schedule(), traced=False)
+    traced = _run_and_state(channel_class, config(), schedule(), traced=True)
+    assert fast == traced
+    assert fast[0].false_positives > 0  # noise reached the decode
+
+
+class _CountingBanks(list):
+    """A bank list that counts indexed lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return list.__getitem__(self, index)
+
+
+def test_fig10_rescans_visit_only_touched_banks():
+    """After the first rescan, Fig. 10's rescans run the bank model only
+    over the banks the victim and the noise touched: a run that fell back
+    to the full loop would look up 1024 banks per round."""
+    system = System(_fig10_config(1024), sanitize=False)
+    device = system.controller.device
+    device.banks = _CountingBanks(device.banks)
+    result = ReadMappingSideChannel(system).run(_fig10_schedule(1024, 20)[0])
+    assert result.correct == 20
+    # The first rescan and the final settle() look up every bank once.
+    assert device.banks.lookups < 3 * 1024

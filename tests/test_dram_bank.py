@@ -160,11 +160,3 @@ def test_stats_accumulate():
     assert bank.stats.conflicts == 1
     assert bank.stats.accesses == 3
     assert bank.stats.hit_rate == pytest.approx(1 / 3)
-
-
-def test_snapshot_reports_state():
-    bank = make_bank()
-    bank.access(row=7, issued=0)
-    snap = bank.snapshot()
-    assert snap["open_row"] == 7
-    assert snap["empties"] == 1

@@ -1,9 +1,12 @@
 """Unit tests for the PEI engine and the PMU locality monitor."""
 
+import copy
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro import System, SystemConfig
 from repro.cache import CacheHierarchy, HierarchyConfig
@@ -239,9 +242,35 @@ def _twins(seed, lock_banks=(), **overrides):
     return systems
 
 
-def _bank_state(system):
+def _bank_state(controller):
+    """Every bank's row, clocks and counters, pending rescans written
+    back first."""
+    controller.settle()
     return [(b.open_row, b.busy_until, b.last_activation, b.row_opened_at,
-             b.stats) for b in system.controller.device.banks]
+             b.stats) for b in controller.device.banks]
+
+
+def _assert_same_state(fast, reference):
+    """Both machines agree.  ``fast``'s banks are compared on a settled
+    copy, so its pending rescan state survives the comparison."""
+    controller = fast.controller
+    observer = controller._obs
+    settled = copy.deepcopy(controller, {id(observer): observer})
+    assert _bank_state(settled) == _bank_state(reference.controller)
+    assert controller.requestor_stats == reference.controller.requestor_stats
+    assert fast.pei.memory_executions == reference.pei.memory_executions
+    assert controller._locked_until == reference.controller._locked_until
+
+
+def _reference_rescan(reference, locations, issued, gap, threshold):
+    """``execute_parallel`` plus a decode: the results, and what
+    ``execute_parallel_raw`` must return."""
+    encode = reference.controller.address_of
+    results = reference.pei.execute_parallel(
+        [encode(bank, row) for bank, row in locations], issued,
+        issue_gap_cycles=gap, requestor="attacker")
+    return results, (max((r.finish for r in results), default=issued),
+                     [r.bank for r in results if r.latency > threshold])
 
 
 def _rescan_matches_reference(fast, reference, locations, *, threshold=150,
@@ -249,21 +278,13 @@ def _rescan_matches_reference(fast, reference, locations, *, threshold=150,
     """``execute_parallel_raw`` on ``fast`` must return the max finish and
     the slow banks of ``execute_parallel`` on ``reference``, and leave
     both machines in the same state.  Returns the reference results."""
-    encode = reference.controller.address_of
-    results = reference.pei.execute_parallel(
-        [encode(bank, row) for bank, row in locations], issued,
-        issue_gap_cycles=gap, requestor="attacker")
+    results, expected = _reference_rescan(reference, locations, issued, gap,
+                                          threshold)
     got = fast.pei.execute_parallel_raw(
         locations, issued, threshold_cycles=threshold,
         issue_gap_cycles=gap, requestor="attacker")
-    assert got == (max((r.finish for r in results), default=issued),
-                   [r.bank for r in results if r.latency > threshold])
-    assert _bank_state(fast) == _bank_state(reference)
-    assert (fast.controller.requestor_stats
-            == reference.controller.requestor_stats)
-    assert fast.pei.memory_executions == reference.pei.memory_executions
-    assert (fast.controller._locked_until
-            == reference.controller._locked_until)
+    assert got == expected
+    _assert_same_state(fast, reference)
     return results
 
 
@@ -355,3 +376,111 @@ def test_rescan_with_an_observer_reports_every_pei():
                                         threshold=threshold)
     assert any(r.latency == threshold for r in results)
     assert sum(event.name == "PEI" for event in tracer.events) == 64
+
+
+# ---------------------------------------------------------------------------
+# Deferred rescans: the pending record against the reference, step by step
+# ---------------------------------------------------------------------------
+
+#: One tuple object, so successive rescans of it may defer.
+SCAN = tuple(_anchor_scan(64))
+_BANKS = st.integers(0, 63)
+_ROWS = st.sampled_from((ANCHOR, ANCHOR + 1, ANCHOR + 2))
+_RESCAN = st.tuples(st.just("rescan"), st.integers(0, 300),
+                    st.sampled_from((150, 80)))
+_VICTIM = st.tuples(st.just("victim"), _BANKS, _ROWS, st.integers(0, 800))
+_NOISE = st.tuples(st.just("noise"), _BANKS, _ROWS, st.integers(0, 10**6))
+#: Branches repeat to weight them: rescans and the traffic between them
+#: dominate, and the three steps that drop the pending record share one
+#: branch.
+_STEPS = st.lists(st.one_of(
+    _RESCAN, _RESCAN, _RESCAN, _VICTIM, _VICTIM, _VICTIM, _NOISE, _NOISE,
+    _NOISE,
+    st.tuples(st.just("early"), st.integers(1, 400)),
+    st.tuples(st.just("gap"), st.sampled_from((2, 0.7)), st.integers(0, 300)),
+    st.tuples(st.just("write"), _BANKS, _ROWS, st.integers(0, 800)),
+    st.tuples(st.just("lock"), st.integers(1, 2**64 - 1),
+              st.integers(0, 300)),
+    st.tuples(st.sampled_from(("rebase", "reset", "observer")),
+              st.booleans(), st.integers(0, 300)),
+), min_size=10, max_size=30)
+
+
+def _rescan_step(fast, reference, issued, gap=1.45, threshold=150):
+    """One scan of ``SCAN`` on both twins; returns ``(issued, finish)``.
+    A threshold of 80 cycles is below an idle hit's round trip."""
+    _results, expected = _reference_rescan(reference, SCAN, issued, gap,
+                                           threshold)
+    got = fast.pei.execute_parallel_raw(SCAN, issued,
+                                        threshold_cycles=threshold,
+                                        issue_gap_cycles=gap,
+                                        requestor="attacker")
+    assert got == expected
+    return issued, got[0]
+
+
+def _both(fast, reference, act):
+    """Apply ``act`` to both twins; their return values must agree."""
+    assert act(fast) == act(reference)
+
+
+# Not shrunk: hypothesis keeps each shrink attempt's failure report, here
+# a diff of every bank, and that grows by megabytes a second.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
+@given(seed=st.integers(0, 2**16), steps=_STEPS)
+def test_deferred_rescans_match_reference(seed, steps):
+    """Rescans of one tuple defer their idle hits; whatever runs between
+    them (victim PEIs, noise activations inside the previous rescan's
+    window, writes, RowClone locks, clock rebases, stats resets, observers)
+    must see and leave the state the reference does."""
+    fast, reference = _twins(seed)
+    window = _rescan_step(fast, reference, RESCAN_AT)
+    window = _rescan_step(fast, reference, window[1])
+    assert fast.controller._pending.rescans == 1
+    _assert_same_state(fast, reference)
+    for step in steps:
+        kind = step[0]
+        issued, finish = window
+        if kind == "rescan":
+            window = _rescan_step(fast, reference, finish + step[1],
+                                  threshold=step[2])
+        elif kind == "early":
+            window = _rescan_step(fast, reference, max(0, finish - step[1]))
+        elif kind == "gap":
+            window = _rescan_step(fast, reference, finish + step[2], step[1])
+        elif kind == "victim":
+            _, bank, row, delay = step
+            _both(fast, reference, lambda s: s.pei.execute(
+                s.controller.address_of(bank, row), issued + delay,
+                requestor="victim"))
+        elif kind == "noise":
+            _, bank, row, offset = step
+            at = issued + offset % max(1, finish - issued)
+            _both(fast, reference, lambda s: s.controller.activate(
+                bank, row, at, requestor="noise"))
+        elif kind == "write":
+            _, bank, row, delay = step
+            _both(fast, reference, lambda s: s.controller.access_finish(
+                s.controller.address_of(bank, row, 64), issued + delay,
+                requestor="writer", is_write=True))
+        elif kind == "lock":
+            _, mask, delay = step
+            _both(fast, reference, lambda s: s.controller.rowclone(
+                s.controller.address_of(0, 7), s.controller.address_of(0, 9),
+                mask, finish + delay, requestor="setup"))
+        elif kind == "rebase":
+            _both(fast, reference, lambda s: s.controller.rebase_time())
+            window = (0, 0)
+        elif kind == "reset":
+            _both(fast, reference, lambda s: s.controller.reset_stats())
+        else:
+            # One rescan with a Tracer on the fast twin's controller or
+            # engine, which sends it through execute_parallel.
+            _, on_controller, delay = step
+            target = fast.controller if on_controller else fast.pei
+            target.set_observer(Tracer())
+            window = _rescan_step(fast, reference, finish + delay)
+            target.set_observer(None)
+        _assert_same_state(fast, reference)
+    assert _bank_state(fast.controller) == _bank_state(reference.controller)
