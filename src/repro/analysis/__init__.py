@@ -1,15 +1,8 @@
 """Analysis helpers shared by benches and examples: statistics and
 paper-style result tables."""
 
-from repro.analysis.coding import (
-    FecAssessment,
-    decode_stream,
-    encode_stream,
-    fec_assessment,
-    hamming74_decode,
-    hamming74_encode,
-)
-from repro.analysis.figures import bar_chart, grouped_bar_chart, latency_histogram
+from repro.analysis.coding import FecAssessment, fec_assessment
+from repro.analysis.figures import latency_histogram
 from repro.analysis.quality import (
     TVLA_T_THRESHOLD,
     ChannelQuality,
@@ -41,19 +34,13 @@ __all__ = [
     "ChannelQuality",
     "TVLA_T_THRESHOLD",
     "WelchT",
-    "bar_chart",
-    "grouped_bar_chart",
     "latency_histogram",
     "bin_latencies",
     "channel_quality",
     "collect_run_report",
-    "decode_stream",
-    "encode_stream",
     "fec_assessment",
     "format_markdown_table",
     "format_table",
-    "hamming74_decode",
-    "hamming74_encode",
     "mutual_information_bits",
     "percentile",
     "render_markdown",

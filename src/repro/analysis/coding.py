@@ -2,75 +2,15 @@
 
 The paper measures effective throughput as "successfully leaked bits";
 a real attacker instead protects the stream with coding so *usable* bits
-survive channel errors.  This module provides a Hamming(7,4) SEC code and
-the goodput arithmetic, quantifying how much of a noisy channel's raw
-bandwidth an attacker actually keeps — the engineering step between
-Fig. 8's raw numbers and an exploitable channel.
+survive channel errors.  This module computes the goodput of a channel
+protected by a Hamming(7,4) single-error-correcting code, quantifying how
+much of a noisy channel's raw bandwidth an attacker actually keeps — the
+engineering step between Fig. 8's raw numbers and an exploitable channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-# Hamming(7,4): positions 1..7, parity at 1, 2, 4 (1-indexed convention).
-_DATA_POSITIONS = (3, 5, 6, 7)
-_PARITY_POSITIONS = (1, 2, 4)
-
-
-def hamming74_encode(nibble: Sequence[int]) -> List[int]:
-    """Encode 4 data bits into a 7-bit Hamming codeword."""
-    if len(nibble) != 4 or any(b not in (0, 1) for b in nibble):
-        raise ValueError("need exactly 4 bits of 0/1")
-    word = [0] * 8  # index 1..7
-    for position, bit in zip(_DATA_POSITIONS, nibble):
-        word[position] = bit
-    for parity in _PARITY_POSITIONS:
-        value = 0
-        for position in range(1, 8):
-            if position & parity and position != parity:
-                value ^= word[position]
-        word[parity] = value
-    return word[1:]
-
-
-def hamming74_decode(codeword: Sequence[int]) -> List[int]:
-    """Decode a 7-bit codeword, correcting any single-bit error."""
-    if len(codeword) != 7 or any(b not in (0, 1) for b in codeword):
-        raise ValueError("need exactly 7 bits of 0/1")
-    word = [0] + list(codeword)
-    syndrome = 0
-    for parity in _PARITY_POSITIONS:
-        value = 0
-        for position in range(1, 8):
-            if position & parity:
-                value ^= word[position]
-        if value:
-            syndrome |= parity
-    if syndrome:
-        word[syndrome] ^= 1  # single-error correction
-    return [word[position] for position in _DATA_POSITIONS]
-
-
-def encode_stream(bits: Sequence[int]) -> List[int]:
-    """Encode a bit stream in 4-bit blocks (zero-padded)."""
-    padded = list(bits)
-    while len(padded) % 4:
-        padded.append(0)
-    out: List[int] = []
-    for i in range(0, len(padded), 4):
-        out.extend(hamming74_encode(padded[i:i + 4]))
-    return out
-
-
-def decode_stream(bits: Sequence[int]) -> List[int]:
-    """Decode a stream of 7-bit codewords back to data bits."""
-    if len(bits) % 7:
-        raise ValueError("encoded stream length must be a multiple of 7")
-    out: List[int] = []
-    for i in range(0, len(bits), 7):
-        out.extend(hamming74_decode(bits[i:i + 7]))
-    return out
 
 
 @dataclass(frozen=True)

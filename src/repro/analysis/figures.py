@@ -1,63 +1,14 @@
-"""Terminal-friendly chart rendering for the paper's figures.
+"""Terminal-friendly rendering of a Fig. 7-style latency distribution.
 
-Benches persist their numbers as tables; these helpers render the same
-series as ASCII bar charts so examples and the CLI can show a figure's
-*shape* — who wins, where the curve bends — without a plotting stack.
+Benches persist their numbers as tables; :func:`latency_histogram`
+renders a probe's latencies as an ASCII histogram with the decode
+threshold marked, so an example can show the two clusters a receiver
+separates without a plotting stack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-
-def bar_chart(items: Sequence[Tuple[str, float]], width: int = 48,
-              title: Optional[str] = None, unit: str = "") -> str:
-    """Horizontal bar chart, one bar per (label, value)."""
-    if width < 8:
-        raise ValueError("width must be >= 8")
-    if not items:
-        return title or ""
-    peak = max(value for _label, value in items)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(label) for label, _ in items)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in items:
-        filled = int(round(width * value / peak))
-        bar = "#" * filled
-        lines.append(f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-                     f"{value:g}{unit}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(groups: Sequence[Tuple[str, Dict[str, float]]],
-                      width: int = 40, title: Optional[str] = None,
-                      unit: str = "") -> str:
-    """Grouped bars (e.g. Fig. 11: one group per workload, one bar per
-    defense)."""
-    if not groups:
-        return title or ""
-    peak = max((value for _g, series in groups for value in series.values()),
-               default=1.0)
-    if peak <= 0:
-        peak = 1.0
-    series_names = sorted({name for _g, series in groups for name in series})
-    name_width = max(len(name) for name in series_names)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for group_label, series in groups:
-        lines.append(group_label)
-        for name in series_names:
-            if name not in series:
-                continue
-            value = series[name]
-            filled = int(round(width * value / peak))
-            lines.append(f"  {name.ljust(name_width)} "
-                         f"|{('#' * filled).ljust(width)}| {value:g}{unit}")
-    return "\n".join(lines)
+from typing import Dict, List, Optional, Sequence
 
 
 def latency_histogram(latencies: Sequence[int], bucket_cycles: int = 10,

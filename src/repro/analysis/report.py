@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_markdown_table(headers: Sequence[str],
@@ -59,9 +59,6 @@ class ResultTable:
             raise ValueError(
                 f"row has {len(cells)} cells, table has {len(self.headers)} columns")
         self.rows.append(list(cells))
-
-    def add_mapping(self, mapping: Dict[str, object]) -> None:
-        self.add(*[mapping[h] for h in self.headers])
 
     def render(self) -> str:
         return format_table(self.headers, self.rows, title=self.title)

@@ -16,7 +16,7 @@ ImpactPumChannel    masked multi-bank RowClone                   §4.2 (vii)
 
 plus the §3.3 motivation attacks (:mod:`repro.attacks.sec33`), the Table 1
 primitive layer (:mod:`repro.attacks.primitives`), the analytical
-upper-bound models (:mod:`repro.attacks.analytical`), and the §4.3
+Streamline upper bound (:mod:`repro.attacks.analytical`), and the §4.3
 read-mapping side channel (:mod:`repro.attacks.sidechannel`).
 """
 
@@ -25,9 +25,6 @@ from typing import Callable, Dict
 
 from repro.attacks.analytical import (
     ChannelCostParameters,
-    direct_access_upper_bound_mbps,
-    drama_clflush_upper_bound_mbps,
-    drama_eviction_upper_bound_mbps,
     streamline_upper_bound_mbps,
 )
 from repro.attacks.channel import (
@@ -57,7 +54,6 @@ from repro.attacks.primitives import (
     TABLE1,
     PrimitiveProperties,
     measure_all,
-    properties_for,
 )
 from repro.attacks.sec33 import (
     BaselineEvictionAttack,
@@ -67,7 +63,6 @@ from repro.attacks.sec33 import (
 from repro.attacks.recon import AddressReconnaissance, BankFunctionModel
 from repro.attacks.streamline import StreamlineChannel
 from repro.attacks.sidechannel import (
-    ConcurrentSideChannel,
     ReadMappingSideChannel,
     SideChannelConfig,
     SideChannelResult,
@@ -103,7 +98,6 @@ __all__ = [
     "BaselineEvictionAttack",
     "ChannelCostParameters",
     "ChannelResult",
-    "ConcurrentSideChannel",
     "CovertChannel",
     "DEFAULT_THRESHOLD_CYCLES",
     "DirectAccessAttack",
@@ -130,11 +124,7 @@ __all__ = [
     "fake_schedule",
     "longest_common_subsequence",
     "poisson_keystrokes",
-    "direct_access_upper_bound_mbps",
-    "drama_clflush_upper_bound_mbps",
-    "drama_eviction_upper_bound_mbps",
     "measure_all",
-    "properties_for",
     "random_bits",
     "run_multi_pair",
     "run_sec33_point",

@@ -1,13 +1,14 @@
-"""Analytical upper-bound throughput models (§5.1 methodology).
+"""Analytical upper-bound throughput model (§5.1 methodology).
 
-The paper compares against DRAMA and Streamline by *modeling their maximum
+The paper compares against Streamline by *modeling its maximum
 throughput*: simulation-extracted parameters (LLC hit/lookup latency,
 average miss latency, hit/miss ratios) feed an analytical model, validated
-against the attacks' published real-system numbers (e.g. Streamline
-reports 1.8 Mb/s on hardware; the model bounds it at 2.7 Mb/s for the
-smallest LLC).  This module implements those models; the parameters are
-extracted from a built :class:`repro.system.System` so the bounds move
-with the swept cache configuration exactly as in Fig. 8.
+against the attack's published real-system number (Streamline reports
+1.8 Mb/s on hardware; the model bounds it at 2.7 Mb/s for the smallest
+LLC).  This module implements that model; the parameters are extracted
+from a built :class:`repro.system.System` so the bound moves with the
+swept cache configuration exactly as in Fig. 8.  The DRAMA channels are
+simulated end to end (:mod:`repro.attacks.drama`).
 """
 
 from __future__ import annotations
@@ -91,40 +92,4 @@ def streamline_upper_bound_mbps(system: System,
     writeback = p.llc_latency + p.queue_cycles + p.dram_avg_cycles
     receiver_load = p.miss_path_cycles
     cycles_per_bit = redundancy * (sender_store + writeback + receiver_load)
-    return p.mbps(cycles_per_bit)
-
-
-def drama_clflush_upper_bound_mbps(system: System) -> float:
-    """Maximum throughput of DRAMA-clflush [68] under the §5.1 cost model.
-
-    Per bit (lockstep): sender's flush (LLC probe + write-back) and reload,
-    receiver's timed reload and flush, plus fence/sync serialization.
-    """
-    p = ChannelCostParameters.from_system(system)
-    flush = p.llc_latency + p.queue_cycles + p.dram_avg_cycles  # dirty WB
-    reload_ = p.miss_path_cycles
-    sync = 2 * 60 + 2 * 30  # two semaphore hops + two fences
-    cycles_per_bit = flush + reload_ + reload_ + sync
-    return p.mbps(cycles_per_bit)
-
-
-def drama_eviction_upper_bound_mbps(system: System) -> float:
-    """Maximum throughput of DRAMA with eviction sets (§3.3 cost model):
-    one access per LLC way, each paying the full lookup path."""
-    p = ChannelCostParameters.from_system(system)
-    ways = system.config.hierarchy.llc_ways
-    eviction = ways * (p.lookup_path_cycles * 0.5 + p.queue_cycles)
-    # 0.5: roughly half the walk hits higher levels on a warm set.
-    reload_ = p.miss_path_cycles
-    sync = 2 * 60
-    cycles_per_bit = eviction + 2 * reload_ + sync
-    return p.mbps(cycles_per_bit)
-
-
-def direct_access_upper_bound_mbps(system: System) -> float:
-    """Maximum throughput of the §3.3 direct-memory-access attack: one
-    uncached request per side per bit."""
-    p = ChannelCostParameters.from_system(system)
-    per_side = p.queue_cycles + p.dram_avg_cycles
-    cycles_per_bit = 2 * per_side + 80  # light shared-memory handshake
     return p.mbps(cycles_per_bit)

@@ -58,13 +58,6 @@ TABLE1: List[PrimitiveProperties] = [
 ]
 
 
-def properties_for(name: str) -> PrimitiveProperties:
-    for entry in TABLE1:
-        if entry.name == name:
-            return entry
-    raise ValueError(f"unknown primitive {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Measured probes: cycles for one direct-memory observation per primitive.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ two trends of Fig. 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.genomics.pim_mapper import SeedAccess
@@ -205,92 +205,3 @@ def fake_schedule(num_banks: int, count: int, seed: int = 0,
                                     row=row_offset + (i % 8),
                                     col=(i % 16) * 64)))
     return accesses
-
-
-class ConcurrentSideChannel(ReadMappingSideChannel):
-    """Fully concurrent variant: victim and attacker as independent threads.
-
-    :meth:`ReadMappingSideChannel.run` rate-matches one scan per victim
-    probe (the §5.4 steady state).  Here the attacker free-runs instead:
-    it rescans all banks in a loop while the victim maps at its own pace,
-    and each scan decodes *every* bank perturbed since the previous scan.
-    This surfaces the failure mode the serialized harness cannot show —
-    two victim probes landing in the same bank within one scan window
-    merge into a single leak (a miss).
-    """
-
-    def run(self, accesses: Sequence[SeedAccess],
-            entries_per_bank: float = 0.0) -> SideChannelResult:
-        for access in accesses:
-            if access.row == self.config.anchor_row:
-                raise ValueError("anchor row collides with a hash-table row")
-        system = self.system
-        cfg = self.config
-        victim_events: List[tuple] = []   # (time, bank)
-        scan_windows: List[tuple] = []    # (end_time, decoded bank list)
-        state = {"victim_done_at": None, "t0": 0}
-
-        def victim(ctx: Context, sys_: System):
-            for access in accesses:
-                addr = sys_.address_of(access.bank, access.row,
-                                       access.location.col)
-                sys_.pei_op(ctx, addr, requestor="victim")
-                victim_events.append((ctx.now, access.bank))
-                ctx.advance(cfg.victim_compute_cycles)
-                yield None
-            state["victim_done_at"] = ctx.now
-
-        def attacker(ctx: Context, sys_: System):
-            noise_mark = ctx.now
-            self._scan(ctx)
-            state["t0"] = ctx.now
-            yield None
-            while (state["victim_done_at"] is None
-                   or ctx.now < state["victim_done_at"]):
-                sys_.noise.run(noise_mark, ctx.now)
-                noise_mark = ctx.now
-                decoded = self._scan(ctx)
-                scan_windows.append((ctx.now, decoded))
-                yield None
-
-        sched = Scheduler()
-        sched.spawn(victim, system, name="victim")
-        sched.spawn(attacker, system, name="attacker")
-        sched.run()
-        system.controller.settle()
-
-        # Score: attribute each victim event to the first scan window
-        # ending after it; a leak is correct when that window decoded the
-        # event's bank (duplicates within one window merge => misses).
-        correct = missed = 0
-        decoded_budget = [set(banks) for _end, banks in scan_windows]
-        window_ends = [end for end, _banks in scan_windows]
-        for event_time, bank in victim_events:
-            window_index = None
-            for i, end in enumerate(window_ends):
-                if end >= event_time:
-                    window_index = i
-                    break
-            hit = False
-            if window_index is not None:
-                for i in (window_index, window_index + 1):
-                    if i < len(decoded_budget) and bank in decoded_budget[i]:
-                        decoded_budget[i].discard(bank)
-                        hit = True
-                        break
-            if hit:
-                correct += 1
-            else:
-                missed += 1
-        false_positives = sum(len(rest) for rest in decoded_budget)
-        end_time = scan_windows[-1][0] if scan_windows else state["t0"]
-        return SideChannelResult(
-            num_banks=self.num_banks,
-            rounds=len(accesses),
-            correct=correct,
-            missed=missed,
-            false_positives=false_positives,
-            cycles=end_time - state["t0"],
-            cpu_hz=system.cpu_hz,
-            entries_per_bank=entries_per_bank,
-        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: SRRIP's 2-bit re-reference prediction values: fills insert at
 #: ``MAX_RRPV - 1`` (long re-reference), hits promote to 0, and the victim
@@ -133,12 +133,6 @@ class Cache:
     # Address helpers
     # ------------------------------------------------------------------
 
-    def line_of(self, addr: int) -> int:
-        return addr // self._line_bytes
-
-    def set_index_of(self, addr: int) -> int:
-        return (addr // self._line_bytes) % self._num_sets
-
     def line_addr(self, addr: int) -> int:
         return addr - addr % self._line_bytes
 
@@ -245,12 +239,6 @@ class Cache:
         self._filled[line % self._num_sets] -= 1
         self.stats.invalidations += 1
         return dirty
-
-    def resident_lines(self, set_index: int) -> List[int]:
-        """Line addresses currently resident in ``set_index`` (testing aid)."""
-        base = set_index * self._ways
-        return [tag * self._line_bytes
-                for tag in self._tags[base:base + self._ways] if tag >= 0]
 
     def reset_stats(self) -> None:
         """Zero the counters; cache contents are kept."""

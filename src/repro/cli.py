@@ -15,25 +15,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import System, SystemConfig
 from repro.analysis import format_table
 from repro.attacks import ATTACKS, AddressReconnaissance, channel_config
 from repro.detection import run_detection_experiment
+from repro.exp.figures import FIG10_NOISE_RATE, cli_config
 
 
-def _config(args: argparse.Namespace) -> SystemConfig:
-    config = SystemConfig.paper_default()
-    if getattr(args, "llc_mb", None):
-        config = config.with_llc(float(args.llc_mb))
-    if getattr(args, "noise", 0.0):
-        config = config.with_noise(args.noise)
-    mapping = getattr(args, "mapping", None)
-    if mapping:
-        config = replace(config, mapping=mapping)
-    return config
+def _number(kind: type, *, zero: bool = False) -> Callable[[str], float]:
+    """An argparse type: a ``kind`` above 0 (at or above 0 with ``zero``);
+    anything else is a usage error."""
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not (value >= 0 if zero else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero else '> 0'}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ def _config(args: argparse.Namespace) -> SystemConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = cli_config(args.llc_mb)
     rows = [(r["component"], r["configuration"]) for r in config.describe()]
     print(format_table(["component", "configuration"], rows,
                        title="Table 2: simulation configuration"))
@@ -160,7 +161,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _print_trace_summary(path)
 
     attack = "impact-pnm" if args.experiment == "fig7" else args.experiment
-    config = channel_config(attack, _config(args))
+    config = channel_config(attack, cli_config(args.llc_mb))
     tracer = obs.Tracer(cpu_ghz=config.cpu_ghz)
     previous = obs.current_observer()
     obs.install(tracer)
@@ -225,7 +226,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_recon(args: argparse.Namespace) -> int:
-    config = _config(args)
+    config = cli_config(mapping=args.mapping)
     system = System(config)
     recon = AddressReconnaissance(system)
     model = recon.recover_bank_function()
@@ -254,15 +255,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.exp.figures import FIG10_NOISE_RATE
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IMPACT reproduction: PiM main-memory timing attacks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table2", help="print the simulated configuration")
-    p.add_argument("--llc-mb", type=float, default=None)
+    p.add_argument("--llc-mb", type=_number(float), default=None)
     p.set_defaults(func=cmd_table2)
 
     def add_jobs(sub_parser: argparse.ArgumentParser) -> None:
@@ -274,31 +273,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covert", help="run a covert channel")
     p.add_argument("--attack", choices=sorted(ATTACKS) + ["all"],
                    default="impact-pnm")
-    p.add_argument("--bits", type=int, default=512)
+    p.add_argument("--bits", type=_number(int), default=512)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--llc-mb", type=float, default=None)
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--llc-mb", type=_number(float), default=None)
+    p.add_argument("--noise", type=_number(float, zero=True), default=0.0,
                    help="background activations per kilocycle")
     p.add_argument("--mapping", choices=["row", "line", "xor"], default=None)
     add_jobs(p)
     p.set_defaults(func=cmd_covert)
 
     p = sub.add_parser("sidechannel", help="run the read-mapping side channel")
-    p.add_argument("--banks", type=int, nargs="+", default=[1024],
+    p.add_argument("--banks", type=_number(int), nargs="+", default=[1024],
                    help="bank count(s); several values run as one sweep")
-    p.add_argument("--rounds", type=int, default=100)
+    p.add_argument("--rounds", type=_number(int), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=FIG10_NOISE_RATE,
+    p.add_argument("--noise", type=_number(float, zero=True),
+                   default=FIG10_NOISE_RATE,
                    help="background activations per kilocycle (default: "
                         "%(default)s, the Fig. 10 rate; 0 turns noise off)")
     add_jobs(p)
     p.set_defaults(func=cmd_sidechannel)
 
     p = sub.add_parser("defenses", help="evaluate the Sec 6 defenses")
-    p.add_argument("--bits", type=int, default=192)
+    p.add_argument("--bits", type=_number(int), default=192)
     p.add_argument("--workload", choices=["BC", "BFS", "CC", "TC", "PR"],
                    default=None)
-    p.add_argument("--max-refs", type=int, default=30_000)
+    p.add_argument("--max-refs", type=_number(int), default=30_000)
     add_jobs(p)
     p.set_defaults(func=cmd_defenses)
 
@@ -307,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment under the event tracer (Chrome-trace JSON)")
     p.add_argument("experiment", choices=sorted(ATTACKS) + ["fig7"],
                    help="attack to trace; 'fig7' = the Fig. 7 IMPACT-PnM PoC")
-    p.add_argument("--bits", type=int, default=128)
+    p.add_argument("--bits", type=_number(int), default=128)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--llc-mb", type=float, default=None)
+    p.add_argument("--llc-mb", type=_number(float), default=None)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path (default: <experiment>.trace.json)")
     p.add_argument("--sanitize", action="store_true",
@@ -325,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
              "markdown+JSON run report to reports/")
     p.add_argument("experiment", choices=["fig8"],
                    help="experiment to report on")
-    p.add_argument("--llc-mb", type=float, nargs="+", default=[8.0, 64.0],
+    p.add_argument("--llc-mb", type=_number(float), nargs="+",
+                   default=[8.0, 64.0],
                    help="LLC sizes (MB) to sweep")
-    p.add_argument("--bits", type=int, default=128,
+    p.add_argument("--bits", type=_number(int), default=128,
                    help="message-length scale: attacks send their Fig. 8 "
                         "lengths scaled by bits/512 (min 16)")
     p.add_argument("--attacks", nargs="+", choices=sorted(ATTACKS),
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recon)
 
     p = sub.add_parser("detect", help="run the cache-monitor detector")
-    p.add_argument("--bits", type=int, default=128)
+    p.add_argument("--bits", type=_number(int), default=128)
     p.set_defaults(func=cmd_detect)
 
     return parser

@@ -1,8 +1,7 @@
-"""The three §6 defenses and their security/performance evaluation.
+"""The three §6 defenses and their security evaluation.
 
 - **MPR** (bank-level memory partitioning) — exclusive bank ownership;
-  implemented in the controller (:meth:`MemoryController.partition_banks`),
-  with the planning/utilization analysis here.
+  implemented in the controller (:meth:`MemoryController.partition_banks`).
 - **CRP** (closed-row policy) — ``SystemConfig.with_defense("crp")``.
 - **CTD** (constant-time DRAM access) — ``SystemConfig.with_defense("ctd")``.
 
@@ -11,10 +10,6 @@ the covert channel (error rate collapses to coin-flipping / the access is
 denied); :mod:`repro.workloads.runner` measures the §6 performance cost.
 """
 
-from repro.defenses.partitioning import (
-    PartitionPlan,
-    plan_partitions,
-)
 from repro.defenses.security import (
     DefenseSecurityReport,
     channel_capacity_bits,
@@ -23,8 +18,6 @@ from repro.defenses.security import (
 
 __all__ = [
     "DefenseSecurityReport",
-    "PartitionPlan",
     "channel_capacity_bits",
     "evaluate_channel_under_defense",
-    "plan_partitions",
 ]

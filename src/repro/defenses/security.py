@@ -53,12 +53,6 @@ class DefenseSecurityReport:
         return channel_capacity_bits(self.error_rate)
 
     @property
-    def effective_throughput_mbps(self) -> float:
-        if self.blocked or self.result is None:
-            return 0.0
-        return self.result.raw_throughput_mbps * self.capacity_bits_per_symbol
-
-    @property
     def channel_eliminated(self) -> bool:
         """< 0.05 bits/symbol: statistically useless to the attacker."""
         return self.capacity_bits_per_symbol < 0.05

@@ -57,9 +57,6 @@ class DRAMGeometry:
         Mode only works within these boundaries [52]."""
         return self.rows_per_bank // self.subarrays_per_bank
 
-    def subarray_of_row(self, row: int) -> int:
-        return row // self.rows_per_subarray
-
     @property
     def capacity_bytes(self) -> int:
         return self.num_banks * self.rows_per_bank * self.row_bytes

@@ -69,11 +69,6 @@ class BankStats:
     def accesses(self) -> int:
         return self.hits + self.empties + self.conflicts
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
     def record(self, kind: AccessKind) -> None:
         if kind is AccessKind.HIT:
             self.hits += 1

@@ -190,10 +190,6 @@ class MemoryController:
                 raise ValueError(f"bank {bank} already owned by {existing!r}")
             self._partition[bank] = owner
 
-    def clear_partitions(self) -> None:
-        """Remove all bank-partition assignments."""
-        self._partition.clear()
-
     def _check_partition(self, bank: int, requestor: str) -> None:
         owner = self._partition.get(bank)
         if owner is not None and owner != requestor:
@@ -364,7 +360,10 @@ class MemoryController:
 
     def activate(self, bank_index: int, row: int, issued: int, *,
                  requestor: str = "cpu") -> MemoryResult:
-        """Row activation without column access (PiM sender primitive)."""
+        """Row activation without column access (PiM sender primitive).
+        Raises :class:`ValueError` for a bank or row outside the geometry,
+        as :meth:`address_of` does."""
+        self.mapper._check_location(bank_index, row, 0)
         start = self._begin(bank_index, issued, requestor)
         bank = self.device.banks[bank_index]
         obs = self._obs

@@ -96,11 +96,6 @@ class ScheduleStats:
             return 0
         return max(s.finish for s in self.scheduled)
 
-    def latency_of(self, requestor: str) -> float:
-        mine = [s.latency for s in self.scheduled
-                if s.request.requestor == requestor]
-        return sum(mine) / len(mine) if mine else 0.0
-
 
 class RequestScheduler:
     """Cycle-stepped scheduler over per-bank queues and a shared bus.

@@ -105,11 +105,6 @@ class DRAMTimings:
         return self.rp_cycles + self.rcd_cycles + self.cas_cycles
 
     @cached_property
-    def conflict_hit_gap_cycles(self) -> int:
-        """Extra cycles a conflict costs over a hit (§3.1 reports ~74)."""
-        return self.conflict_cycles - self.hit_cycles
-
-    @cached_property
     def rowclone_fpm_cycles(self) -> int:
         """In-bank RowClone Fast-Parallel-Mode copy latency.
 

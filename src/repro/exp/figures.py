@@ -266,14 +266,17 @@ def fig11_point(workload: str, max_refs: int = 60_000) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _cli_config(llc_mb: Optional[float], noise: float,
-                mapping: Optional[str]) -> SystemConfig:
+def cli_config(llc_mb: Optional[float] = None, noise: float = 0.0,
+               mapping: Optional[str] = None) -> SystemConfig:
+    """The paper's default system with the CLI's ``--llc-mb``, ``--noise``
+    and ``--mapping`` applied; ``None`` (and a noise rate of 0) keeps the
+    default."""
     config = SystemConfig.paper_default()
-    if llc_mb:
+    if llc_mb is not None:
         config = config.with_llc(float(llc_mb))
     if noise:
         config = config.with_noise(noise)
-    if mapping:
+    if mapping is not None:
         config = replace(config, mapping=mapping)
     return config
 
@@ -284,7 +287,7 @@ def covert_point(attack: str, bits: int = 512, seed: int = 0,
     """One covert-channel transmission (a ``repro covert`` table row)."""
     from repro.attacks import ATTACKS, channel_config
 
-    config = channel_config(attack, _cli_config(llc_mb, noise, mapping))
+    config = channel_config(attack, cli_config(llc_mb, noise, mapping))
     channel = ATTACKS[attack](System(config))
     result = channel.transmit_random(bits, seed=seed)
     return {
@@ -300,8 +303,8 @@ def streamline_bound_point(llc_mb: Optional[float] = None, noise: float = 0.0,
     """The §5.1 analytical Streamline upper bound for one config."""
     from repro.attacks import streamline_upper_bound_mbps
 
-    bound = streamline_upper_bound_mbps(System(_cli_config(llc_mb, noise,
-                                                           mapping)))
+    bound = streamline_upper_bound_mbps(System(cli_config(llc_mb, noise,
+                                                          mapping)))
     return {"attack": "streamline (bound)", "throughput_mbps": bound}
 
 

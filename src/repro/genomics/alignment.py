@@ -23,11 +23,6 @@ class AlignmentResult:
     mismatches: int
     gaps: int
 
-    @property
-    def identity(self) -> float:
-        aligned = self.matches + self.mismatches + self.gaps
-        return self.matches / aligned if aligned else 0.0
-
 
 def banded_align(query: str, target: str, band: int = 32,
                  match: int = 2, mismatch: int = -4,

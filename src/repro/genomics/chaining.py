@@ -34,11 +34,6 @@ class Chain:
         return self.anchors[0].ref_pos
 
     @property
-    def ref_end(self) -> int:
-        last = self.anchors[-1]
-        return last.ref_pos + last.length
-
-    @property
     def read_start(self) -> int:
         return self.anchors[0].read_pos
 

@@ -76,9 +76,6 @@ class ReferenceIndex:
         """Reference positions whose minimizer matches ``hash_value``."""
         return list(self._buckets.get(hash_value, ()))
 
-    def contains(self, hash_value: int) -> bool:
-        return hash_value in self._buckets
-
     # ------------------------------------------------------------------
     # Physical layout (the attacker's view)
     # ------------------------------------------------------------------

@@ -76,14 +76,3 @@ class ReadMapper:
         target = self.reference[start:end]
         alignment = banded_align(read, target, band=self.band)
         return MappingResult(position=start, chain=chain, alignment=alignment)
-
-    def mapping_accuracy(self, reads, tolerance: int = 64) -> float:
-        """Fraction of (read, true_pos) pairs mapped within ``tolerance``."""
-        if not reads:
-            return 0.0
-        hits = 0
-        for read, true_pos in reads:
-            result = self.map_read(read)
-            if result is not None and abs(result.position - true_pos) <= tolerance:
-                hits += 1
-        return hits / len(reads)

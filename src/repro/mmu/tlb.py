@@ -78,12 +78,6 @@ class TLB:
         stamps[victim] = self._clock
         return evicted
 
-    def flush(self) -> None:
-        """Invalidate all entries (context switch)."""
-        for pages in self._pages:
-            for way in range(len(pages)):
-                pages[way] = -1
-
     @property
     def miss_rate(self) -> float:
         total = self.hits + self.misses

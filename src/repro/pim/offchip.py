@@ -115,9 +115,3 @@ class OffChipPredictor:
                              (self._block_weights, self._index(addr >> 6))):
             weight = table.get(index, 0) + step
             table[index] = max(-limit, min(limit, weight))
-
-    @property
-    def offchip_fraction(self) -> float:
-        if not self.predictions:
-            return 0.0
-        return self.offchip_predictions / self.predictions

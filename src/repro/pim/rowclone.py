@@ -84,17 +84,6 @@ class RowCloneEngine:
         finish = done + cfg.network_cycles
         return RowCloneResult(issued=issued, finish=finish, per_bank=per_bank)
 
-    def clone_single_bank(self, bank: int, src_row: int, dst_row: int,
-                          issued: int, *,
-                          requestor: str = "rowclone") -> RowCloneResult:
-        """Convenience: RowClone in exactly one bank (the receiver's probe,
-        §4.2 step 3)."""
-        src = self.controller.address_of(bank=0, row=src_row)
-        dst = self.controller.address_of(bank=0, row=dst_row)
-        # address_of(bank=0, ...) + mask selects the actual bank; the row
-        # index is shared across banks for row-aligned ranges.
-        return self.clone(src, dst, 1 << bank, issued, requestor=requestor)
-
     @staticmethod
     def mask_from_bits(bits: List[int]) -> int:
         """Encode a bit vector as a bank mask (bit i of the message selects

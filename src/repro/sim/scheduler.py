@@ -82,11 +82,6 @@ class Context:
             self.advance_to(max(self._pending))
             self._pending.clear()
 
-    @property
-    def pending_completions(self) -> Tuple[int, ...]:
-        """Completion times of operations not yet retired by a fence."""
-        return tuple(self._pending)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Context(name={self.name!r}, now={self.now})"
 

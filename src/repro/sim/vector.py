@@ -2,8 +2,8 @@
 
 ``repro`` has no vector batch engine: every batch API
 (``CacheHierarchy.access_batch``/``probe_batch``,
-``MemoryController.access_run`` and ``System.load_many``/
-``probe_many``) runs one scalar loop.  ``perfbench/spans.py`` still wraps
+``MemoryController.access_run`` and ``System.load_many``) runs one
+scalar loop.  ``perfbench/spans.py`` still wraps
 the two functions below by name, so they stay defined, and its
 ``sim.vector.*`` metrics read zero.  No ``repro`` module imports or calls
 them.  Drop both together with their span targets in a benchmark change.

@@ -154,12 +154,6 @@ class System:
     def cpu_hz(self) -> float:
         return self.config.cpu_ghz * 1e9
 
-    def cycles_to_mbps(self, bits: int, cycles: int) -> float:
-        """Convert (bits transferred, cycles elapsed) to Mb/s (§5.1)."""
-        if cycles <= 0:
-            return 0.0
-        return bits * self.cpu_hz / cycles / 1e6
-
     # ------------------------------------------------------------------
     # Thread-facing operation API (each advances ctx.now)
     # ------------------------------------------------------------------
@@ -198,19 +192,6 @@ class System:
                                              requestor=who)
         ctx.advance_to(finish)
         return finish
-
-    def probe_many(self, ctx: Context, core: int, addrs: List[int], *,
-                   requestor: Optional[str] = None) -> List[int]:
-        """Back-to-back *timed* loads: returns each access's latency.
-
-        For receiver probe loops that decode per-access latencies; the
-        same batching-safety rule as :meth:`load_many` applies.
-        """
-        who = requestor if requestor is not None else ctx.name
-        finish, latencies = self.hierarchy.probe_batch(core, addrs, ctx.now,
-                                                       requestor=who)
-        ctx.advance_to(finish)
-        return latencies
 
     def clflush(self, ctx: Context, core: int, addr: int, *,
                 requestor: Optional[str] = None) -> HierarchyResult:

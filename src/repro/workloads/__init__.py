@@ -32,12 +32,7 @@ from repro.workloads.runner import (
     fig11_config,
     run_multiprogrammed,
 )
-from repro.workloads.trace import (
-    TraceProfile,
-    load_trace,
-    profile_trace,
-    save_trace,
-)
+from repro.workloads.trace import TraceProfile, profile_trace
 
 __all__ = [
     "CSRGraph",
@@ -53,9 +48,7 @@ __all__ = [
     "evaluate_defenses",
     "fig11_config",
     "generate_graph",
-    "load_trace",
     "profile_trace",
-    "save_trace",
     "pagerank_kernel",
     "run_multiprogrammed",
     "tc_kernel",

@@ -20,10 +20,6 @@ class CSRGraph:
     offsets: Tuple[int, ...]
     edges: Tuple[int, ...]
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, u: int) -> Tuple[int, ...]:
         return self.edges[self.offsets[u]:self.offsets[u + 1]]
 

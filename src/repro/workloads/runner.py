@@ -45,10 +45,6 @@ class RunResult:
             return 0.0
         return self.llc_misses * 1000.0 / self.instructions
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
 
 def _schedules(hierarchy: CacheHierarchy,
                streams: Sequence[Sequence[MemoryRef]],

@@ -1,16 +1,10 @@
-"""Tests for analysis helpers: stats, tables, and FEC coding."""
+"""Tests for analysis helpers: stats, tables, and FEC goodput."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import (
-    decode_stream,
-    encode_stream,
     fec_assessment,
     format_table,
-    hamming74_decode,
-    hamming74_encode,
     split_by_bit,
     summarize_latencies,
 )
@@ -105,49 +99,9 @@ def test_result_table_row_validation(tmp_path):
     table.add(1, 2)
     with pytest.raises(ValueError):
         table.add(1)
-    table.add_mapping({"x": 3, "y": 4})
+    table.add(3, 4)
     text = table.emit()
     assert (tmp_path / "t.txt").read_text().strip() == text.strip()
-
-
-# ---------------------------------------------------------------------------
-# Hamming(7,4)
-# ---------------------------------------------------------------------------
-
-def test_hamming_roundtrip_clean():
-    for value in range(16):
-        nibble = [(value >> i) & 1 for i in range(4)]
-        assert hamming74_decode(hamming74_encode(nibble)) == nibble
-
-
-@given(value=st.integers(min_value=0, max_value=15),
-       flip=st.integers(min_value=0, max_value=6))
-@settings(max_examples=112)
-def test_hamming_corrects_any_single_error(value, flip):
-    nibble = [(value >> i) & 1 for i in range(4)]
-    codeword = hamming74_encode(nibble)
-    codeword[flip] ^= 1
-    assert hamming74_decode(codeword) == nibble
-
-
-def test_hamming_validation():
-    with pytest.raises(ValueError):
-        hamming74_encode([1, 0, 1])
-    with pytest.raises(ValueError):
-        hamming74_decode([1] * 6)
-
-
-def test_stream_roundtrip_with_padding():
-    bits = [1, 0, 1, 1, 0, 1]  # not a multiple of 4
-    encoded = encode_stream(bits)
-    assert len(encoded) % 7 == 0
-    decoded = decode_stream(encoded)
-    assert decoded[:6] == bits
-
-
-def test_stream_decode_validation():
-    with pytest.raises(ValueError):
-        decode_stream([1] * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +129,8 @@ def test_fec_validation():
 
 
 # ---------------------------------------------------------------------------
-# ASCII figures
+# ASCII latency histogram
 # ---------------------------------------------------------------------------
-
-def test_bar_chart_scales_to_peak():
-    from repro.analysis import bar_chart
-    text = bar_chart([("a", 10.0), ("b", 5.0)], width=10, title="T",
-                     unit=" Mb/s")
-    lines = text.splitlines()
-    assert lines[0] == "T"
-    assert lines[1].count("#") == 10
-    assert lines[2].count("#") == 5
-    assert "Mb/s" in lines[1]
-
-
-def test_bar_chart_edge_cases():
-    from repro.analysis import bar_chart
-    assert bar_chart([], title="empty") == "empty"
-    text = bar_chart([("zero", 0.0)])
-    assert "zero" in text
-    with pytest.raises(ValueError):
-        bar_chart([("a", 1.0)], width=2)
-
-
-def test_grouped_bar_chart_renders_all_series():
-    from repro.analysis import grouped_bar_chart
-    text = grouped_bar_chart([("BFS", {"crp": 0.19, "ctd": 0.27}),
-                              ("PR", {"crp": 0.46, "ctd": 0.47})],
-                             title="fig11", unit="x")
-    assert "BFS" in text and "PR" in text
-    assert text.count("crp") == 2
-    assert text.count("ctd") == 2
-
 
 def test_latency_histogram_marks_threshold():
     from repro.analysis import latency_histogram

@@ -4,7 +4,6 @@ import pytest
 
 from repro import System, SystemConfig
 from repro.attacks import (
-    ConcurrentSideChannel,
     ReadMappingSideChannel,
     SideChannelConfig,
     fake_schedule,
@@ -148,70 +147,6 @@ def test_summary_format():
     assert "Mb/s" in text
 
 
-# ---------------------------------------------------------------------------
-# Concurrent (free-running attacker) variant
-# ---------------------------------------------------------------------------
-
-def _same_bank_schedule():
-    from repro.genomics.index import BucketLocation
-    from repro.genomics.pim_mapper import SeedAccess
-    return [SeedAccess(hash_value=i,
-                       location=BucketLocation(entry_index=i, bank=7,
-                                               row=1024 + (i % 4)))
-            for i in range(20)]
-
-
-def test_concurrent_mode_decodes_most_events():
-    from repro.attacks import ConcurrentSideChannel
-    system = System(bank_config(64))
-    channel = ConcurrentSideChannel(system)
-    result = channel.run(fake_schedule(64, 30, seed=9))
-    assert result.correct >= 25
-    assert result.error_rate < 0.25
-
-
-def test_concurrent_mode_merges_same_bank_collisions():
-    """Two probes of one bank inside a scan window merge into one leak —
-    the miss mode the serialized harness cannot exhibit."""
-    from repro.attacks import ConcurrentSideChannel
-    # Victim hammers a single bank faster than the attacker can scan.
-    system = System(bank_config(2048))
-    channel = ConcurrentSideChannel(system)
-    result = channel.run(_same_bank_schedule())
-    assert result.missed > 0
-
-
-def test_concurrent_mode_can_outrun_serialized_mode():
-    """When the victim probes faster than full scans complete, the
-    free-running attacker harvests several leaks per scan."""
-    from repro.attacks import ConcurrentSideChannel
-    schedule = fake_schedule(4096, 40, seed=10)
-    serialized = ReadMappingSideChannel(System(bank_config(4096))) \
-        .run(schedule)
-    concurrent = ConcurrentSideChannel(System(bank_config(4096))) \
-        .run(schedule)
-    assert concurrent.throughput_mbps > serialized.throughput_mbps
-
-
-@pytest.mark.parametrize("banks,noise,schedule,expected", [
-    (64, 0.0, lambda: fake_schedule(64, 30, seed=9), (29, 1, 0, 52442)),
-    (2048, 0.0, _same_bank_schedule, (8, 12, 0, 33100)),
-    (4096, 0.0, lambda: fake_schedule(4096, 40, seed=10),
-     (38, 2, 0, 119301)),
-    (1024, 0.0105, lambda: fake_schedule(1024, 60, seed=3),
-     (59, 1, 3, 107770)),
-])
-def test_concurrent_mode_exact_outcomes(banks, noise, schedule, expected):
-    """Pinned (correct, missed, false positives, cycles): the free-running
-    attacker's one-pass rescan must decode exactly as a rescan through
-    ``execute_parallel`` plus a separate decode did."""
-    from repro.attacks import ConcurrentSideChannel
-    result = ConcurrentSideChannel(System(bank_config(banks, noise))) \
-        .run(schedule())
-    assert (result.correct, result.missed, result.false_positives,
-            result.cycles) == expected
-
-
 def test_side_channel_generalizes_to_pagerank_victim():
     """§4.3's mechanism is application-agnostic: the same attacker leaks a
     PEI-accelerated PageRank's vertex-gather banks, exposing which part of
@@ -262,13 +197,13 @@ def _fig10_config(num_banks):
             .with_noise(FIG10_NOISE_RATE))
 
 
-def _run_and_state(channel_class, config, schedule, traced):
+def _run_and_state(config, schedule, traced):
     """One run on a fresh system; with ``traced`` a Tracer on the PEI
     engine sends every rescan through ``execute_parallel``."""
     system = System(config, sanitize=False)
     if traced:
         system.pei.set_observer(Tracer())
-    result = channel_class(system).run(schedule)
+    result = ReadMappingSideChannel(system).run(schedule)
     controller = system.controller
     banks = [(b.open_row, b.busy_until, b.last_activation, b.row_opened_at,
               b.stats) for b in controller.device.banks]
@@ -276,17 +211,16 @@ def _run_and_state(channel_class, config, schedule, traced):
             system.pei.memory_executions, banks)
 
 
-@pytest.mark.parametrize("channel_class,config,schedule", [
-    (ReadMappingSideChannel, lambda: _fig10_config(1024),
-     lambda: _fig10_schedule(1024, 100)[0]),
-    (ConcurrentSideChannel, lambda: bank_config(1024, noise=FIG10_NOISE_RATE),
-     lambda: fake_schedule(1024, 60, seed=3)),
-], ids=["fig10-1024", "concurrent-1024"])
-def test_run_matches_a_traced_run(channel_class, config, schedule):
+@pytest.mark.parametrize("config,schedule", [
+    (lambda: _fig10_config(1024), lambda: _fig10_schedule(1024, 100)[0]),
+], ids=["fig10-1024"])
+def test_run_matches_a_traced_run(config, schedule):
     """A whole run with deferred rescans leaves the result, the counters
-    and every bank as the same run through ``execute_parallel`` does."""
-    fast = _run_and_state(channel_class, config(), schedule(), traced=False)
-    traced = _run_and_state(channel_class, config(), schedule(), traced=True)
+    and every bank as the same run through ``execute_parallel`` does.
+    Victim PEIs inside a rescan's window are drawn by
+    ``tests/test_pim_pei.py::test_deferred_rescans_match_reference``."""
+    fast = _run_and_state(config(), schedule(), traced=False)
+    traced = _run_and_state(config(), schedule(), traced=True)
     assert fast == traced
     assert fast[0].false_positives > 0  # noise reached the decode
 

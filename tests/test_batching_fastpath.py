@@ -108,7 +108,7 @@ def test_load_many_matches_load_loop():
             == batch_sys.hierarchy.llc.stats.misses)
 
 
-def test_probe_many_matches_individual_latencies():
+def test_probe_batch_matches_individual_latencies():
     addrs = _addrs(600, mul=3)
     loop_sys = System(SystemConfig.paper_default())
     batch_sys = System(SystemConfig.paper_default())
@@ -124,8 +124,10 @@ def test_probe_many_matches_individual_latencies():
     batch_latencies = []
 
     def batch_body(ctx):
-        batch_latencies.extend(
-            batch_sys.probe_many(ctx, 0, addrs, requestor="cpu"))
+        finish, latencies = batch_sys.hierarchy.probe_batch(
+            0, addrs, ctx.now, requestor="cpu")
+        ctx.advance_to(finish)
+        batch_latencies.extend(latencies)
         yield None
 
     sched = Scheduler()

@@ -80,14 +80,6 @@ def test_refill_existing_line_is_noop_eviction():
     assert cache.fill(0x1000) is None
 
 
-def test_resident_lines_reports_set_contents():
-    cache = make_cache(size=1024, ways=2)
-    stride = cache.config.num_sets * cache.config.line_bytes
-    cache.fill(0x0)
-    cache.fill(stride)
-    assert sorted(cache.resident_lines(0)) == [0, stride]
-
-
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         CacheConfig(name="bad", size_bytes=100, ways=3, latency_cycles=1)

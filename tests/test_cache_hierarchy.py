@@ -9,6 +9,7 @@ from repro.cache import CacheConfig, CacheHierarchy, HierarchyConfig
 from repro.dram import DRAMGeometry, MemoryController, MemoryControllerConfig
 from repro.dram.bank import Bank
 from repro.obs import Observer
+from tests.helpers import set_index_of
 from tests.test_batching_fastpath import _hierarchy_state
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096)
@@ -110,10 +111,11 @@ def test_build_eviction_set_same_llc_set():
     target = 0x12340
     eviction_set = h.build_eviction_set(target)
     assert len(eviction_set) == h.config.llc_ways
-    target_set = h.llc.set_index_of(target)
+    target_set = set_index_of(h.llc, target)
+    line_bytes = h.llc.config.line_bytes
     for addr in eviction_set:
-        assert h.llc.set_index_of(addr) == target_set
-        assert h.llc.line_of(addr) != h.llc.line_of(target)
+        assert set_index_of(h.llc, addr) == target_set
+        assert addr // line_bytes != target // line_bytes
 
 
 def test_build_eviction_set_raises_when_dram_holds_too_few_lines():

@@ -16,6 +16,7 @@ from repro.cache.cache import MAX_RRPV
 from repro.config import SystemConfig
 from repro.exp.figures import _sec33_system
 from repro.system import System
+from tests.helpers import resident_lines
 
 
 def _cache(sets, ways, replacement):
@@ -52,7 +53,7 @@ def test_fill_reuses_invalidated_way_without_evicting(replacement):
     assert cache.invalidate(lines[2]) is False
     assert cache.fill(4 * stride) is None
     assert cache.stats.evictions == 0
-    assert cache.resident_lines(0) == [0, stride, 4 * stride, 3 * stride]
+    assert resident_lines(cache, 0) == [0, stride, 4 * stride, 3 * stride]
     # The set is full again: the next fill evicts.
     assert cache.fill(5 * stride) is not None
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import SystemConfig
 from repro.attacks import ATTACKS
 from repro.cli import build_parser, main
 
@@ -118,6 +119,42 @@ def test_report_command_writes_markdown_and_json(tmp_path, capsys):
         for row in rows.values():
             assert row["hits"] + row["empties"] + row["conflicts"] == \
                 row["operations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--llc-mb", "0"],
+    ["covert", "--llc-mb", "0"],
+    ["covert", "--bits", "-4"],
+    ["covert", "--bits", "0"],
+    ["covert", "--noise", "-1"],
+    ["sidechannel", "--rounds", "0"],
+    ["sidechannel", "--banks", "64", "0"],
+    ["sidechannel", "--noise", "-0.5"],
+    ["defenses", "--max-refs", "0"],
+    ["trace", "impact-pnm", "--bits", "0"],
+    ["report", "fig8", "--llc-mb", "8", "0"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_size_flags_reject_values_out_of_range(argv, capsys):
+    """A size of 0 or less (a noise rate below 0) is a usage error, not a
+    silent default run, a 0.00 Mb/s row or a traceback."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_llc_size_is_applied_whenever_given(capsys):
+    """``cli_config``, shared by the CLI and its sweep points, tests
+    ``llc_mb is not None``: a size is never mistaken for "unset"."""
+    from repro.exp.figures import cli_config, covert_point
+
+    assert cli_config(4).hierarchy.llc_size_mb == 4.0
+    assert cli_config().hierarchy.llc_size_mb == \
+        SystemConfig.paper_default().hierarchy.llc_size_mb
+    with pytest.raises(ValueError):
+        covert_point("impact-pnm", bits=16, llc_mb=0)
+    assert main(["table2", "--llc-mb", "4"]) == 0
+    assert "1 MB/core" in capsys.readouterr().out
 
 
 def test_report_rejects_unknown_experiment():

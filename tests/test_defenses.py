@@ -1,4 +1,4 @@
-"""Tests for the §6 defenses: security elimination + MPR planning."""
+"""Tests for the §6 defenses: security elimination."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.defenses import (
     DefenseSecurityReport,
     channel_capacity_bits,
     evaluate_channel_under_defense,
-    plan_partitions,
 )
-from repro.defenses.partitioning import ProcessDemand
 from repro.dram import DRAMGeometry
 
 
@@ -62,7 +60,9 @@ def test_timing_defenses_eliminate_pnm_channel(defense):
         bits=128)
     assert report.channel_eliminated
     assert abs(report.error_rate - 0.5) < 0.15
-    assert report.effective_throughput_mbps < 0.5
+    # What survives of the raw bandwidth: raw Mb/s x bits per symbol.
+    assert (report.result.raw_throughput_mbps
+            * report.capacity_bits_per_symbol) < 0.5
 
 
 @pytest.mark.parametrize("defense", ["crp", "ctd"])
@@ -96,58 +96,3 @@ def test_report_summary_mentions_survival():
         bits=64)
     assert "SURVIVES" in report.summary()
 
-
-# ---------------------------------------------------------------------------
-# MPR planning (the §6 drawbacks, quantified)
-# ---------------------------------------------------------------------------
-
-GEOM = DRAMGeometry(ranks=1, banks_per_rank=8, rows_per_bank=1024)
-BANK_BYTES = GEOM.rows_per_bank * GEOM.row_bytes
-
-
-def test_partition_plan_assigns_exclusive_banks():
-    demands = [ProcessDemand("a", BANK_BYTES), ProcessDemand("b", BANK_BYTES * 2)]
-    plan = plan_partitions(GEOM, demands)
-    assert plan.assignments["a"] == [0]
-    assert plan.assignments["b"] == [1, 2]
-    assert not plan.rejected
-    all_banks = [b for banks in plan.assignments.values() for b in banks]
-    assert len(all_banks) == len(set(all_banks))
-
-
-def test_partition_plan_rejects_overflow():
-    """Drawback 1: the fixed bank count limits concurrency."""
-    demands = [ProcessDemand(f"p{i}", BANK_BYTES * 3) for i in range(4)]
-    plan = plan_partitions(GEOM, demands)
-    assert plan.rejected  # 4 x 3 banks > 8 banks
-    assert plan.banks_used <= GEOM.num_banks
-
-
-def test_partition_plan_underutilization():
-    """Drawback 2: bank-granular allocation strands capacity."""
-    demands = [ProcessDemand("tiny", footprint_bytes=4096)]
-    plan = plan_partitions(GEOM, demands)
-    assert plan.utilization(demands) < 0.01
-
-
-def test_partition_plan_duplication():
-    """Drawback 3: shared data is duplicated per partition."""
-    demands = [
-        ProcessDemand("a", BANK_BYTES, shared_bytes=BANK_BYTES // 2),
-        ProcessDemand("b", BANK_BYTES, shared_bytes=BANK_BYTES // 2),
-        ProcessDemand("c", BANK_BYTES, shared_bytes=BANK_BYTES // 2),
-    ]
-    plan = plan_partitions(GEOM, demands)
-    assert plan.duplicated_shared_bytes(demands) == BANK_BYTES
-
-
-def test_partition_plan_duplicate_names_rejected():
-    with pytest.raises(ValueError):
-        plan_partitions(GEOM, [ProcessDemand("a", 1), ProcessDemand("a", 1)])
-
-
-def test_process_demand_validation():
-    with pytest.raises(ValueError):
-        ProcessDemand("x", footprint_bytes=-1)
-    with pytest.raises(ValueError):
-        ProcessDemand("x", footprint_bytes=10, shared_bytes=20)

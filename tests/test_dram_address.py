@@ -116,9 +116,6 @@ def test_subarray_geometry():
     geom = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=1024,
                         subarrays_per_bank=16)
     assert geom.rows_per_subarray == 64
-    assert geom.subarray_of_row(0) == 0
-    assert geom.subarray_of_row(63) == 0
-    assert geom.subarray_of_row(64) == 1
 
 
 def test_subarray_validation():

@@ -107,8 +107,6 @@ def test_partition_conflicting_assignment_rejected():
     mc.partition_banks("a", [0])
     with pytest.raises(ValueError):
         mc.partition_banks("b", [0])
-    mc.clear_partitions()
-    mc.partition_banks("b", [0])  # fine after clearing
 
 
 def test_activate_is_cheaper_than_access():
@@ -117,6 +115,23 @@ def test_activate_is_cheaper_than_access():
     mc2 = make_controller()
     acc = mc2.access(mc2.address_of(0, 5), issued=0)
     assert act.latency < acc.latency
+
+
+@pytest.mark.parametrize("bank,row,message", [
+    (-1, 5, "bank -1"), (16, 5, "bank 16"), (3, 10**9, "row 1000000000"),
+])
+def test_activate_rejects_coordinates_outside_the_geometry(bank, row,
+                                                           message):
+    """``activate`` checks its bank and row as ``address_of`` does: a
+    negative bank would open a row in the last bank, a row past the
+    geometry would open, and a bank past it raised a bare IndexError."""
+    mc = make_controller()
+    with pytest.raises(ValueError, match=message):
+        mc.activate(bank, row, 100)
+    with pytest.raises(ValueError, match=message):
+        mc.address_of(bank, row)
+    assert mc.open_rows() == [None] * GEOM.num_banks
+    assert mc.requestor_stats == {}
 
 
 def test_rowclone_mask_selects_banks():

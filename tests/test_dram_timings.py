@@ -12,7 +12,7 @@ from repro.dram.bank import Bank
 def test_paper_defaults_produce_sec31_gap():
     """§3.1: a row conflict costs ~74 CPU cycles more than a hit."""
     t = DRAMTimings()
-    assert t.conflict_hit_gap_cycles == pytest.approx(70, abs=8)
+    assert t.conflict_cycles - t.hit_cycles == pytest.approx(70, abs=8)
 
 
 def test_cycle_conversion_rounds():
@@ -41,14 +41,14 @@ def test_latencies_compose_from_rounded_components(cpu_ghz):
     t = DRAMTimings(cpu_ghz=cpu_ghz)
     assert t.empty_cycles == t.rcd_cycles + t.cas_cycles
     assert t.conflict_cycles == t.rp_cycles + t.rcd_cycles + t.cas_cycles
-    assert t.conflict_hit_gap_cycles == t.rp_cycles + t.rcd_cycles
+    assert t.conflict_cycles - t.hit_cycles == t.rp_cycles + t.rcd_cycles
 
 
 def test_sec31_gap_composition_at_paper_frequency():
     """The §3.1 ~74-cycle conflict-over-hit gap is exactly tRP + tRCD at
     the paper's 2.6 GHz (2 x 13.5 ns x 2.6 GHz = 70 cycles rounded)."""
     t = DRAMTimings()
-    assert t.conflict_hit_gap_cycles == t.rp_cycles + t.rcd_cycles == 70
+    assert t.conflict_cycles - t.hit_cycles == t.rp_cycles + t.rcd_cycles == 70
 
 
 def test_rowclone_latency_exceeds_single_activation():
@@ -77,7 +77,7 @@ def test_invalid_parameters_rejected(field, value):
 CYCLE_FIGURES = ("rcd_cycles", "rp_cycles", "cas_cycles", "ras_cycles",
                  "refi_cycles", "rfc_cycles", "row_timeout_cycles",
                  "hit_cycles", "empty_cycles", "conflict_cycles",
-                 "conflict_hit_gap_cycles", "rowclone_fpm_cycles")
+                 "rowclone_fpm_cycles")
 
 
 def figures(t):
@@ -92,7 +92,7 @@ def test_replaced_timings_report_their_own_figures():
     changed = dataclasses.replace(t, t_rp_ns=20)
     assert changed.rp_cycles == 52
     assert changed.conflict_cycles == 52 + 35 + 35
-    assert changed.conflict_hit_gap_cycles == 52 + 35
+    assert changed.conflict_cycles - changed.hit_cycles == 52 + 35
     assert figures(changed) == figures(DRAMTimings(t_rp_ns=20))
     assert figures(t) == before
 

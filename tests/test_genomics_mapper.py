@@ -14,6 +14,7 @@ from repro.genomics import (
     sample_reads,
 )
 from repro.sim import Scheduler
+from tests.helpers import identity
 
 REF = generate_reference(6000, seed=11)
 INDEX = ReferenceIndex(REF, num_banks=16)
@@ -40,8 +41,11 @@ def test_exact_reads_map_to_true_positions():
 def test_error_bearing_reads_still_map():
     reads = sample_reads(REF, num_reads=10, read_length=150,
                          error_rate=0.01, seed=4)
-    accuracy = MAPPER.mapping_accuracy(reads)
-    assert accuracy >= 0.8
+    mapped = 0
+    for read, true_pos in reads:
+        result = MAPPER.map_read(read)
+        mapped += result is not None and abs(result.position - true_pos) <= 64
+    assert mapped / len(reads) >= 0.8
 
 
 def test_sample_genome_reads_map_against_reference():
@@ -62,7 +66,7 @@ def test_alignment_quality_reported():
     read, _pos = sample_reads(REF, num_reads=1, read_length=150,
                               error_rate=0.0, seed=6)[0]
     result = MAPPER.map_read(read)
-    assert result.alignment.identity > 0.95
+    assert identity(result.alignment) > 0.95
     assert result.score > 0
 
 

@@ -14,6 +14,7 @@ from repro.genomics import (
     hash_kmer,
 )
 from repro.genomics.minimizers import encode_kmer
+from tests.helpers import identity
 
 DNA = st.text(alphabet="ACGT", min_size=30, max_size=120)
 
@@ -91,7 +92,7 @@ def test_index_lookup_returns_positions():
 def test_index_absent_hash_empty():
     _, index = make_index()
     assert index.lookup(123456789) == []
-    assert not index.contains(123456789)
+    assert index.entry_index(123456789) is None
 
 
 def test_index_entries_stripe_across_banks():
@@ -171,7 +172,7 @@ def test_align_identical_sequences():
     result = banded_align("ACGTACGTAC", "ACGTACGTAC")
     assert result.mismatches == 0
     assert result.gaps == 0
-    assert result.identity == 1.0
+    assert identity(result) == 1.0
     assert result.cigar == "10M"
     assert result.score == 20
 
@@ -203,5 +204,5 @@ def test_align_validation():
 @settings(max_examples=25)
 def test_align_self_is_perfect(seq):
     result = banded_align(seq, seq)
-    assert result.identity == 1.0
+    assert identity(result) == 1.0
     assert result.score == 2 * len(seq)

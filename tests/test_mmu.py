@@ -38,13 +38,6 @@ def test_tlb_lru_eviction_within_set():
     assert evicted == 2
 
 
-def test_tlb_flush():
-    tlb = TLB(TLBConfig())
-    tlb.fill(0x1000)
-    tlb.flush()
-    assert not tlb.lookup(0x1000)
-
-
 def test_tlb_huge_page_granularity():
     tlb = TLB(TLBConfig(name="2M", entries=32, ways=4,
                         page_bytes=2 * 1024 * 1024))
@@ -120,7 +113,10 @@ def test_mmu_l2_hit_path():
     walker = PageTableWalker(h, table_base=0x200000)
     mmu = MMU(MMUConfig(), walker, core=0)
     mmu.translate(0x9000, issued=0)
-    mmu.l1_4k.flush()
+    # Evict page 9 from the L1 TLB: fill its set with other pages.
+    l1 = mmu.l1_4k
+    for k in range(1, l1.config.ways + 1):
+        l1.fill((9 + k * l1.config.num_sets) * 4096)
     result = mmu.translate(0x9000, issued=10_000)
     assert result.l2_hit and not result.walked
     assert result.latency == 13

@@ -61,15 +61,6 @@ def test_weights_saturate():
     assert max(predictor._page_weights.values()) <= 4
 
 
-def test_offchip_fraction_statistic():
-    predictor = OffChipPredictor(_no_pressure(), llc_size_mb=8.0)
-    for i in range(8):
-        predictor.train(0x1000 * i, was_offchip=True)
-    for i in range(8):
-        predictor.predict_offchip(0x1000 * i)
-    assert predictor.offchip_fraction == 1.0
-
-
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         OffChipPredictorConfig(table_entries=0)

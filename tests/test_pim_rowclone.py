@@ -13,9 +13,19 @@ def make_engine(**kwargs):
     return RowCloneEngine(RowCloneConfig(**kwargs), controller)
 
 
+def clone_in_bank(engine, bank, src_row, dst_row, issued):
+    """RowClone in bank ``bank`` alone (the receiver's probe, §4.2 step 3):
+    row-aligned ranges share their row index across banks, and the mask
+    selects the bank."""
+    controller = engine.controller
+    return engine.clone(controller.address_of(bank=0, row=src_row),
+                        controller.address_of(bank=0, row=dst_row),
+                        1 << bank, issued)
+
+
 def test_single_rowclone_copies_within_bank():
     engine = make_engine()
-    result = engine.clone_single_bank(bank=2, src_row=10, dst_row=20, issued=0)
+    result = clone_in_bank(engine, 2, 10, 20, 0)
     assert result.banks == [2]
     assert engine.controller.open_rows()[2] == 20
 
@@ -29,8 +39,7 @@ def test_multi_bank_rowclone_is_parallel():
     dst = controller.address_of(bank=0, row=20)
     full_mask = (1 << GEOM.num_banks) - 1
     result = engine.clone(src, dst, full_mask, issued=0)
-    single = make_engine().clone_single_bank(bank=0, src_row=10, dst_row=20,
-                                             issued=0)
+    single = clone_in_bank(make_engine(), 0, 10, 20, 0)
     assert len(result.per_bank) == GEOM.num_banks
     assert result.latency == single.latency
 
@@ -41,14 +50,12 @@ def test_rowclone_contention_detectable_in_latency():
     engine = make_engine()
     controller = engine.controller
     # Receiver initializes bank 0: src row open after the init clone.
-    engine.clone_single_bank(bank=0, src_row=10, dst_row=20, issued=0)
-    engine.clone_single_bank(bank=1, src_row=10, dst_row=20, issued=10_000)
+    clone_in_bank(engine, 0, 10, 20, 0)
+    clone_in_bank(engine, 1, 10, 20, 10_000)
     # Sender perturbs bank 1 only.
     controller.activate(bank_index=1, row=99, issued=20_000, requestor="sender")
-    quiet = engine.clone_single_bank(bank=0, src_row=20, dst_row=30,
-                                     issued=30_000)
-    noisy = engine.clone_single_bank(bank=1, src_row=20, dst_row=30,
-                                     issued=40_000)
+    quiet = clone_in_bank(engine, 0, 20, 30, 30_000)
+    noisy = clone_in_bank(engine, 1, 20, 30, 40_000)
     assert noisy.latency > quiet.latency
     assert noisy.per_bank[0].kind is AccessKind.CONFLICT
 
@@ -59,12 +66,10 @@ def test_rowclone_threshold_150_separates_outcomes():
     RDTSCP_READ = 20
     engine = make_engine()
     controller = engine.controller
-    engine.clone_single_bank(bank=0, src_row=10, dst_row=20, issued=0)
-    quiet = engine.clone_single_bank(bank=0, src_row=20, dst_row=30,
-                                     issued=10_000)
+    clone_in_bank(engine, 0, 10, 20, 0)
+    quiet = clone_in_bank(engine, 0, 20, 30, 10_000)
     controller.activate(bank_index=0, row=99, issued=20_000, requestor="sender")
-    noisy = engine.clone_single_bank(bank=0, src_row=30, dst_row=40,
-                                     issued=30_000)
+    noisy = clone_in_bank(engine, 0, 30, 40, 30_000)
     assert quiet.latency + RDTSCP_READ < 150 < noisy.latency + RDTSCP_READ
 
 
@@ -87,8 +92,8 @@ def test_empty_mask_clone_is_cheap_noop():
 
 def test_operations_counter():
     engine = make_engine()
-    engine.clone_single_bank(bank=0, src_row=1, dst_row=2, issued=0)
-    engine.clone_single_bank(bank=1, src_row=1, dst_row=2, issued=1000)
+    clone_in_bank(engine, 0, 1, 2, 0)
+    clone_in_bank(engine, 1, 1, 2, 1000)
     assert engine.operations == 2
 
 
@@ -103,9 +108,8 @@ def test_rowclone_cross_subarray_falls_back_to_psm():
     engine = make_engine()
     geom = engine.controller.config.geometry
     rows_per_sub = geom.rows_per_subarray
-    fast = engine.clone_single_bank(bank=0, src_row=1, dst_row=2, issued=0)
-    slow = engine.clone_single_bank(bank=1, src_row=1,
-                                    dst_row=rows_per_sub + 1, issued=0)
+    fast = clone_in_bank(engine, 0, 1, 2, 0)
+    slow = clone_in_bank(engine, 1, 1, rows_per_sub + 1, 0)
     assert slow.latency > 5 * fast.latency
 
 
@@ -113,7 +117,6 @@ def test_rowclone_same_subarray_uses_fpm_everywhere():
     engine = make_engine()
     geom = engine.controller.config.geometry
     base = geom.rows_per_subarray * 3  # any subarray works
-    result = engine.clone_single_bank(bank=0, src_row=base + 1,
-                                      dst_row=base + 2, issued=0)
+    result = clone_in_bank(engine, 0, base + 1, base + 2, 0)
     t = engine.controller.config.timings
     assert result.latency < t.rowclone_psm_cycles(geom.lines_per_row)

@@ -20,6 +20,7 @@ from repro.dram import (
     MemoryControllerConfig,
 )
 from repro.sim import Barrier, Scheduler, Semaphore
+from tests.helpers import resident_lines, set_index_of
 
 
 def small_config():
@@ -186,11 +187,11 @@ def test_cache_sets_never_overfill(ops):
         else:
             cache.invalidate(addr)
     for set_index in range(cache.config.num_sets):
-        resident = cache.resident_lines(set_index)
+        resident = resident_lines(cache, set_index)
         assert len(resident) <= cache.config.ways
         assert len(set(resident)) == len(resident)
         for line_addr in resident:
-            assert cache.set_index_of(line_addr) == set_index
+            assert set_index_of(cache, line_addr) == set_index
     assert cache.stats.accesses == sum(1 for op, _ in ops if op == "access")
 
 
@@ -209,7 +210,7 @@ def test_hierarchy_inclusion_invariant(addrs):
     for upper_group in (h.l1, h.l2):
         for cache in upper_group:
             for set_index in range(cache.config.num_sets):
-                for line_addr in cache.resident_lines(set_index):
+                for line_addr in resident_lines(cache, set_index):
                     assert h.llc.probe(line_addr), hex(line_addr)
 
 

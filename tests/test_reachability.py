@@ -1,0 +1,123 @@
+"""Every name ``src/repro`` defines is reached from outside ``tests/``.
+
+A function, class, constant or method that only its own tests use backs
+none of the paper's results.  This check parses every module of the
+package and lists each top-level function, class and constant and each
+non-dunder method.  It then collects every name, attribute, imported
+name and identifier string (a dotted one counts each part, as in
+``"CacheHierarchy.probe_batch"``) that the ``.py`` files under
+``src/``, ``benchmarks/``, ``examples/``, ``perfbench/`` and
+``scripts/`` mention.  A definition's own body, a package
+``__init__``'s re-exports and any ``__all__`` list do not count.
+
+The check is by name, so two definitions that share a name are reached
+together, and a name built at run time would read as unreached: such a
+name goes in :data:`ALLOWED` with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+USER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
+
+#: Unreached names that stay, each with its reason.
+ALLOWED = {
+    "profile_trace": "the Fig. 11 fidelity work in ROADMAP.md either "
+                     "reports row-hit rates with it or deletes it",
+    "hash_kmer": "tests/test_genomics_seeding.py checks minimizer "
+                 "positions against it",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned_names(node: ast.AST) -> List[str]:
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def definitions(tree: ast.Module) -> Iterator[Tuple[str, str, ast.AST]]:
+    """(qualified name, name, node) of each top-level definition and each
+    non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name, node
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(item.name)):
+                    yield f"{node.name}.{item.name}", item.name, item
+        else:
+            for name in _assigned_names(node):
+                if not _is_dunder(name):
+                    yield name, name, node
+
+
+def mentions(node: ast.AST, reexports: bool = True) -> Counter:
+    """Every name ``node`` mentions.  With ``reexports=False`` (a package
+    ``__init__``) its relative and ``repro`` imports are left out."""
+    found: Counter = Counter()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if "__all__" in _assigned_names(current):
+            continue
+        if isinstance(current, ast.Name):
+            found[current.id] += 1
+        elif isinstance(current, ast.Attribute):
+            found[current.attr] += 1
+        elif isinstance(current, (ast.Import, ast.ImportFrom)):
+            module = getattr(current, "module", None) or ""
+            internal = (isinstance(current, ast.ImportFrom)
+                        and (current.level or module.startswith("repro")))
+            if reexports or not internal:
+                for alias in current.names:
+                    found.update(alias.name.split("."))
+        elif (isinstance(current, ast.Constant)
+              and isinstance(current.value, str)):
+            parts = current.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+        stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def unreached() -> Dict[str, str]:
+    """Qualified name -> defining file of each unreached definition."""
+    used: Counter = Counter()
+    for folder in USER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used += mentions(tree, path.name != "__init__.py")
+    dead = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reexports = path.name != "__init__.py"
+        for qualified, name, node in definitions(tree):
+            if used[name] - mentions(node, reexports)[name] <= 0:
+                dead[qualified] = str(path.relative_to(ROOT))
+    return dead
+
+
+def test_every_name_is_reached_outside_tests():
+    dead = unreached()
+    missing = sorted(f"{name} ({path})" for name, path in dead.items()
+                     if name.rsplit(".", 1)[-1] not in ALLOWED)
+    assert not missing, (
+        "defined in src/repro but reached only from tests (use it outside "
+        "tests/, delete it, or allow it with a reason): "
+        + ", ".join(missing))
+    stale = set(ALLOWED) - {name.rsplit(".", 1)[-1] for name in dead}
+    assert not stale, f"allowed but reached, drop from ALLOWED: {stale}"

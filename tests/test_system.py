@@ -171,13 +171,6 @@ def test_offchip_predictor_requires_enabling():
     assert run_thread(system, body2) is not None
 
 
-def test_cycles_to_mbps():
-    system = System(small_config())
-    # 2.6 GHz: 260 cycles per bit -> 10 Mb/s
-    assert system.cycles_to_mbps(1, 260) == pytest.approx(10.0)
-    assert system.cycles_to_mbps(100, 0) == 0.0
-
-
 def test_warm_up_prefills_tlbs():
     system = System(small_config())
     system.warm_up([0x1000, 0x2000], cores=[0])

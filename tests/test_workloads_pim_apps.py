@@ -39,7 +39,8 @@ def test_async_pei_costs_only_issue_slot():
         result = sys_.pei_op_async(ctx, addr)
         issue_cost = ctx.now - t0
         yield None
-        return issue_cost, result, tuple(ctx.pending_completions)
+        # The completions not yet retired by a fence.
+        return issue_cost, result, tuple(ctx._pending)
 
     sched = Scheduler()
     thread = sched.spawn(body, system)

@@ -1,14 +1,9 @@
-"""Tests for memory-trace profiling and serialization."""
+"""Tests for memory-trace profiling."""
 
 import pytest
 
 from repro.dram import DRAMGeometry
-from repro.workloads import (
-    load_trace,
-    profile_trace,
-    save_trace,
-    workload_spec,
-)
+from repro.workloads import profile_trace, workload_spec
 from repro.workloads.kernels import MemoryRef
 
 GEOM = DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096)
@@ -70,25 +65,3 @@ def test_workload_profiles_match_their_design():
     assert pr.row_locality > cc.row_locality
     assert "refs" in pr.summary()
 
-
-def test_trace_roundtrip(tmp_path):
-    refs = sequential_refs(32, write_every=3)
-    path = str(tmp_path / "trace.jsonl")
-    assert save_trace(refs, path) == 32
-    loaded = load_trace(path)
-    assert loaded == refs
-
-
-def test_trace_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"addr": 1}\n')
-    with pytest.raises(ValueError):
-        load_trace(str(path))
-
-
-def test_trace_load_skips_blank_lines(tmp_path):
-    refs = sequential_refs(4)
-    path = tmp_path / "trace.jsonl"
-    save_trace(refs, str(path))
-    path.write_text(path.read_text() + "\n\n")
-    assert load_trace(str(path)) == refs
