@@ -18,7 +18,7 @@ idle (the receiver's own row stays open => hit).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.attacks.channel import (
     DECODE_CYCLES,

@@ -11,7 +11,7 @@ banks/controller state) and reports per-pair and aggregate results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.attacks.channel import (
     DECODE_CYCLES,

@@ -19,7 +19,7 @@ bank.  This module implements both, purely from timing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.sim.scheduler import Context, Scheduler

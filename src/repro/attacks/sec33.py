@@ -25,7 +25,6 @@ from typing import List, Sequence
 from repro.attacks.channel import (
     DECODE_CYCLES,
     LOOP_OVERHEAD_CYCLES,
-    SEM_OP_CYCLES,
     ChannelResult,
     CovertChannel,
     random_bits,

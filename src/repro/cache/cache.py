@@ -10,10 +10,9 @@ conflicting fills.
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: SRRIP's 2-bit re-reference prediction values: fills insert at
 #: ``MAX_RRPV - 1`` (long re-reference), hits promote to 0, and the victim
@@ -100,6 +99,10 @@ class Cache:
     Typed arrays also keep construction cheap: a 64 MB LLC has 1M slots,
     and they hold no Python object per slot, so each is one block to build
     and free, and the garbage collector has no slot to walk.
+
+    LRU orders each filled set's valid slots in a ``{slot: None}`` dict,
+    least recently used first: a hit or refill moves its slot to the end,
+    and a full set's victim is the first slot, O(1) at any associativity.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -115,16 +118,14 @@ class Cache:
         # Valid ways per set: a set below ``ways`` fills its first invalid
         # way, so victims are only ever picked in full sets.
         self._filled = array("l", [0]) * sets
-        # Replacement state, one entry per slot.  LRU stamps a slot with the
-        # next of 1, 2, 3, ... on every hit or fill and evicts the lowest
-        # stamp; SRRIP keeps one RRPV byte per slot.  Every cache sets the
-        # same attributes in the same order, the other policy's to None:
+        # Replacement state: LRU's order per set (None until its first fill)
+        # or SRRIP's RRPV byte per slot.  Every cache sets the same
+        # attributes in the same order, the other policy's to None:
         # instances that share one layout keep CPython's attribute-access
         # fast paths on the demand path.
         lru = config.replacement == "lru"
-        self._last_use: Optional[array] = (
-            array("q", [0]) * (sets * ways) if lru else None)
-        self._next_stamp = itertools.count(1).__next__ if lru else None
+        self._order: Optional[List[Optional[Dict[int, None]]]] = (
+            [None] * sets if lru else None)
         self._rrpv: Optional[bytearray] = (
             None if lru else bytearray([MAX_RRPV]) * (sets * ways))
         self.stats = CacheStats()
@@ -151,8 +152,10 @@ class Cache:
         if slot is None:
             self.stats.misses += 1
             return False
-        if self._last_use is not None:
-            self._last_use[slot] = self._next_stamp()
+        order = self._order
+        if order is not None:
+            recency = order[slot // self._ways]
+            recency[slot] = recency.pop(slot)
         else:
             self._rrpv[slot] = 0
         if is_write:
@@ -171,10 +174,11 @@ class Cache:
         line = addr // self._line_bytes
         where = self._where
         slot = where.get(line)
-        last_use = self._last_use
+        order = self._order
         if slot is not None:
-            if last_use is not None:
-                last_use[slot] = self._next_stamp()
+            if order is not None:
+                recency = order[slot // self._ways]
+                recency[slot] = recency.pop(slot)
             else:
                 self._rrpv[slot] = 0
             if dirty:
@@ -190,10 +194,13 @@ class Cache:
             slot = tags.index(-1, base)
             self._filled[set_index] += 1
             victim = None
+            if order is not None and order[set_index] is None:
+                order[set_index] = {}
         else:
-            if last_use is not None:
-                uses = last_use[base:base + ways]
-                slot = base + uses.index(min(uses))
+            if order is not None:
+                recency = order[set_index]
+                slot = next(iter(recency))
+                del recency[slot]
             else:
                 # SRRIP: the first way at MAX_RRPV.  When no way is there
                 # (RRPVs never exceed it), every way ages by the distance
@@ -218,8 +225,8 @@ class Cache:
         tags[slot] = line
         where[line] = slot
         self._dirty[slot] = dirty
-        if last_use is not None:
-            last_use[slot] = self._next_stamp()
+        if order is not None:
+            order[set_index][slot] = None
         else:
             self._rrpv[slot] = _SRRIP_INSERT
         stats.fills += 1
@@ -237,6 +244,8 @@ class Cache:
         self._dirty[slot] = False
         self._tags[slot] = -1
         self._filled[line % self._num_sets] -= 1
+        if self._order is not None:
+            del self._order[slot // self._ways][slot]
         self.stats.invalidations += 1
         return dirty
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.dram.address import AddressMapping, DRAMGeometry, DRAMLocation, make_mapping
-from repro.dram.bank import AccessKind, Bank, BankAccess
+from repro.dram.bank import AccessKind, Bank
 from repro.dram.device import DRAMDevice
 from repro.dram.timings import DRAMTimings
 from repro.obs import current_observer

@@ -22,7 +22,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.dram.address import DRAMGeometry
 from repro.dram.bank import AccessKind

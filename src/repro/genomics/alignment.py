@@ -8,7 +8,7 @@ region, O(n x band) instead of O(n x m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 NEG_INF = float("-inf")
 

@@ -13,9 +13,9 @@ bank count grows (§5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.genomics.minimizers import Minimizer, extract_minimizers
+from repro.genomics.minimizers import extract_minimizers
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.mmu.page_table import PageTableWalker
 from repro.mmu.tlb import TLB, TLBConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.hierarchy import CacheHierarchy
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ in ``tests/test_obs_sanitizer.py``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.core import Observer
 

@@ -72,8 +72,6 @@ class OffChipPredictor:
         self._page_weights: Dict[int, int] = {}
         self._block_weights: Dict[int, int] = {}
         self._rng = random.Random(config.seed)
-        self.predictions = 0
-        self.offchip_predictions = 0
 
     def _index(self, value: int) -> int:
         return (value * 0x9E3779B1) % self.config.table_entries
@@ -99,13 +97,9 @@ class OffChipPredictor:
 
     def predict_offchip(self, addr: int) -> bool:
         """True if the predictor expects ``addr``'s data to be in DRAM."""
-        self.predictions += 1
         if self._rng.random() < self.cache_pressure():
             return False
-        offchip = self._sum(addr) > self.config.threshold
-        if offchip:
-            self.offchip_predictions += 1
-        return offchip
+        return self._sum(addr) > self.config.threshold
 
     def train(self, addr: int, was_offchip: bool) -> None:
         """Online update toward the observed outcome."""

@@ -16,7 +16,7 @@ The PEI architecture has two components IMPACT interacts with (§4.1):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy

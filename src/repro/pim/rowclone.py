@@ -11,7 +11,7 @@ IMPACT-PuM receiver decodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.dram.bank import AccessKind
 from repro.dram.controller import MemoryController, MemoryResult

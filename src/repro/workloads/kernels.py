@@ -10,9 +10,8 @@ struct so the working sets reproduce the paper's LLC MPKI ordering
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.workloads.graphs import CSRGraph, generate_graph

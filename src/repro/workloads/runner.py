@@ -20,13 +20,13 @@ both cores and every row policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache import CacheHierarchy, PrefetchSchedule
 from repro.config import SystemConfig
 from repro.system import System
-from repro.workloads.kernels import MemoryRef, WorkloadSpec, workload_spec
+from repro.workloads.kernels import MemoryRef, workload_spec
 
 
 @dataclass

@@ -22,20 +22,20 @@ def _addrs(count, stride=64, mod=1 << 21, mul=5):
 def _hierarchy_state(hierarchy):
     """Everything a hierarchy carries from one access to the next: each
     level's tags, dirty bits, line map, fill counts, replacement state
-    (LRU stamps and the next stamp, or SRRIP RRPVs) and stats; each core's
+    (LRU's per-set recency, or SRRIP RRPVs) and stats; each core's
     prefetchers' tables, in LRU order; the in-flight fills; the NT RNG;
     and the hierarchy stats, by requestor included."""
-    def next_stamp(cache):
-        # LRU's stamp source: its repr, count(n), names the next stamp it
-        # hands out.
-        if cache._next_stamp is None:
+    def recency(cache):
+        # Dict equality ignores order, so each set's order is a list of
+        # its slots, least recently used first.
+        if cache._order is None:
             return None
-        return repr(cache._next_stamp.__self__)
+        return [None if order is None else list(order)
+                for order in cache._order]
 
     return {
         "caches": [(cache._tags, cache._dirty, cache._where, cache._filled,
-                    cache._last_use, next_stamp(cache), cache._rrpv,
-                    cache.stats)
+                    recency(cache), cache._rrpv, cache.stats)
                    for cache in (*hierarchy.l1, *hierarchy.l2,
                                  hierarchy.llc)],
         "prefetchers": [hierarchy.prefetcher_state(core)

@@ -131,8 +131,10 @@ def test_srrip_victim_matches_reference(seed):
 
 class _ReferenceLRUCache:
     """LRU written plainly: a cache that makes one policy call per hit,
-    fill and eviction, on stamps of its own in a list.  :class:`Cache`
-    stamps slots and picks victims inline and must agree with it."""
+    fill and eviction, on stamps of its own in a list, and evicts the
+    lowest stamp.  :class:`Cache` keeps a recency order per set instead
+    and must agree with it: the same victims, and each set's order equal
+    to its valid slots sorted by stamp."""
 
     def __init__(self, config):
         self.sets, self.ways = config.num_sets, config.ways
@@ -184,14 +186,29 @@ class _ReferenceLRUCache:
         return slot is not None
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_lru_cache_matches_policy_calls(seed):
+def _recency_by_stamp(reference, set_index):
+    """The reference's valid slots of ``set_index``, least recent first."""
+    base = set_index * reference.ways
+    valid = [slot for slot in range(base, base + reference.ways)
+             if reference.tags[slot] >= 0]
+    return sorted(valid, key=reference.last_use.__getitem__)
+
+
+# (seed, sets, ways, lines): a 4-way cache, and a 128-way one like
+# Fig. 3's widest LLC.  Each draws from more lines than it holds, so its
+# sets fill and evict.
+@pytest.mark.parametrize("seed, sets, ways, lines", [
+    *(pytest.param(seed, 16, 4, 256, id=str(seed)) for seed in range(5)),
+    *(pytest.param(seed, 2, 128, 640, id=f"128-way-{seed}")
+      for seed in range(5)),
+])
+def test_lru_cache_matches_policy_calls(seed, sets, ways, lines):
     rng = random.Random(seed)
-    config = CacheConfig(name="t", size_bytes=4096, ways=4,
+    config = CacheConfig(name="t", size_bytes=sets * ways * 64, ways=ways,
                          latency_cycles=1, replacement="lru")
     cache, reference = Cache(config), _ReferenceLRUCache(config)
     for _ in range(3000):
-        addr = rng.randrange(256) * config.line_bytes
+        addr = rng.randrange(lines) * config.line_bytes
         op = rng.random()
         if op < 0.45:
             assert cache.access(addr) == reference.access(addr)
@@ -202,10 +219,11 @@ def test_lru_cache_matches_policy_calls(seed):
             assert ((cache.invalidate(addr) is not None)
                     == reference.invalidate(addr))
         assert list(cache._tags) == reference.tags
-        assert list(cache._last_use) == reference.last_use
+        for set_index, order in enumerate(cache._order):
+            assert (list(order or ())
+                    == _recency_by_stamp(reference, set_index))
     assert cache.stats.evictions > 100
-    # Both stamp sources hand out the same next stamp.
-    assert cache._next_stamp() == reference.next_stamp()
+    assert not any(gc.is_tracked(order) for order in cache._order)
 
 
 @pytest.mark.parametrize("build, llc_replacement", [
@@ -228,10 +246,10 @@ def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(
         assert list(vars(cache)) == layout
         sets, ways = cache.config.num_sets, cache.config.ways
         lru = cache.config.replacement == "lru"
-        assert (cache._rrpv if lru else cache._last_use) is None
-        assert (cache._next_stamp is None) is not lru
-        per_slot = [cache._tags, cache._dirty,
-                    cache._last_use if lru else cache._rrpv]
+        assert (cache._rrpv if lru else cache._order) is None
+        if lru:
+            assert cache._order == [None] * sets
+        per_slot = [cache._tags, cache._dirty] + ([] if lru else [cache._rrpv])
         for state in per_slot:
             assert len(state) == sets * ways
             assert gc.get_referents(state) in ([], [array])
@@ -253,12 +271,19 @@ def test_per_slot_state_is_typed_and_dirty_bits_read_as_bools(
     assert llc.invalidate(ways * stride) is True
     assert llc.invalidate(2 * stride) is False
     assert llc.invalidate(2 * stride) is None
+    # LRU's fills created one order dict, for set 0, least recent first;
+    # it holds only ints and None, so the garbage collector does not
+    # track it.
+    if llc._order is not None:
+        orders = [order for order in llc._order if order is not None]
+        assert [list(order) for order in orders] == [[*range(3, ways), 1]]
+        assert not any(gc.is_tracked(order) for order in orders)
 
 
 def test_config_accepts_only_lru_and_srrip():
     lru, srrip = _cache(4, 2, "lru"), _cache(4, 2, "srrip")
-    assert len(lru._last_use) == 8 and lru._rrpv is None
-    assert len(srrip._rrpv) == 8 and srrip._last_use is None
+    assert lru._order == [None] * 4 and lru._rrpv is None
+    assert len(srrip._rrpv) == 8 and srrip._order is None
     for name in ("random", "fifo"):
         with pytest.raises(ValueError, match="unknown replacement policy"):
             CacheConfig(name="t", size_bytes=512, ways=2, latency_cycles=1,

@@ -13,6 +13,11 @@ name and identifier string (a dotted one counts each part, as in
 The check is by name, so two definitions that share a name are reached
 together, and a name built at run time would read as unreached: such a
 name goes in :data:`ALLOWED` with its reason.
+
+A second check, on the same parse, lists every name a module of the
+package imports and never mentions again.  A package ``__init__``
+re-exports what it imports, and a name in ``__all__`` is exported, so
+neither counts as unused.
 """
 
 from __future__ import annotations
@@ -94,16 +99,20 @@ def mentions(node: ast.AST, reexports: bool = True) -> Counter:
     return found
 
 
+def parsed(folder: Path) -> Iterator[Tuple[Path, ast.Module]]:
+    """(path, tree) of every ``.py`` under ``folder``, in path order."""
+    for path in sorted(folder.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def unreached() -> Dict[str, str]:
     """Qualified name -> defining file of each unreached definition."""
     used: Counter = Counter()
     for folder in USER_DIRS:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
+        for path, tree in parsed(ROOT / folder):
             used += mentions(tree, path.name != "__init__.py")
     dead = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in parsed(PACKAGE):
         reexports = path.name != "__init__.py"
         for qualified, name, node in definitions(tree):
             if used[name] - mentions(node, reexports)[name] <= 0:
@@ -121,3 +130,53 @@ def test_every_name_is_reached_outside_tests():
         + ", ".join(missing))
     stale = set(ALLOWED) - {name.rsplit(".", 1)[-1] for name in dead}
     assert not stale, f"allowed but reached, drop from ALLOWED: {stale}"
+
+
+def _exported(tree: ast.Module) -> List[str]:
+    """The strings of the module's ``__all__`` list, if it has one."""
+    for node in tree.body:
+        if "__all__" in _assigned_names(node):
+            return [item.value for item in ast.walk(node.value)
+                    if isinstance(item, ast.Constant)]
+    return []
+
+
+def _quoted_annotations(tree: ast.Module) -> Counter:
+    """Every name mentioned in string annotations such as
+    ``-> "Tuple[A, B]"``."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            for item in ast.walk(annotation) if annotation else ():
+                if (isinstance(item, ast.Constant)
+                        and isinstance(item.value, str)):
+                    found += mentions(ast.parse(item.value, mode="eval"))
+    return found
+
+
+def unused_imports() -> List[str]:
+    """``path: name`` of each name a module imports and never mentions
+    again, package ``__init__`` modules and ``__all__`` names aside."""
+    unused = []
+    for path, tree in parsed(PACKAGE):
+        if path.name == "__init__.py":
+            continue
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        used = mentions(tree) + _quoted_annotations(tree)
+        for node in imports:
+            used -= mentions(node)
+        exported = _exported(tree)
+        for node in imports:
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and not used[name] and name not in exported:
+                    unused.append(f"{path.relative_to(ROOT)}: {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    unused = unused_imports()
+    assert not unused, "imported but never used: " + ", ".join(unused)
