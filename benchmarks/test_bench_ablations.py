@@ -20,8 +20,7 @@ def base_config():
     return SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=64, rows_per_bank=8192),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=8.0,
-                                  prefetchers_enabled=False),
-        num_cores=2)
+                                  prefetchers_enabled=False))
 
 
 def test_ablation_batch_size(result_table):
@@ -250,8 +249,7 @@ def test_ablation_pei_offload_speedup(result_table):
             geometry=DRAMGeometry(ranks=1, banks_per_rank=64,
                                   rows_per_bank=65536),
             hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=0.25,
-                                      l2_size_kb=64),
-            num_cores=2)
+                                      l2_size_kb=64))
 
     def sweep():
         graph = generate_graph(3000, avg_degree=8, seed=2)

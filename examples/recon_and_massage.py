@@ -27,8 +27,7 @@ def main() -> None:
     config = SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=512),
         mapping="xor",
-        hierarchy=HierarchyConfig(num_cores=2, prefetchers_enabled=False),
-        num_cores=2)
+        hierarchy=HierarchyConfig(num_cores=2, prefetchers_enabled=False))
     system = System(config)
     recon = AddressReconnaissance(system)
 

@@ -3,7 +3,7 @@
 A full-system reproduction of *"Amplifying Main Memory-Based Timing Covert
 and Side Channels using Processing-in-Memory Operations"* (DSN 2025):
 a cycle-accounting simulator of a PiM-enabled machine (DRAM banks and row
-buffers, cache hierarchy, MMU, PEI and RowClone engines), the seven
+buffers, cache hierarchy, PEI and RowClone engines), the seven
 covert-channel attacks of §5, the read-mapping side channel of §4.3, and
 the three defenses of §6.
 

@@ -68,8 +68,6 @@ class DramaClflushChannel(CovertChannel):
     def transmit(self, bits: Sequence[int]) -> ChannelResult:
         message = self.check_bits(bits)
         system = self.system
-        system.warm_up([self.sender_addr, self.receiver_addr])
-
         sched = Scheduler()
         start_barrier = Barrier(parties=2, name="start")
         sent_sem = Semaphore(name="sent")

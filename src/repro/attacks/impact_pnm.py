@@ -59,8 +59,6 @@ class ImpactPnmChannel(CovertChannel):
             raise ValueError(
                 f"batch_size {batch_size} exceeds the {len(self.banks)} "
                 f"available banks")
-        self.init_row = init_row
-        self.interference_row = interference_row
         self._init_addrs = [system.address_of(b, init_row) for b in self.banks]
         self._intf_addrs = [system.address_of(b, interference_row)
                             for b in self.banks]
@@ -93,8 +91,6 @@ class ImpactPnmChannel(CovertChannel):
     def transmit(self, bits: Sequence[int]) -> ChannelResult:
         message = self.check_bits(bits)
         system = self.system
-        system.warm_up(self._init_addrs + self._intf_addrs)
-
         sched = Scheduler()
         start_barrier = Barrier(parties=2, name="start")
         sem = Semaphore(name="batch-ready")

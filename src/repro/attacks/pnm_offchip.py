@@ -41,7 +41,6 @@ class PnmOffchipChannel(ImpactPnmChannel):
                          threshold_cycles=threshold_cycles)
         if system.offchip_predictor is None:
             system.enable_offchip_predictor()
-        self.recoveries = 0
 
     def _sender_op(self, ctx: Context, sys_: System, bank_index: int) -> None:
         sys_.pei_op_predicted(ctx, self._intf_addrs[bank_index],
@@ -60,6 +59,5 @@ class PnmOffchipChannel(ImpactPnmChannel):
         """If the probe was served from a cache, flush the line and redo
         the bank initialization so the next round observes DRAM again."""
         if latency < CACHE_HIT_GIVEAWAY_CYCLES:
-            self.recoveries += 1
             sys_.clflush(ctx, core=1, addr=self._init_addrs[bank_index],
                          requestor="receiver")

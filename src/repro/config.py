@@ -66,7 +66,6 @@ class SystemConfig:
     """
 
     cpu_ghz: float = 2.6
-    num_cores: int = 4
     geometry: DRAMGeometry = field(default_factory=DRAMGeometry)
     timings: DRAMTimings = field(default_factory=DRAMTimings)
     mapping: str = "row"
@@ -139,7 +138,8 @@ class SystemConfig:
         g = self.geometry
         return [
             {"component": "CPU",
-             "configuration": f"{self.num_cores}-core, OoO x86, {self.cpu_ghz} GHz"},
+             "configuration": f"{h.num_cores}-core, OoO x86, {self.cpu_ghz} GHz"},
+            # Restates the paper's Table 2; translation is not simulated.
             {"component": "MMU",
              "configuration": "L1 DTLB (4KB): 64-entry 4-way 1-cycle; "
                               "L1 DTLB (2MB): 32-entry 4-way 1-cycle; "
@@ -153,7 +153,7 @@ class SystemConfig:
                               f"{h.l2_latency}-cycle, {h.l2_replacement.upper()}, "
                               f"Streamer"},
             {"component": "L3 Cache",
-             "configuration": f"{h.llc_size_mb / self.num_cores:g} MB/core, "
+             "configuration": f"{h.llc_size_mb / h.num_cores:g} MB/core, "
                               f"{h.llc_ways}-way, {h.llc_latency_cycles}-cycle, "
                               f"{h.llc_replacement.upper()}"},
             {"component": "Main Memory",

@@ -94,7 +94,6 @@ class AddressMapping:
         self.geometry = geometry
         self._row_bytes = geometry.row_bytes
         self._num_banks = geometry.num_banks
-        self._rows_per_bank = geometry.rows_per_bank
         self._capacity = geometry.capacity_bytes
         self._row_shift = _shift_for(self._row_bytes)
         self._bank_shift = _shift_for(self._num_banks)

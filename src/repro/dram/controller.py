@@ -96,7 +96,11 @@ class MemoryResult:
 
 @dataclass
 class RequestorStats:
-    """Per-requestor counters (used by detection/forensics analyses)."""
+    """Per-requestor DRAM counters.
+
+    Only tests read them, as witnesses that two paths do the same DRAM
+    work; the detector reads the hierarchy's
+    :class:`repro.cache.hierarchy.RequestorCacheStats` instead."""
 
     reads: int = 0
     writes: int = 0

@@ -97,8 +97,6 @@ class LocalityMonitor:
         self._ignore: List[List[bool]] = [[False] * ways for _ in range(self.num_sets)]
         self._stamps: List[List[int]] = [[0] * ways for _ in range(self.num_sets)]
         self._clock = 0
-        self.high_locality_decisions = 0
-        self.lookups = 0
 
     def _locate(self, block: int) -> Tuple[int, Optional[int]]:
         set_index = block % self.num_sets
@@ -114,7 +112,6 @@ class LocalityMonitor:
         ``set_ignore`` models the attacker explicitly setting the entry's
         ignore flag (§4.1 step 1).
         """
-        self.lookups += 1
         self._clock += 1
         block = addr // self.line_bytes
         set_index, way = self._locate(block)
@@ -135,10 +132,7 @@ class LocalityMonitor:
             self._ignore[set_index][way] = False
             return False
         self._hits[set_index][way] += 1
-        if self._hits[set_index][way] >= self.config.locality_threshold:
-            self.high_locality_decisions += 1
-            return True
-        return False
+        return self._hits[set_index][way] >= self.config.locality_threshold
 
     def _allocate(self, set_index: int) -> int:
         ways = self.config.monitor_ways

@@ -3,8 +3,8 @@
 The kernel provides the concurrency substrate every other subsystem builds
 on.  Simulated threads are Python generators scheduled in virtual-time order
 (the runnable thread with the smallest local clock always runs next), which
-guarantees that mutations of shared hardware state — DRAM row buffers, cache
-sets, TLBs — happen in nondecreasing global-time order.
+guarantees that mutations of shared hardware state — DRAM row buffers and
+cache sets — happen in nondecreasing global-time order.
 
 Public API:
 

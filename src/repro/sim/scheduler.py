@@ -146,7 +146,6 @@ class Barrier:
         self.name = name
         self.parties = parties
         self._arrived: List["SimThread"] = []
-        self._generation = 0
 
     def wait(self) -> _BarrierWait:
         """Return a command that blocks until all parties have arrived."""
@@ -215,12 +214,11 @@ class Scheduler:
         self._obs = observer if observer is not None else current_observer()
 
     def spawn(self, body: ThreadBody, *args: Any, name: Optional[str] = None,
-              start_time: int = 0, **kwargs: Any) -> SimThread:
+              **kwargs: Any) -> SimThread:
         """Create a thread from generator function ``body(ctx, *args)``."""
         self._seq += 1
         thread_name = name if name is not None else f"thread-{self._seq}"
         ctx = Context(thread_name, self._seq, self)
-        ctx.now = start_time
         gen = body(ctx, *args, **kwargs)
         if not isinstance(gen, Iterator):
             raise TypeError(
@@ -346,7 +344,6 @@ class Scheduler:
                                           self._sched_id)
             return
         resume_time = max(t.ctx.now for t in barrier._arrived)
-        barrier._generation += 1
         for waiter in barrier._arrived:
             waiter.ctx.advance_to(resume_time)
             if waiter._seq in self._blocked:

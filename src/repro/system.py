@@ -1,8 +1,8 @@
 """The simulated PiM-enabled system: everything wired together.
 
 :class:`System` builds the full machine from a :class:`SystemConfig` —
-memory controller, cache hierarchy, per-core MMUs, PEI engine, RowClone
-engine, DMA engine, background noise — and exposes the *operation API* that
+memory controller, cache hierarchy, PEI engine, RowClone engine, DMA
+engine, background noise — and exposes the *operation API* that
 simulated threads (attack senders/receivers, victims, workloads) call.
 Every operation takes the calling thread's :class:`repro.sim.Context` and
 advances its clock by the operation's latency.
@@ -20,8 +20,6 @@ from typing import List, Optional
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.config import SystemConfig
 from repro.dram.controller import MemoryController, MemoryResult
-from repro.mmu.mmu import MMU, MMUConfig
-from repro.mmu.page_table import PageTableWalker
 from repro.obs import (MultiObserver, Observer, Sanitizer, current_observer,
                        sanitize_requested)
 from repro.pim.offchip import OffChipPredictor, OffChipPredictorConfig
@@ -72,8 +70,6 @@ class BackgroundNoise:
 class System:
     """A PiM-enabled machine assembled from a :class:`SystemConfig`."""
 
-    PAGE_TABLE_BASE_FRACTION = 0.75  # page tables live high in memory
-
     def __init__(self, config: Optional[SystemConfig] = None, *,
                  observer: Optional[Observer] = None,
                  sanitize: Optional[bool] = None) -> None:
@@ -104,12 +100,6 @@ class System:
             self.observer = None
         self.controller = MemoryController(self.config.controller_config())
         self.hierarchy = CacheHierarchy(self.config.hierarchy, self.controller)
-        capacity = self.config.geometry.capacity_bytes
-        table_base = int(capacity * self.PAGE_TABLE_BASE_FRACTION)
-        self.walkers = [PageTableWalker(self.hierarchy, table_base)
-                        for _ in range(self.config.num_cores)]
-        self.mmus = [MMU(MMUConfig(), self.walkers[core], core)
-                     for core in range(self.config.num_cores)]
         self.pei = PEIEngine(self.config.pei, self.controller, self.hierarchy)
         self.rowclone_engine = RowCloneEngine(self.config.rowclone,
                                               self.controller)
@@ -141,7 +131,7 @@ class System:
     def reset_stats(self) -> None:
         """Zero every statistics counter in the machine — cache hierarchy,
         memory controller, and per-bank DRAM counters — while keeping all
-        architectural state (cache contents, row buffers, TLBs).  Callers
+        architectural state (cache contents, row buffers).  Callers
         measuring a warm replay reset here after the warm-up pass."""
         self.hierarchy.reset_stats()
         self.controller.reset_stats()
@@ -160,16 +150,10 @@ class System:
 
     def load(self, ctx: Context, core: int, addr: int, *,
              is_write: bool = False, pc: Optional[int] = None,
-             translate: bool = False,
              requestor: Optional[str] = None) -> HierarchyResult:
         """Demand load/store through the cache hierarchy."""
         who = requestor if requestor is not None else ctx.name
-        issued = ctx.now
-        if translate:
-            translation = self.mmus[core].translate(addr, issued)
-            issued += translation.latency
-            addr = translation.paddr
-        result = self.hierarchy.access(core, addr, issued, is_write=is_write,
+        result = self.hierarchy.access(core, addr, ctx.now, is_write=is_write,
                                        pc=pc, requestor=who)
         ctx.advance_to(result.finish)
         return result
@@ -179,12 +163,12 @@ class System:
                   requestor: Optional[str] = None) -> int:
         """Back-to-back demand loads/stores (eviction walks, replays).
 
-        Equivalent to calling :meth:`load` once per address (without
-        address translation), but with the per-access call overhead and
-        result construction hoisted out of the loop.  Returns the batch's
-        finish time.  Only safe when no other runnable thread touches the
-        memory system during the batch — the scheduler checkpoints a
-        hand-written loop would yield at are elided (see EXPERIMENTS.md).
+        Equivalent to calling :meth:`load` once per address, but with the
+        per-access call overhead and result construction hoisted out of
+        the loop.  Returns the batch's finish time.  Only safe when no
+        other runnable thread touches the memory system during the batch —
+        the scheduler checkpoints a hand-written loop would yield at are
+        elided (see EXPERIMENTS.md).
         """
         who = requestor if requestor is not None else ctx.name
         finish = self.hierarchy.access_batch(core, addrs, ctx.now,
@@ -302,9 +286,3 @@ class System:
     def address_of(self, bank: int, row: int, col: int = 0) -> int:
         """Memory-massaging result: the address landing at (bank, row)."""
         return self.controller.address_of(bank, row, col)
-
-    def warm_up(self, addrs: List[int], cores: Optional[List[int]] = None) -> None:
-        """Pre-fill TLBs for the given addresses (§5.1 warm-up phase)."""
-        targets = cores if cores is not None else list(range(self.config.num_cores))
-        for core in targets:
-            self.mmus[core].warm_up(addrs)

@@ -210,7 +210,7 @@ def fig11_config() -> SystemConfig:
     base = SystemConfig.paper_default()
     hierarchy = HierarchyConfig(num_cores=2, l2_size_kb=256,
                                 llc_size_mb=1.0, llc_latency=32)
-    return replace(base, num_cores=2, hierarchy=hierarchy)
+    return replace(base, hierarchy=hierarchy)
 
 
 #: Fig. 11's row policies: the open-row baseline, then CRP and CTD.

@@ -29,8 +29,7 @@ def small_config(mapping="row", llc_mb=2.0, llc_replacement="srrip"):
         mapping=mapping,
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=llc_mb,
                                   llc_replacement=llc_replacement,
-                                  prefetchers_enabled=False),
-        num_cores=2)
+                                  prefetchers_enabled=False))
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,7 @@ def test_end_to_end_leak_to_identification():
         geometry=DRAMGeometry(ranks=1, banks_per_rank=NUM_BANKS,
                               rows_per_bank=8192),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=2))
+                                  prefetchers_enabled=False)))
     true_start = 3300
     read = REFERENCE[true_start:true_start + 150]
     mapper = PimReadMapper(system, REFERENCE, INDEX)

@@ -13,8 +13,7 @@ def config(banks=64):
         geometry=DRAMGeometry(ranks=1, banks_per_rank=banks,
                               rows_per_bank=4096),
         hierarchy=HierarchyConfig(num_cores=4, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=4)
+                                  prefetchers_enabled=False))
 
 
 def test_single_pair_matches_channel_scale():

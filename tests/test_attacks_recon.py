@@ -16,8 +16,7 @@ def make_system(mapping="row"):
     return System(SystemConfig(
         geometry=GEOM, mapping=mapping,
         hierarchy=HierarchyConfig(num_cores=1, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=1))
+                                  prefetchers_enabled=False)))
 
 
 def test_same_bank_probe_detects_row_thrashing():

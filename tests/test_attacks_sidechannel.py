@@ -25,8 +25,7 @@ def bank_config(num_banks, noise=0.0):
         geometry=DRAMGeometry(ranks=1, banks_per_rank=num_banks,
                               rows_per_bank=8192),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=2)
+                                  prefetchers_enabled=False))
     if noise:
         cfg = cfg.with_noise(noise)
     return cfg

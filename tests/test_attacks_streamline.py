@@ -12,8 +12,7 @@ def small_config(llc_mb=2.0, prefetchers=False):
     return SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=8192),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=llc_mb,
-                                  prefetchers_enabled=prefetchers),
-        num_cores=2)
+                                  prefetchers_enabled=prefetchers))
 
 
 def make_channel(llc_mb=2.0, prefetchers=False, **kwargs):

@@ -17,8 +17,7 @@ def small_config():
     return SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=2)
+                                  prefetchers_enabled=False))
 
 
 # ---------------------------------------------------------------------------

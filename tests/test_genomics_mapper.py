@@ -25,8 +25,7 @@ def small_system():
     return System(SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=2))
+                                  prefetchers_enabled=False)))
 
 
 def test_exact_reads_map_to_true_positions():

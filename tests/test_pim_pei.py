@@ -197,8 +197,7 @@ def _rescan_config(**overrides):
     config = SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=64, rows_per_bank=4096),
         hierarchy=HierarchyConfig(num_cores=1, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=1)
+                                  prefetchers_enabled=False))
     return replace(config, **overrides)
 
 

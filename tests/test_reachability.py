@@ -18,6 +18,14 @@ A second check, on the same parse, lists every name a module of the
 package imports and never mentions again.  A package ``__init__``
 re-exports what it imports, and a name in ``__all__`` is exported, so
 neither counts as unused.
+
+A third check lists every ``self.<name>`` that a class of the package
+stores and that no ``.py`` file under those folders or ``tests/`` loads:
+an attribute counts only where it is read, and identifier strings count
+as above (``getattr(obj, "name")``).  A counter that a test reads is how
+that test observes live behaviour, so loads in tests count.  Dataclass
+fields are left out, because tests compare whole records with ``==``
+and :func:`dataclasses.astuple`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -70,6 +78,16 @@ def definitions(tree: ast.Module) -> Iterator[Tuple[str, str, ast.AST]]:
                     yield name, name, node
 
 
+def _identifier_parts(node: ast.AST) -> List[str]:
+    """The parts of a string constant that reads as a dotted identifier
+    (``"CacheHierarchy.probe_batch"``), else nothing."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        parts = node.value.split(".")
+        if all(part.isidentifier() for part in parts):
+            return parts
+    return []
+
+
 def mentions(node: ast.AST, reexports: bool = True) -> Counter:
     """Every name ``node`` mentions.  With ``reexports=False`` (a package
     ``__init__``) its relative and ``repro`` imports are left out."""
@@ -90,12 +108,22 @@ def mentions(node: ast.AST, reexports: bool = True) -> Counter:
             if reexports or not internal:
                 for alias in current.names:
                     found.update(alias.name.split("."))
-        elif (isinstance(current, ast.Constant)
-              and isinstance(current.value, str)):
-            parts = current.value.split(".")
-            if all(part.isidentifier() for part in parts):
-                found.update(parts)
+        else:
+            found.update(_identifier_parts(current))
         stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def loads(node: ast.AST) -> Counter:
+    """The load-only counterpart of :func:`mentions` for attributes:
+    every attribute ``node`` reads, and every identifier string's parts."""
+    found: Counter = Counter()
+    for current in ast.walk(node):
+        if (isinstance(current, ast.Attribute)
+                and isinstance(current.ctx, ast.Load)):
+            found[current.attr] += 1
+        else:
+            found.update(_identifier_parts(current))
     return found
 
 
@@ -180,3 +208,43 @@ def unused_imports() -> List[str]:
 def test_every_import_is_used():
     unused = unused_imports()
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _dataclass_fields(cls: ast.ClassDef) -> Set[str]:
+    """The field names of ``cls`` if a ``dataclass`` decorator makes it a
+    dataclass, else none."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return {name for node in cls.body for name in _assigned_names(node)}
+    return set()
+
+
+def unread_attributes() -> List[str]:
+    """``Class.name (path)`` of each ``self.<name>`` a class of the
+    package stores and no file loads, dataclass fields aside."""
+    read: Counter = Counter()
+    for folder in USER_DIRS + ("tests",):
+        for _path, tree in parsed(ROOT / folder):
+            read += loads(tree)
+    unread = set()
+    for path, tree in parsed(PACKAGE):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = _dataclass_fields(cls)
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                        and node.attr not in fields
+                        and not read[node.attr]):
+                    unread.add(f"{cls.name}.{node.attr} "
+                               f"({path.relative_to(ROOT)})")
+    return sorted(unread)
+
+
+def test_every_attribute_is_read():
+    unread = unread_attributes()
+    assert not unread, "stored but never read: " + ", ".join(unread)

@@ -14,8 +14,7 @@ def small_config(**kwargs):
     cfg = SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0,
-                                  prefetchers_enabled=False),
-        num_cores=2)
+                                  prefetchers_enabled=False))
     return replace(cfg, **kwargs) if kwargs else cfg
 
 
@@ -29,7 +28,7 @@ def run_thread(system, body):
 def test_paper_default_matches_table2():
     cfg = SystemConfig.paper_default()
     assert cfg.cpu_ghz == 2.6
-    assert cfg.num_cores == 4
+    assert cfg.hierarchy.num_cores == 4
     assert cfg.geometry.banks_per_rank == 16
     assert cfg.geometry.ranks == 4
     assert cfg.hierarchy.l1_size_kb == 32
@@ -38,6 +37,14 @@ def test_paper_default_matches_table2():
     rows = cfg.describe()
     assert any("DDR4-2400" in r["configuration"] for r in rows)
     assert len(rows) == 6
+    # The core count comes from the hierarchy, the one place that sets it.
+    from repro.cache import HierarchyConfig
+    two_core = SystemConfig(
+        hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=2.0))
+    described = {r["component"]: r["configuration"]
+                 for r in two_core.describe()}
+    assert described["CPU"].startswith("2-core,")
+    assert described["L3 Cache"].startswith("1 MB/core,")
 
 
 def test_with_llc_sweep_updates_latency():
@@ -169,9 +176,3 @@ def test_offchip_predictor_requires_enabling():
         return result
 
     assert run_thread(system, body2) is not None
-
-
-def test_warm_up_prefills_tlbs():
-    system = System(small_config())
-    system.warm_up([0x1000, 0x2000], cores=[0])
-    assert system.mmus[0].l1_4k.lookup(0x1000)

@@ -36,8 +36,7 @@ def tiny_system(cores=2, **hierarchy):
     hierarchy = {"llc_size_mb": 2.0, **hierarchy}
     return System(SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=16, rows_per_bank=4096),
-        hierarchy=HierarchyConfig(num_cores=cores, **hierarchy),
-        num_cores=cores))
+        hierarchy=HierarchyConfig(num_cores=cores, **hierarchy)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ def small_llc_config():
         geometry=DRAMGeometry(ranks=1, banks_per_rank=64,
                               rows_per_bank=65536),
         hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=0.25,
-                                  l2_size_kb=64),
-        num_cores=2)
+                                  l2_size_kb=64))
 
 
 GRAPH = generate_graph(1500, avg_degree=8, seed=2)
@@ -125,8 +124,7 @@ def test_pagerank_cache_friendly_regime_prefers_host():
     config = SystemConfig(
         geometry=DRAMGeometry(ranks=1, banks_per_rank=64,
                               rows_per_bank=65536),
-        hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=8.0),
-        num_cores=2)
+        hierarchy=HierarchyConfig(num_cores=2, llc_size_mb=8.0))
     small_layout = Layout(node_bytes=32, edge_bytes=16)
     host = run_pagerank(System(config), GRAPH, small_layout, mode="host")
     pei = run_pagerank(System(config), GRAPH, small_layout, mode="pei")
